@@ -314,12 +314,19 @@ def _load_model(cfg: RunConfig):
         cfg.checkpoint = str(default)
     if not Path(cfg.checkpoint).exists():
         raise DataError("checkpoint not found", cfg.checkpoint)
-    params, vocab_ref = load_checkpoint(cfg.checkpoint)
+    try:
+        params, vocab_ref = load_checkpoint(cfg.checkpoint)
+    except ValueError as exc:
+        raise DataError(str(exc)) from exc
     sidecar = Path(vocab_ref) if vocab_ref else _sidecar_dir(cfg)
     if not sidecar.is_absolute() and not sidecar.exists():
         alt = Path(cfg.checkpoint).parent / sidecar
         sidecar = alt if alt.exists() else sidecar
     vocab = Vocab.load(sidecar)
+    if (vocab.n_entities, vocab.n_relations) != (params.n_entities, params.n_relations):
+        raise DataError(f"sidecar vocab has {vocab.n_entities} entities and "
+                        f"{vocab.n_relations} relations, the checkpoint "
+                        f"{params.n_entities} and {params.n_relations}", sidecar)
     manifest = sidecar / "binning.txt"
     if not manifest.exists():
         raise DataError("binning manifest missing from sidecar", manifest)

@@ -29,6 +29,10 @@ from .data import Quadruple, TimeBinning, endpoint_terms
 
 CHECKPOINT_MAGIC = b"TERO"
 CHECKPOINT_VERSION = 1
+# rows per block of the full-table distance kernel. At k=500 a block is
+# 512 KB, which stays in L2; 64 was the fastest of 32-512 rows measured on
+# a Xeon with 2 MB of L2 per core.
+BLOCK_ROWS = 64
 
 
 @dataclass
@@ -140,11 +144,17 @@ def rotate(re: np.ndarray, im: np.ndarray,
 
     Preserves the modulus of every coordinate exactly up to float rounding.
     """
-    re, im, phase = np.asarray(re, float), np.asarray(im, float), np.asarray(phase, float)
+    re, im, phase = np.asarray(re), np.asarray(im), np.asarray(phase, float)
     if re.shape != im.shape or re.shape[-1] != phase.shape[-1]:
         raise ValueError(f"shape mismatch: re {re.shape}, im {im.shape}, phase {phase.shape}")
+    # float64 cos/sin promote float32 coordinates without a float64 copy of
+    # them, and the in-place updates save two table-sized temporaries
     c, s = np.cos(phase), np.sin(phase)
-    return re * c - im * s, re * s + im * c
+    out_re = re * c
+    out_re -= im * s
+    out_im = re * s
+    out_im += im * c
+    return out_re, out_im
 
 
 def _norm(d_re: np.ndarray, d_im: np.ndarray, p: int) -> np.ndarray:
@@ -171,18 +181,20 @@ def score_quads(params: ModelParams, s: np.ndarray, slot: np.ndarray,
     return _norm(d_re, d_im, params.norm_p)
 
 
-def _check_ids(params: ModelParams, s: int, slot: int, o: int, tau: int) -> None:
-    if not (0 <= s < params.n_entities and 0 <= o < params.n_entities):
-        raise IndexError(f"entity id out of range: s={s}, o={o}, n={params.n_entities}")
-    if not 0 <= slot < params.n_slots:
+def _check_ids(params: ModelParams, *entities: int, slot: int | None = None,
+               tau: int | None = None) -> None:
+    # numpy indexing would wrap a negative id round to the last row
+    if not all(0 <= e < params.n_entities for e in entities):
+        raise IndexError(f"entity id out of range: {entities}, n={params.n_entities}")
+    if slot is not None and not 0 <= slot < params.n_slots:
         raise IndexError(f"relation slot {slot} out of range (n_slots={params.n_slots})")
-    if not 0 <= tau < params.n_tau:
+    if tau is not None and not 0 <= tau < params.n_tau:
         raise IndexError(f"time step {tau} out of range (n_tau={params.n_tau})")
 
 
 def score_point(params: ModelParams, s: int, slot: int, o: int, tau: int) -> float:
     """Score of a single endpoint quadruple. Non-negative; lower is better."""
-    _check_ids(params, s, slot, o, tau)
+    _check_ids(params, s, o, slot=slot, tau=tau)
     return float(score_quads(params, np.array([s]), np.array([slot]),
                              np.array([o]), np.array([tau]))[0])
 
@@ -199,24 +211,60 @@ def score_fact(params: ModelParams, quad: Quadruple, binning: TimeBinning) -> fl
                           for slot, tau in terms]))
 
 
-def score_all_objects(params: ModelParams, s: int, slot: int, tau: int) -> np.ndarray:
-    """Endpoint scores with every entity substituted as the object."""
-    _check_ids(params, s, slot, 0, tau)
-    s_re, s_im = rotate(params.ent_re[s], params.ent_im[s], params.phase[tau])
-    o_re, o_im = rotate(params.ent_re, params.ent_im, params.phase[tau])
-    d_re = s_re + params.rel_re[slot] - o_re
-    d_im = s_im + params.rel_im[slot] + o_im
-    return _norm(d_re, d_im, params.norm_p)
+def rotated_table(params: ModelParams, tau: int) -> np.ndarray:
+    """Every entity rotated to step ``tau``, as one float64 ``[re | im]`` table.
+
+    Row e holds rot(e, theta_tau) as ``(n_entities, 2k)``; one table serves
+    the subject and the object side of every query at that step. It takes
+    ``n_entities * 2k * 8`` bytes (57 MB at ICEWS14 shape, k=500).
+    """
+    _check_ids(params, tau=tau)
+    return np.hstack(rotate(params.ent_re, params.ent_im, params.phase[tau]))
 
 
-def score_all_subjects(params: ModelParams, slot: int, o: int, tau: int) -> np.ndarray:
-    """Endpoint scores with every entity substituted as the subject."""
-    _check_ids(params, 0, slot, o, tau)
-    o_re, o_im = rotate(params.ent_re[o], params.ent_im[o], params.phase[tau])
-    s_re, s_im = rotate(params.ent_re, params.ent_im, params.phase[tau])
-    d_re = s_re + params.rel_re[slot] - o_re
-    d_im = s_im + params.rel_im[slot] + o_im
-    return _norm(d_re, d_im, params.norm_p)
+def score_table(params: ModelParams, table: np.ndarray, anchor: int, slot: int,
+                side: str) -> np.ndarray:
+    """Endpoint scores with every entity substituted on ``side``.
+
+    ``table`` is ``rotated_table`` at the query's step and ``anchor`` the
+    entity on the other side. Both sides reduce to ``||table[e] - x||_p``:
+    ``x = [re(a) + r_re, -(im(a) + r_im)]`` when the object is asked for,
+    ``x = [re(a) - r_re, -im(a) - r_im]`` when the subject is, with a the
+    rotated anchor.
+    """
+    _check_ids(params, anchor, slot=slot)
+    k = params.k
+    a_re, a_im = table[anchor, :k], table[anchor, k:]
+    r_re, r_im = params.rel_re[slot], params.rel_im[slot]
+    if side == "object":
+        x = np.concatenate([a_re + r_re, -(a_im + r_im)])
+    elif side == "subject":
+        x = np.concatenate([a_re - r_re, -a_im - r_im])
+    else:
+        raise ValueError(f"side must be 'subject' or 'object', got {side!r}")
+    return _row_distances(table, x, params.norm_p)
+
+
+def _row_distances(table: np.ndarray, x: np.ndarray, p: int) -> np.ndarray:
+    """``||table[i] - x||_p`` for every row, float64.
+
+    Works through BLOCK_ROWS rows at a time in one preallocated buffer, so
+    the difference block stays in cache instead of materialising a
+    table-sized temporary.
+    """
+    n = table.shape[0]
+    out = np.empty(n)
+    buf = np.empty((min(BLOCK_ROWS, n), table.shape[1]))
+    for start in range(0, n, BLOCK_ROWS):
+        rows = table[start:start + BLOCK_ROWS]
+        d = buf[:len(rows)]
+        np.subtract(rows, x, out=d)
+        if p == 1:
+            np.abs(d, out=d)
+        else:
+            np.multiply(d, d, out=d)
+        d.sum(axis=1, out=out[start:start + len(rows)])
+    return out if p == 1 else np.sqrt(out, out=out)
 
 
 def save_checkpoint(params: ModelParams, path, vocab_ref: str = "") -> None:
@@ -245,13 +293,24 @@ def load_checkpoint(path) -> tuple[ModelParams, str]:
     """Read a checkpoint; returns fresh params (zero accumulators) + vocab ref."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    if blob[:4] != CHECKPOINT_MAGIC:
+    off = 4 + 7 * 4
+    if blob[:4] != CHECKPOINT_MAGIC or len(blob) < off:
         raise ValueError(f"{path}: not a TeRo checkpoint")
     version, n_e, n_r, n_tau, k, dual_flag, p = struct.unpack_from("<7I", blob, 4)
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
+    if dual_flag not in (0, 1) or p not in (1, 2):
+        raise ValueError(f"{path}: bad checkpoint header (dual={dual_flag}, p={p})")
     dual = bool(dual_flag)
-    off = 4 + 7 * 4
+    # the four relation blocks are stored on single-slot models too
+    ref_at = off + 4 * k * (2 * n_e + 4 * n_r + n_tau)
+    if len(blob) < ref_at + 4:
+        raise ValueError(f"{path}: truncated checkpoint ({len(blob)} bytes, "
+                         f"its header needs {ref_at + 4})")
+    (ref_len,) = struct.unpack_from("<I", blob, ref_at)
+    if len(blob) != ref_at + 4 + ref_len:
+        raise ValueError(f"{path}: checkpoint is {len(blob)} bytes, its header "
+                         f"describes {ref_at + 4 + ref_len}")
 
     def take(rows: int) -> np.ndarray:
         nonlocal off
@@ -269,8 +328,7 @@ def load_checkpoint(path) -> tuple[ModelParams, str]:
         rel_im = np.concatenate([rb_im, re_im])
     else:
         rel_re, rel_im = rb_re, rb_im
-    (ref_len,) = struct.unpack_from("<I", blob, off)
-    ref = blob[off + 4: off + 4 + ref_len].decode("utf-8")
+    ref = blob[ref_at + 4:].decode("utf-8")
     params = ModelParams(ent_re, ent_im, rel_re, rel_im, phase,
                          n_relations=n_r, dual=dual, norm_p=p)
     return params, ref

@@ -60,14 +60,19 @@ def fact_score_oracle(params: ModelParams, quad: Quadruple, binning: TimeBinning
 
 
 def rank_oracle(params: ModelParams, quad: Quadruple, side: str, positive_keys: set,
-                binning: TimeBinning) -> int:
-    """Exhaustive rank: substitute every entity, filter, compare one by one."""
+                binning: TimeBinning, score_binning: TimeBinning | None = None) -> int:
+    """Exhaustive rank: substitute every entity, filter, compare one by one.
+
+    Filter keys use ``binning``; scores use ``score_binning`` when given.
+    """
+    score_binning = binning if score_binning is None else score_binning
+
     def key(q: Quadruple) -> tuple:
         tb = binning.index_of(q.time.begin) if q.time.begin is not None else None
         te = binning.index_of(q.time.end) if q.time.end is not None else None
         return (q.subject, q.relation, q.object, (tb, te))
 
-    target_score = fact_score_oracle(params, quad, binning)
+    target_score = fact_score_oracle(params, quad, score_binning)
     n_lower = n_equal = 0
     for e in range(params.n_entities):
         if side == "object":
@@ -80,7 +85,7 @@ def rank_oracle(params: ModelParams, quad: Quadruple, side: str, positive_keys: 
                 continue
         if key(cand) in positive_keys:
             continue
-        score = fact_score_oracle(params, cand, binning)
+        score = fact_score_oracle(params, cand, score_binning)
         if score < target_score:
             n_lower += 1
         elif score == target_score:

@@ -110,13 +110,16 @@ def test_criterion_3_ranking_matches_bruteforce_oracle():
         params = init_params(50, 5, 10, 8, dual=False, seed=10)
         fs = FilterSet.build(ds.all_facts, ds.binning)
         keys = {fs.key_of(q, ds.binning) for q in ds.all_facts}
+        report = evaluate(params, ds.all_facts, fs, ds.binning)
+        assert [(qr.quad, qr.side) for qr in report.ranks] == \
+            [(q, side) for q in ds.all_facts for side in ("subject", "object")]
         checked = 0
-        for quad in ds.all_facts:
-            for side in ("subject", "object"):
-                fast = rank_query(params, quad, side, fs, ds.binning)
-                slow = rank_oracle(params, quad, side, keys, ds.binning)
-                assert fast == slow, f"{quad} {side}: {fast} != {slow}"
-                checked += 1
+        for quad, side, rank in report.ranks:
+            fast = rank_query(params, quad, side, fs, ds.binning)
+            slow = rank_oracle(params, quad, side, keys, ds.binning)
+            assert fast == slow, f"{quad} {side}: {fast} != {slow}"
+            assert rank == slow, f"evaluate {quad} {side}: {rank} != {slow}"
+            checked += 1
         assert checked == 1000
         assert time.perf_counter() - start < 10.0
 

@@ -246,6 +246,23 @@ class TestPredictCommand:
         assert code == 2
         assert "hates" in capsys.readouterr().err
 
+    def test_truncated_checkpoint_is_data_error(self, tmp_path, capsys):
+        ckpt = self.make_constructed_checkpoint(tmp_path)
+        ckpt.write_bytes(ckpt.read_bytes()[:40])  # header, then 2 of 14 floats
+        code = main(["predict", "--checkpoint", str(ckpt), "--subject", "A",
+                     "--relation", "likes", "--time", "2014-01-01"])
+        assert code == 2
+        assert "truncated checkpoint" in capsys.readouterr().err
+
+    def test_short_sidecar_vocab_is_data_error(self, tmp_path, capsys):
+        ckpt = self.make_constructed_checkpoint(tmp_path)
+        entities = tmp_path / "side" / "entities.tsv"
+        entities.write_text("0\tA\n1\tB\n2\tC\n", encoding="utf-8")
+        code = main(["predict", "--checkpoint", str(ckpt), "--subject", "A",
+                     "--relation", "likes", "--time", "2014-01-01", "--top-n", "4"])
+        assert code == 2
+        assert "3 entities" in capsys.readouterr().err
+
     def test_subject_side_query(self, tmp_path, capsys):
         ckpt = self.make_constructed_checkpoint(tmp_path)
         code = main(["predict", "--checkpoint", str(ckpt), "--object", "B",

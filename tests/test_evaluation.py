@@ -229,6 +229,55 @@ class TestEvaluate:
         assert [line.split("\t")[0] for line in lines] == ["mrr", "hits@1", "hits@3", "hits@10"]
 
 
+class TestEvaluateMatchesOracle:
+    """``evaluate`` itself, with its per-step tables, against the oracle."""
+
+    def assert_matches_oracle(self, params, facts, all_facts, binning, score_binning=None,
+                              threads=1):
+        fs = FilterSet.build(all_facts, binning)
+        keys = {fs.key_of(q, binning) for q in all_facts}
+        report = evaluate(params, facts, fs, binning, threads=threads,
+                          score_binning=score_binning)
+        assert [(qr.quad, qr.side) for qr in report.ranks] == \
+            [(q, side) for q in facts for side in ("subject", "object")]
+        for qr in report.ranks:
+            assert qr.rank == rank_oracle(params, qr.quad, qr.side, keys, binning,
+                                          score_binning), (qr.quad, qr.side)
+
+    def test_point_graph(self):
+        ds = random_kg(seed=5, n_entities=20, n_relations=3, n_steps=5, n_facts=100)
+        params = init_params(20, 3, 5, 4, dual=False, seed=32)
+        self.assert_matches_oracle(params, ds.test, ds.all_facts, ds.binning)
+
+    @given(seeds, st.sampled_from([1, 2]))
+    def test_interval_dual_graph(self, seed, threads):
+        # intervals over two steps need two tables per query; half-open
+        # facts and points one
+        rng = np.random.default_rng(seed)
+        n_e, n_r, n_steps = 9, 2, 4
+        params = init_params(n_e, n_r, n_steps, 3, dual=True, seed=int(seed % 991))
+        binning = day_binning(n_steps)
+        facts = set()
+        while len(facts) < 14:
+            b, e = sorted(int(t) for t in rng.integers(n_steps, size=2))
+            date_b, date_e = PartialDate(2014, 1, 1 + b), PartialDate(2014, 1, 1 + e)
+            time = [TimeAnnotation(date_b, date_e), TimeAnnotation(date_b, None),
+                    TimeAnnotation(None, date_e)][int(rng.integers(3))]
+            facts.add(Quadruple(int(rng.integers(n_e)), int(rng.integers(n_r)),
+                                int(rng.integers(n_e)), time))
+        facts = sorted(facts, key=repr)
+        self.assert_matches_oracle(params, facts[:8], facts, binning, threads=threads)
+
+    def test_score_binning_split(self):
+        from tero.synthetic import collapsed_binning, temporary_relation_suite
+        ds = temporary_relation_suite()
+        flat = collapsed_binning(ds)
+        params = init_params(ds.vocab.n_entities, ds.vocab.n_relations, flat.n_tau,
+                             4, dual=False, seed=34)
+        self.assert_matches_oracle(params, ds.test[:6], ds.all_facts, ds.binning,
+                                   score_binning=flat)
+
+
 class TestScoreBinningSplit:
     def test_collapsed_model_fine_protocol(self):
         # a one-step model judged under the fine-grained filter sees

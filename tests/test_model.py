@@ -8,8 +8,8 @@ from conftest import params_from
 from oracles import fact_score_oracle, rotate_oracle, score_oracle
 from tero.data import PartialDate, Quadruple, TimeAnnotation, bin_threshold
 from tero.model import (init_params, load_checkpoint, param_count, rotate,
-                        save_checkpoint, score_all_objects, score_all_subjects,
-                        score_fact, score_point, score_quads)
+                        rotated_table, save_checkpoint, score_fact, score_point,
+                        score_quads, score_table)
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -192,16 +192,35 @@ class TestScoreFact:
 
 
 class TestBatchScoring:
-    @given(seeds)
-    def test_all_entity_scoring_matches_pointwise(self, seed):
+    @given(seeds, st.sampled_from([1, 2]))
+    def test_all_entity_scoring_matches_pointwise(self, seed, p):
+        # 150 entities span several row blocks of the kernel, the last one short
         rng = np.random.default_rng(seed)
-        params = init_params(6, 2, 3, 4, dual=False, seed=int(seed % 1000))
-        s, slot, tau = 2, 1, 1
-        by_object = score_all_objects(params, s, slot, tau)
-        by_subject = score_all_subjects(params, slot, s, tau)
-        for e in range(6):
-            assert by_object[e] == pytest.approx(score_point(params, s, slot, e, tau), abs=1e-12)
-            assert by_subject[e] == pytest.approx(score_point(params, e, slot, s, tau), abs=1e-12)
+        n = 150
+        params = init_params(n, 2, 3, 4, dual=False, seed=int(seed % 1000), norm_p=p)
+        anchor, slot, tau = int(rng.integers(n)), int(rng.integers(2)), int(rng.integers(3))
+        table = rotated_table(params, tau)
+        every, fixed = np.arange(n), np.full(n, anchor)
+        slots, taus = np.full(n, slot), np.full(n, tau)
+        assert np.allclose(score_table(params, table, anchor, slot, "object"),
+                           score_quads(params, fixed, slots, every, taus), rtol=0, atol=1e-12)
+        assert np.allclose(score_table(params, table, anchor, slot, "subject"),
+                           score_quads(params, every, slots, fixed, taus), rtol=0, atol=1e-12)
+
+    def test_table_scoring_rejects_out_of_range_ids(self, tiny_params):
+        # numpy would wrap a negative id round to the last row
+        table = rotated_table(tiny_params, 0)
+        with pytest.raises(IndexError):
+            score_table(tiny_params, table, -1, 0, "object")
+        with pytest.raises(IndexError):
+            score_table(tiny_params, table, 0, -1, "subject")
+        for tau in (-1, tiny_params.n_tau):
+            with pytest.raises(IndexError):
+                rotated_table(tiny_params, tau)
+
+    def test_unknown_side_rejected(self, tiny_params):
+        with pytest.raises(ValueError, match="side"):
+            score_table(tiny_params, rotated_table(tiny_params, 0), 0, 0, "both")
 
     def test_score_quads_vectorizes(self, tiny_params):
         s = np.array([0, 1, 2])
@@ -295,6 +314,16 @@ class TestCheckpoint:
         for s in range(4):
             assert score_point(loaded, s, 1, (s + 1) % 4, s % 3) == \
                 score_point(tiny_params, s, 1, (s + 1) % 4, s % 3)
+
+    def test_rejects_header_that_does_not_match_the_data(self, tmp_path, tiny_params):
+        f = tmp_path / "m.tero"
+        save_checkpoint(tiny_params, f, vocab_ref="side")
+        blob = f.read_bytes()
+        for bad, match in ((blob[:-1], "is 267 bytes"), (blob[:60], "truncated"),
+                           (blob[:28] + b"\x07" + blob[29:], "bad checkpoint header")):
+            f.write_bytes(bad)
+            with pytest.raises(ValueError, match=match):
+                load_checkpoint(f)
 
     def test_rejects_foreign_file(self, tmp_path):
         f = tmp_path / "bad.tero"
