@@ -20,6 +20,8 @@ comparisons are precision-robust. Models built with ``dtype=np.float64``
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -274,19 +276,32 @@ def save_checkpoint(params: ModelParams, path, vocab_ref: str = "") -> None:
     n_tau, k, dual, p), then float32 little-endian arrays in fixed order
     (entity re, entity im, begin-relation re/im, end-relation re/im, phases),
     then a u32-length-prefixed UTF-8 vocab sidecar reference.
+
+    The bytes go to ``<path>.tmp``, which is synced and then renamed over
+    ``path``, so a write that fails partway leaves any previous checkpoint
+    at ``path`` intact.
     """
     head = struct.pack("<7I", CHECKPOINT_VERSION, params.n_entities, params.n_relations,
                        params.n_tau, params.k, int(params.dual), params.norm_p)
     rb_re, rb_im = params.relation_begin
     re_re, re_im = params.relation_end
     ref = vocab_ref.encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(head)
-        for arr in (params.ent_re, params.ent_im, rb_re, rb_im, re_re, re_im, params.phase):
-            fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-        fh.write(struct.pack("<I", len(ref)))
-        fh.write(ref)
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(head)
+            for arr in (params.ent_re, params.ent_im, rb_re, rb_im, re_re, re_im, params.phase):
+                fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+            fh.write(struct.pack("<I", len(ref)))
+            fh.write(ref)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path) -> tuple[ModelParams, str]:

@@ -6,8 +6,12 @@ its subject or object. The loss per positive is
     L = -log sigmoid(margin - f(pos)) - (1/eta) * sum_i log sigmoid(f(neg_i) - margin)
 
 and gradients flow through the rotation into entity components, relation
-components, and time phases. Updates are sparse Adagrad: only rows touched
-by a batch change.
+components, and time phases. Quadruples whose loss weight has saturated to
+zero are dropped before the backward pass. Gradients are row-sparse: each
+table gets the sorted rows that a remaining quadruple touches and a
+gradient for those rows only, and Adagrad reads and writes only those rows
+of the table and of its accumulator. A step therefore costs time in
+proportion to the batch, not to the tables.
 """
 
 from __future__ import annotations
@@ -24,6 +28,8 @@ from .data import Quadruple, TimeBinning, TrainQuad, Vocab, expand_for_training
 from .model import ModelParams, init_params, score_quads
 
 ADAGRAD_EPS = 1e-10
+# loss weights below this carry no representable update
+FLUSH_BELOW = 1e-30
 
 
 class NumericalError(Exception):
@@ -178,23 +184,35 @@ def batch_loss(params: ModelParams, pos: np.ndarray, neg: np.ndarray,
     return float((per_pos + per_neg).mean())
 
 
-def _scatter_rows(idx: np.ndarray, vals: np.ndarray, n_rows: int, k: int,
-                  cols: np.ndarray) -> np.ndarray:
-    """Sum (len(idx), k) value rows into a dense (n_rows, k) float64 table."""
-    flat = (idx[:, None] * k + cols).ravel()
-    return np.bincount(flat, weights=vals.ravel(), minlength=n_rows * k).reshape(n_rows, k)
+def _scatter_rows(idx: np.ndarray, vals: Sequence[np.ndarray],
+                  k: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Sum value rows that share a row index, over the touched rows only.
+
+    ``vals`` are (len(idx), k) tables indexed alike by ``idx``; the index is
+    compacted once for all of them. Returns the sorted unique indices
+    ``rows`` and, per table, a (len(rows), k) float64 table whose row i is
+    the sum, in input order, of the value rows with index ``rows[i]``.
+    """
+    rows, inv = np.unique(idx, return_inverse=True)
+    flat = (inv[:, None] * k + np.arange(k)).ravel()
+    n = len(rows) * k
+    return rows, [np.bincount(flat, weights=v.ravel(), minlength=n).reshape(len(rows), k)
+                  for v in vals]
 
 
 def loss_and_grads(params: ModelParams, pos: np.ndarray, neg: np.ndarray,
-                   margin: float, neg_ratio: int) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean batch loss and dense analytic gradients for every parameter table.
+                   margin: float, neg_ratio: int,
+                   ) -> tuple[float, dict[str, tuple[np.ndarray, np.ndarray]]]:
+    """Mean batch loss and row-sparse analytic gradients for every table.
 
+    Returns ``{name: (rows, g)}``: the sorted unique rows of the table that
+    a live quadruple touches and their (len(rows), k) float64 gradient.
     Gradients are exact subgradients of the loss: the L1 kink contributes 0,
     and d||.||_2 at the origin is taken as 0. Arithmetic follows the storage
-    dtype; returned gradient tables are float64. Per-quadruple loss weights
-    below 1e-30 (sigmoid fully saturated, no representable update) are
-    flushed to exact zero, which also keeps float32 math out of the denormal
-    range.
+    dtype. A quadruple whose loss weight is below ``FLUSH_BELOW`` (sigmoid
+    fully saturated, no representable update) takes no part in the backward
+    pass, so rows touched only by such quadruples get no gradient row; this
+    also keeps float32 math out of the denormal range.
     """
     B = len(pos)
     quads = np.concatenate([pos, neg])
@@ -218,12 +236,8 @@ def loss_and_grads(params: ModelParams, pos: np.ndarray, neg: np.ndarray,
 
     if params.norm_p == 1:
         scores = np.abs(d_re).sum(axis=1) + np.abs(d_im).sum(axis=1)
-        u_re, u_im = np.sign(d_re), np.sign(d_im)
     else:
         scores = np.sqrt((d_re * d_re).sum(axis=1) + (d_im * d_im).sum(axis=1))
-        safe = np.where(scores > 0.0, scores, 1.0)[:, None]
-        u_re = np.where(scores[:, None] > 0.0, d_re / safe, 0.0)
-        u_im = np.where(scores[:, None] > 0.0, d_im / safe, 0.0)
 
     f_pos, f_neg = scores[:B], scores[B:]
     total = float((_softplus(f_pos - margin)
@@ -232,9 +246,23 @@ def loss_and_grads(params: ModelParams, pos: np.ndarray, neg: np.ndarray,
     w = np.concatenate([_sigmoid(f_pos - margin), -_sigmoid(margin - f_neg) / neg_ratio]) / B
     if not np.isfinite(total) or not np.isfinite(w).all():
         raise NumericalError("non-finite loss in batch")
-    w[np.abs(w) < 1e-30] = 0.0
-    u_re *= w[:, None]
-    u_im *= w[:, None]
+
+    # backward pass over the live quadruples only
+    live = np.flatnonzero(np.abs(w) >= FLUSH_BELOW)
+    w = w[live, None]
+    s, slot, o, tau = s[live], slot[live], o[live], tau[live]
+    c, sn = c[live], sn[live]
+    a1, a2, b1, b2 = a1[live], a2[live], b1[live], b2[live]
+    d_re, d_im = d_re[live], d_im[live]
+    if params.norm_p == 1:
+        u_re, u_im = np.sign(d_re), np.sign(d_im)
+    else:
+        norm = scores[live, None]
+        safe = np.where(norm > 0.0, norm, 1.0)
+        u_re = np.where(norm > 0.0, d_re / safe, 0.0)
+        u_im = np.where(norm > 0.0, d_im / safe, 0.0)
+    u_re *= w
+    u_im *= w
 
     urc = u_re * c
     urs = u_re * sn
@@ -249,31 +277,31 @@ def loss_and_grads(params: ModelParams, pos: np.ndarray, neg: np.ndarray,
     g_phase -= urc * a2
     g_phase -= urs * a1
 
-    cols = np.arange(k)
-    ent_idx = np.concatenate([s, o])
-    grads = {
-        "ent_re": _scatter_rows(ent_idx, np.concatenate([g_s_re, g_o_re]),
-                                params.n_entities, k, cols),
-        "ent_im": _scatter_rows(ent_idx, np.concatenate([g_s_im, g_o_im]),
-                                params.n_entities, k, cols),
-        "rel_re": _scatter_rows(slot, u_re, params.n_slots, k, cols),
-        "rel_im": _scatter_rows(slot, u_im, params.n_slots, k, cols),
-        "phase": _scatter_rows(tau, g_phase, params.n_tau, k, cols),
-    }
-    return total, grads
+    ent_rows, (g_ent_re, g_ent_im) = _scatter_rows(
+        np.concatenate([s, o]),
+        [np.concatenate([g_s_re, g_o_re]), np.concatenate([g_s_im, g_o_im])], k)
+    rel_rows, (g_rel_re, g_rel_im) = _scatter_rows(slot, [u_re, u_im], k)
+    tau_rows, (g_tau,) = _scatter_rows(tau, [g_phase], k)
+    return total, {"ent_re": (ent_rows, g_ent_re), "ent_im": (ent_rows, g_ent_im),
+                   "rel_re": (rel_rows, g_rel_re), "rel_im": (rel_rows, g_rel_im),
+                   "phase": (tau_rows, g_tau)}
 
 
-def apply_adagrad(params: ModelParams, grads: dict[str, np.ndarray], lr: float) -> None:
-    """In-place Adagrad update: G += g^2, x -= lr * g / (sqrt(G) + eps).
+def apply_adagrad(params: ModelParams, grads: dict[str, tuple[np.ndarray, np.ndarray]],
+                  lr: float) -> None:
+    """In-place Adagrad on the given rows: G += g^2, x -= lr * g / (sqrt(G) + eps).
 
-    Zero-gradient coordinates are left untouched. The float64 step rounds
-    into the storage dtype on assignment.
+    ``grads`` maps a table name to ``(rows, g)`` with unique ``rows``, as
+    ``loss_and_grads`` returns it; only those rows of the table and of its
+    accumulator are read or written. The float64 step rounds into the
+    storage dtype on assignment.
     """
     arrays = params.arrays()
-    for name, g in grads.items():
-        acc = params.acc[name]
+    for name, (rows, g) in grads.items():
+        acc = params.acc[name][rows]
         acc += g * g
-        arrays[name] -= lr * g / (np.sqrt(acc) + ADAGRAD_EPS)
+        params.acc[name][rows] = acc
+        arrays[name][rows] -= lr * g / (np.sqrt(acc) + ADAGRAD_EPS)
 
 
 def grad_step(params: ModelParams, pos: np.ndarray, neg: np.ndarray,
@@ -316,7 +344,7 @@ def train(train_facts: Sequence[Quadruple], valid_facts: Sequence[Quadruple],
         filter_set = FilterSet.build(list(train_facts) + list(valid_facts), binning)
 
     history: list[ValidationRecord] = []
-    best = params.copy()
+    best = None
     best_mrr = -1.0
     bad_validations = 0
     start = time.perf_counter()
@@ -352,9 +380,7 @@ def train(train_facts: Sequence[Quadruple], valid_facts: Sequence[Quadruple],
                     bad_validations += 1
                     if bad_validations >= config.patience:
                         break
-        if best_mrr < 0:  # validation never ran
-            best = params
-        return best, history
+        return (params if best is None else best), history
     finally:
         if log_fh:
             log_fh.close()

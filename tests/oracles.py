@@ -1,14 +1,18 @@
 """Independent reference implementations used to check the fast paths.
 
-Everything here works one element at a time with Python complex numbers and
-plain loops, so it shares no code with the vectorized implementations it is
-used to verify.
+Nearly everything here works one element at a time with Python complex
+numbers and plain loops, so it shares no code with the vectorized
+implementations it is used to verify. The exception is
+``dense_step_oracle``, the dense training step the row-sparse one must
+match bit for bit.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+
+import numpy as np
 
 from tero.data import Quadruple, TimeBinning
 from tero.model import ModelParams
@@ -128,3 +132,89 @@ def max_relative_error(analytic: dict, numeric: dict) -> float:
         for x, y in zip(a, n):
             worst = max(worst, abs(x - y) / max(1e-8, abs(y)))
     return worst
+
+
+def dense_grads(params: ModelParams, grads: dict) -> dict:
+    """Row-sparse ``{name: (rows, g)}`` gradients as full float64 tables."""
+    out = {}
+    for name, arr in params.arrays().items():
+        rows, g = grads[name]
+        full = np.zeros(arr.shape)
+        full[rows] = g
+        out[name] = full
+    return out
+
+
+def dense_step_oracle(params: ModelParams, pos, neg, margin: float, neg_ratio: int,
+                      lr: float) -> float:
+    """One training step with dense gradient tables and a whole-table Adagrad.
+
+    The reference for ``tero.training.grad_step``: every quadruple, flushed
+    or not, is scattered into an (n_rows, k) float64 table per parameter
+    table, and Adagrad sweeps every row. Mutates ``params``; returns the
+    mean batch loss.
+    """
+    from tero.training import ADAGRAD_EPS, _sigmoid, _softplus
+
+    B = len(pos)
+    quads = np.concatenate([pos, neg])
+    s, slot, o, tau = (np.ascontiguousarray(quads[:, j]) for j in range(4))
+    k = params.k
+    c, sn = np.cos(params.phase)[tau], np.sin(params.phase)[tau]
+    s_re, s_im = params.ent_re[s], params.ent_im[s]
+    o_re, o_im = params.ent_re[o], params.ent_im[o]
+    a1 = s_re - o_re
+    a2 = s_im - o_im
+    b1 = s_re + o_re
+    b2 = s_im + o_im
+    d_re = a1 * c
+    d_re -= a2 * sn
+    d_re += params.rel_re[slot]
+    d_im = b1 * sn
+    d_im += b2 * c
+    d_im += params.rel_im[slot]
+
+    if params.norm_p == 1:
+        scores = np.abs(d_re).sum(axis=1) + np.abs(d_im).sum(axis=1)
+        u_re, u_im = np.sign(d_re), np.sign(d_im)
+    else:
+        scores = np.sqrt((d_re * d_re).sum(axis=1) + (d_im * d_im).sum(axis=1))
+        safe = np.where(scores > 0.0, scores, 1.0)[:, None]
+        u_re = np.where(scores[:, None] > 0.0, d_re / safe, 0.0)
+        u_im = np.where(scores[:, None] > 0.0, d_im / safe, 0.0)
+
+    f_pos, f_neg = scores[:B], scores[B:]
+    total = float((_softplus(f_pos - margin)
+                   + _softplus(margin - f_neg).reshape(B, neg_ratio).sum(axis=1) / neg_ratio).mean())
+    w = np.concatenate([_sigmoid(f_pos - margin), -_sigmoid(margin - f_neg) / neg_ratio]) / B
+    w[np.abs(w) < 1e-30] = 0.0
+    u_re *= w[:, None]
+    u_im *= w[:, None]
+
+    urc = u_re * c
+    urs = u_re * sn
+    uic = u_im * c
+    uis = u_im * sn
+    g_phase = uic * b1
+    g_phase -= uis * b2
+    g_phase -= urc * a2
+    g_phase -= urs * a1
+
+    def scatter(idx, vals, n_rows):
+        flat = (idx[:, None] * k + np.arange(k)).ravel()
+        return np.bincount(flat, weights=vals.ravel(), minlength=n_rows * k).reshape(n_rows, k)
+
+    ent_idx = np.concatenate([s, o])
+    grads = {
+        "ent_re": scatter(ent_idx, np.concatenate([urc + uis, uis - urc]), params.n_entities),
+        "ent_im": scatter(ent_idx, np.concatenate([uic - urs, urs + uic]), params.n_entities),
+        "rel_re": scatter(slot, u_re, params.n_slots),
+        "rel_im": scatter(slot, u_im, params.n_slots),
+        "phase": scatter(tau, g_phase, params.n_tau),
+    }
+    arrays = params.arrays()
+    for name, g in grads.items():
+        acc = params.acc[name]
+        acc += g * g
+        arrays[name] -= lr * g / (np.sqrt(acc) + ADAGRAD_EPS)
+    return total

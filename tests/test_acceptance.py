@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import fd_grads, rank_oracle
+from oracles import dense_grads, fd_grads, rank_oracle
 from tero.data import (PartialDate, POINT_TSV, bin_fixed, bin_threshold,
                        load_dataset, year_mention_counts)
 from tero.evaluation import FilterSet, evaluate, rank_query
@@ -78,6 +78,7 @@ def test_criterion_1_gradients_match_finite_differences():
         neg = np.repeat(pos, 2, axis=0)
         neg[:, 2] = rng.integers(0, 4, len(neg))
         _, analytic = loss_and_grads(params, pos, neg, margin=2.0, neg_ratio=2)
+        analytic = dense_grads(params, analytic)
         numeric = fd_grads(params, pos, neg, margin=2.0, neg_ratio=2, h=1e-4)
         for name in analytic:
             a, n = analytic[name].ravel(), numeric[name].ravel()

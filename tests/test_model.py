@@ -325,6 +325,20 @@ class TestCheckpoint:
             with pytest.raises(ValueError, match=match):
                 load_checkpoint(f)
 
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, tiny_params):
+        f = tmp_path / "m.tero"
+        save_checkpoint(tiny_params, f, vocab_ref="side")
+        good = f.read_bytes()
+        broken = tiny_params.copy()
+        # the phase table is written last, after the entity and relation tables
+        broken.phase = np.full(tiny_params.phase.shape, "x", dtype=object)
+        with pytest.raises(ValueError):
+            save_checkpoint(broken, f, vocab_ref="other")
+        assert f.read_bytes() == good
+        loaded, ref = load_checkpoint(f)
+        assert ref == "side" and np.array_equal(loaded.phase, tiny_params.phase)
+        assert [p.name for p in tmp_path.iterdir()] == ["m.tero"]
+
     def test_rejects_foreign_file(self, tmp_path):
         f = tmp_path / "bad.tero"
         f.write_bytes(b"NOPE" + b"\x00" * 64)

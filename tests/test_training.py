@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import fd_grads, loss_oracle, max_relative_error
+from oracles import (dense_grads, dense_step_oracle, fd_grads, loss_oracle,
+                     max_relative_error)
 from tero.data import TrainQuad, expand_for_training
-from tero.model import init_params
+from tero.model import init_params, score_quads
 from tero.synthetic import reflexive_relation_suite, temporary_relation_suite
 from tero.training import (NumericalError, TrainConfig, apply_adagrad, batch_loss,
                            grad_step, loss, loss_and_grads, quads_to_array,
@@ -104,12 +105,13 @@ class TestGradients:
         pos, neg = make_batch(params, n_pos=3, neg_ratio=2, seed=4)
         _, grads = loss_and_grads(params, pos, neg, margin=2.0, neg_ratio=2)
         numeric = fd_grads(params, pos, neg, margin=2.0, neg_ratio=2)
-        assert max_relative_error(grads, numeric) < 1e-4
+        assert max_relative_error(dense_grads(params, grads), numeric) < 1e-4
 
     def test_matches_finite_differences_l1_away_from_kinks(self):
         params = init_params(4, 2, 3, 3, dual=False, seed=12, norm_p=1, dtype=np.float64)
         pos, neg = make_batch(params, n_pos=3, neg_ratio=2, seed=5)
         _, grads = loss_and_grads(params, pos, neg, margin=2.0, neg_ratio=2)
+        grads = dense_grads(params, grads)
         numeric = fd_grads(params, pos, neg, margin=2.0, neg_ratio=2)
         # |.| is non-differentiable at 0; exclude coordinates near a kink
         from tero.model import score_quads  # noqa: F401  (documentation import)
@@ -125,7 +127,7 @@ class TestGradients:
         pos, neg = make_batch(params, n_pos=4, neg_ratio=3, seed=6)
         _, grads = loss_and_grads(params, pos, neg, margin=3.0, neg_ratio=3)
         numeric = fd_grads(params, pos, neg, margin=3.0, neg_ratio=3)
-        assert max_relative_error(grads, numeric) < 1e-4
+        assert max_relative_error(dense_grads(params, grads), numeric) < 1e-4
 
     def test_loss_value_agrees_with_scalar_form(self):
         params = init_params(4, 2, 3, 3, dual=False, seed=14, dtype=np.float64)
@@ -140,28 +142,82 @@ class TestGradients:
         assert total == pytest.approx(batch_loss(params, pos, neg, 2.0, 3), abs=1e-12)
 
 
+def saturating_batch(params, n_pos, neg_ratio, margin, seed):
+    """A batch in which some negatives score above margin + 70.
+
+    Entity 0 is scaled far out, so a negative that substitutes it has a
+    loss weight below the flush threshold (sigmoid(-70) / neg_ratio / B).
+    Returns the batch and its number of flushed quadruples.
+    """
+    params.ent_re[0] *= 1e3
+    params.ent_im[0] *= 1e3
+    pos, neg = make_batch(params, n_pos, neg_ratio, seed)
+    pos[:, [0, 2]] = np.maximum(pos[:, [0, 2]], 1)
+    neg[:, 2] = np.repeat(pos[:, 2], neg_ratio)
+    neg[::2, 0] = 0
+    f_neg = score_quads(params, neg[:, 0], neg[:, 1], neg[:, 2], neg[:, 3])
+    return pos, neg, int((f_neg > margin + 70.0).sum())
+
+
+class TestSparseStep:
+    @pytest.mark.parametrize("norm_p,dual", [(1, False), (2, False), (1, True)])
+    def test_matches_dense_oracle_bit_for_bit(self, norm_p, dual):
+        params = init_params(12, 3, 5, 6, dual=dual, seed=21, norm_p=norm_p)
+        cfg = TrainConfig(k=6, batch_size=8, neg_ratio=4, margin=2.0, lr=0.3, seed=0)
+        pos, neg, n_flushed = saturating_batch(params, 8, 4, cfg.margin, seed=9)
+        assert 0 < n_flushed < len(neg)
+        dense = params.copy()
+        rng = np.random.default_rng(3)
+        for _ in range(6):
+            assert grad_step(params, pos, neg, cfg) == dense_step_oracle(
+                dense, pos, neg, cfg.margin, cfg.neg_ratio, cfg.lr)
+            pos[:, 3] = rng.integers(0, params.n_tau, len(pos))
+            neg[:, 3] = np.repeat(pos[:, 3], cfg.neg_ratio)
+        for name, arr in params.arrays().items():
+            assert np.array_equal(arr, dense.arrays()[name]), name
+            assert np.array_equal(params.acc[name], dense.acc[name]), name
+
+    def test_rows_touched_only_by_flushed_quads_stay_put(self):
+        params = init_params(12, 3, 5, 6, dual=False, seed=22)
+        pos, neg, n_flushed = saturating_batch(params, 8, 4, 2.0, seed=10)
+        assert n_flushed > 0 and 0 not in pos[:, [0, 2]]
+        before = params.copy()
+        cfg = TrainConfig(k=6, batch_size=8, neg_ratio=4, margin=2.0, lr=0.3, seed=0)
+        _, grads = loss_and_grads(params, pos, neg, cfg.margin, cfg.neg_ratio)
+        assert 0 not in grads["ent_re"][0] and 0 not in grads["ent_im"][0]
+        grad_step(params, pos, neg, cfg)
+        for name in ("ent_re", "ent_im"):
+            assert np.array_equal(params.arrays()[name][0], before.arrays()[name][0])
+            assert np.array_equal(params.acc[name][0], before.acc[name][0])
+
+    def test_rows_are_sorted_unique_and_match_gradient_shape(self):
+        params = init_params(9, 2, 4, 5, dual=True, seed=23, norm_p=2)
+        pos, neg = make_batch(params, n_pos=6, neg_ratio=3, seed=11)
+        _, grads = loss_and_grads(params, pos, neg, margin=2.0, neg_ratio=3)
+        assert set(grads) == set(params.arrays())
+        for name, (rows, g) in grads.items():
+            assert np.array_equal(rows, np.unique(rows)), name
+            assert g.shape == (len(rows), params.k) and g.dtype == np.float64
+
+
 class TestAdagrad:
     def test_zero_gradient_leaves_parameter(self):
         params = init_params(3, 1, 2, 2, dual=False, seed=15)
-        before = {k: v.copy() for k, v in params.arrays().items()}
-        grads = {k: np.zeros_like(v) for k, v in params.arrays().items()}
-        grads["ent_re"][1, 0] = 0.5
-        apply_adagrad(params, grads, lr=0.1)
+        before = params.copy()
+        apply_adagrad(params, {"ent_re": (np.array([1]), np.array([[0.5, 0.0]]))}, lr=0.1)
         after = params.arrays()
-        assert after["ent_re"][1, 0] != before["ent_re"][1, 0]
-        grads["ent_re"][1, 0] = 0.0
-        for name in before:
-            mask = np.ones_like(before[name], dtype=bool)
+        assert after["ent_re"][1, 0] != before.ent_re[1, 0]
+        for name in after:
+            mask = np.ones_like(after[name], dtype=bool)
             if name == "ent_re":
                 mask[1, 0] = False
-            assert np.array_equal(after[name][mask], before[name][mask])
+            assert np.array_equal(after[name][mask], before.arrays()[name][mask])
+            assert np.array_equal(params.acc[name][mask], before.acc[name][mask])
 
     def test_first_step_magnitude_is_learning_rate(self):
         params = init_params(2, 1, 1, 1, dual=False, seed=16)
         x0 = params.ent_re[0, 0]
-        grads = {k: np.zeros_like(v) for k, v in params.arrays().items()}
-        grads["ent_re"][0, 0] = 0.37
-        apply_adagrad(params, grads, lr=0.05)
+        apply_adagrad(params, {"ent_re": (np.array([0]), np.array([[0.37]]))}, lr=0.05)
         assert abs(params.ent_re[0, 0] - (x0 - 0.05)) < 1e-6
 
     def test_sparse_update_property(self):
