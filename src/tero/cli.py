@@ -206,8 +206,8 @@ def _common_args(p: argparse.ArgumentParser) -> None:
     g.add_argument("--out-dir", metavar="DIR",
                    help=f"artifact directory (default: {DEFAULTS['out_dir']})")
     g.add_argument("--threads", type=int,
-                   help=f"evaluation worker threads, 1 = deterministic reference "
-                        f"(default: {DEFAULTS['threads']})")
+                   help=f"evaluation worker threads, each scoring whole time steps; "
+                        f"ranks do not depend on it (default: {DEFAULTS['threads']})")
     g.add_argument("--profile", choices=sorted(PROFILES),
                    help="named hyperparameter preset")
     g.add_argument("--config", metavar="FILE", help="key = value config file")
@@ -396,7 +396,7 @@ def cmd_predict(cfg: RunConfig) -> int:
     else:
         quad = Quadruple(0, rel, anchor, annotation)
     try:
-        scores = candidate_scores(params, quad, cfg.side, binning)
+        scores = candidate_scores(params, [(quad, cfg.side)], binning)[0]
     except ValueError as exc:
         raise DataError(str(exc)) from exc
     top_n = max(0, min(cfg.top_n, params.n_entities))

@@ -9,11 +9,12 @@ time-wise from the triple-level filter.
 
 All candidates of a query at step tau are scored against the same rotated
 entity table, rot(e, theta_tau). ``evaluate`` therefore groups its queries
-by the time steps of their endpoint terms, rotates the table once per
-group and ranks every query of the group against it. Only the current
-group's tables are alive: one ``(n_entities, 2k)`` float64 table per step,
-57 MB at ICEWS14 shape (k=500), two for a fact whose interval spans two
-steps, and that much again per extra worker thread.
+by the time steps of their endpoint terms and scores each group with one
+``candidate_scores`` call, which makes one blocked pass over the entity
+table per step: each block of rows is rotated into a small buffer and
+every query of the group is scored against it while it is in cache. No
+rotated table is ever built; a call holds its ``(Q, n_entities)`` scores
+and one ``(Q, n_entities)`` array of distances per step.
 """
 
 from __future__ import annotations
@@ -25,9 +26,14 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .data import Quadruple, TimeAnnotation, TimeBinning, endpoint_terms
-from .model import ModelParams, rotated_table, score_table
+from .model import ModelParams, score_step
 
 TIE_MODES = ("mean", "optimistic", "pessimistic")
+# queries per candidate_scores call in evaluate(). It bounds the call's
+# score and distance arrays (at most 3 x 128 x n_entities float64, 22 MB at
+# 7128 entities) when many queries share their steps, as on a
+# time-collapsed model
+QUERIES_PER_CALL = 128
 
 
 def time_key(t: TimeAnnotation, binning: TimeBinning) -> tuple[int | None, int | None]:
@@ -118,40 +124,42 @@ def rank_from_scores(scores: np.ndarray, target_idx: int, keep: np.ndarray,
     return 1 + n_lower + (n_equal + 1) // 2
 
 
-def candidate_scores(params: ModelParams, quad: Quadruple, side: str,
-                     binning: TimeBinning,
-                     tables: dict[int, np.ndarray] | None = None) -> np.ndarray:
-    """Scores of the fact with every entity substituted on ``side``.
+def candidate_scores(params: ModelParams, queries: Sequence[tuple[Quadruple, str]],
+                     binning: TimeBinning) -> np.ndarray:
+    """Scores of each ``(quad, side)`` query with every entity on ``side``.
 
-    ``tables`` maps each time step of the fact's endpoint terms to its
-    ``rotated_table``; without it the tables are rotated here, which is
-    what a single query costs.
+    Row q of the ``(Q, n_entities)`` result is the mean of query q's
+    endpoint-term scores, summed in term order. The terms are gathered by
+    time step, and each step scores all of its terms in one ``score_step``
+    pass, so queries that share their steps share the rotation.
     """
-    terms = endpoint_terms(quad, binning, params.dual, params.n_relations)
-    if tables is None:
-        tables = {tau: rotated_table(params, tau) for _, tau in terms}
-    anchor = quad.subject if side == "object" else quad.object
-    return sum(score_table(params, tables[tau], anchor, slot, side)
-               for slot, tau in terms) / len(terms)
+    batches: dict[int, list[tuple[int, int, str]]] = {}  # tau -> (anchor, slot, side)
+    refs: list[list[tuple[int, int]]] = []  # per query: (tau, row in its batch) per term
+    for quad, side in queries:
+        anchor = quad.subject if side == "object" else quad.object
+        terms = endpoint_terms(quad, binning, params.dual, params.n_relations)
+        refs.append([])
+        for slot, tau in terms:
+            batch = batches.setdefault(tau, [])
+            refs[-1].append((tau, len(batch)))
+            batch.append((anchor, slot, side))
+    dist = {tau: score_step(params, tau, *zip(*batch)) for tau, batch in batches.items()}
+    out = np.empty((len(queries), params.n_entities))
+    for row, ((tau, i), *rest) in zip(out, refs):
+        row[:] = dist[tau][i]
+        for tau, i in rest:
+            row += dist[tau][i]
+        row /= len(rest) + 1
+    return out
 
 
-def rank_query(params: ModelParams, quad: Quadruple, side: str, filter_set: FilterSet,
-               binning: TimeBinning, tie: str = "mean",
-               score_binning: TimeBinning | None = None,
-               tables: dict[int, np.ndarray] | None = None) -> int:
-    """Time-wise filtered rank of one test fact on one side.
-
-    ``binning`` fixes the benchmark protocol (filter keys); ``score_binning``
-    is the model's own time resolution when it differs, e.g. a time-collapsed
-    ablation judged under the dataset's native granularity. ``tables`` is
-    passed on to ``candidate_scores``.
-    """
-    tk = time_key(quad.time, binning)
+def filtered_rank(scores: np.ndarray, quad: Quadruple, side: str, filter_set: FilterSet,
+                  binning: TimeBinning, tie: str = "mean") -> int:
+    """Time-wise filtered rank of one test fact on one side, from its scores."""
     if filter_set.key_of(quad, binning) not in filter_set:
         raise ValueError("test quadruple is not in the filter set")
-    scores = candidate_scores(params, quad, side,
-                              binning if score_binning is None else score_binning, tables)
-    keep = np.ones(params.n_entities, dtype=bool)
+    tk = time_key(quad.time, binning)
+    keep = np.ones(len(scores), dtype=bool)
     if side == "object":
         true_ids = filter_set.true_objects(quad.subject, quad.relation, tk)
         target = quad.object
@@ -163,15 +171,30 @@ def rank_query(params: ModelParams, quad: Quadruple, side: str, filter_set: Filt
     return rank_from_scores(scores, target, keep, tie)
 
 
+def rank_query(params: ModelParams, quad: Quadruple, side: str, filter_set: FilterSet,
+               binning: TimeBinning, tie: str = "mean",
+               score_binning: TimeBinning | None = None) -> int:
+    """Time-wise filtered rank of one test fact on one side.
+
+    ``binning`` fixes the benchmark protocol (filter keys); ``score_binning``
+    is the model's own time resolution when it differs, e.g. a time-collapsed
+    ablation judged under the dataset's native granularity.
+    """
+    scores = candidate_scores(params, [(quad, side)],
+                              binning if score_binning is None else score_binning)
+    return filtered_rank(scores[0], quad, side, filter_set, binning, tie)
+
+
 def evaluate(params: ModelParams, test_facts: Sequence[Quadruple], filter_set: FilterSet,
              binning: TimeBinning, tie: str = "mean", threads: int = 1,
              score_binning: TimeBinning | None = None) -> EvalReport:
     """Rank both sides of every test fact and aggregate MRR / Hits@k.
 
     Queries are grouped by the time steps of their endpoint terms, and each
-    group rotates its tables once for all its queries. With ``threads > 1``
-    whole groups go to the worker threads, each with its own tables; ranks
-    come back in query order and do not depend on the thread count.
+    group, up to QUERIES_PER_CALL queries at a time, is scored with one
+    ``candidate_scores`` call. With ``threads > 1`` those calls go to the
+    worker threads; ranks come back in query order and do not depend on
+    the thread count.
     """
     if not test_facts:
         raise ValueError("empty test set")
@@ -181,18 +204,19 @@ def evaluate(params: ModelParams, test_facts: Sequence[Quadruple], filter_set: F
     for i, (quad, _) in enumerate(queries):
         terms = endpoint_terms(quad, score_binning, params.dual, params.n_relations)
         groups.setdefault(tuple(sorted({tau for _, tau in terms})), []).append(i)
+    calls = [members[j:j + QUERIES_PER_CALL] for members in groups.values()
+             for j in range(0, len(members), QUERIES_PER_CALL)]
 
-    def run(group: tuple[tuple[int, ...], list[int]]) -> list[tuple[int, int]]:
-        steps, members = group
-        tables = {tau: rotated_table(params, tau) for tau in steps}
-        return [(i, rank_query(params, *queries[i], filter_set, binning, tie,
-                               score_binning, tables)) for i in members]
+    def run(members: list[int]) -> list[tuple[int, int]]:
+        scores = candidate_scores(params, [queries[i] for i in members], score_binning)
+        return [(i, filtered_rank(row, *queries[i], filter_set, binning, tie))
+                for i, row in zip(members, scores)]
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            done = list(pool.map(run, groups.items()))
+            done = list(pool.map(run, calls))
     else:
-        done = map(run, groups.items())  # lazy: one group's tables at a time
+        done = map(run, calls)  # lazy: one call's scores at a time
     rank_of = dict(pair for ranked in done for pair in ranked)
     ranks = [QueryRank(quad, side, rank_of[i]) for i, (quad, side) in enumerate(queries)]
 

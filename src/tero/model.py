@@ -12,6 +12,12 @@ Lower is more plausible. Relations on interval datasets come in dual
 begin/end variants stored as two row blocks of one table: slot r is the
 beginning of relation r, slot r + n_relations its end.
 
+Link prediction needs every entity rotated to the query's step.
+``score_step`` fuses that rotation with the scoring: it rotates the entity
+table BLOCK_ROWS rows at a time into one small buffer and scores every
+query of the step against each block while it is in cache, so no rotated
+copy of the table is ever built.
+
 Parameter arrays are float32, matching the checkpoint wire format, so
 save/load round-trips are lossless; scoring upcasts to float64 so ranking
 comparisons are precision-robust. Models built with ``dtype=np.float64``
@@ -31,9 +37,10 @@ from .data import Quadruple, TimeBinning, endpoint_terms
 
 CHECKPOINT_MAGIC = b"TERO"
 CHECKPOINT_VERSION = 1
-# rows per block of the full-table distance kernel. At k=500 a block is
-# 512 KB, which stays in L2; 64 was the fastest of 32-512 rows measured on
-# a Xeon with 2 MB of L2 per core.
+# rows per block of the fused rotate-and-score kernel. At k=500 a block is
+# 512 KB of rotated rows plus a 512 KB difference buffer, which stay in L2
+# together: on a Xeon with 2 MB of L2 per core, 32 and 64 rows were the
+# fastest of 16-256 and 256 rows ~25% slower per query.
 BLOCK_ROWS = 64
 
 
@@ -149,14 +156,22 @@ def rotate(re: np.ndarray, im: np.ndarray,
     re, im, phase = np.asarray(re), np.asarray(im), np.asarray(phase, float)
     if re.shape != im.shape or re.shape[-1] != phase.shape[-1]:
         raise ValueError(f"shape mismatch: re {re.shape}, im {im.shape}, phase {phase.shape}")
-    # float64 cos/sin promote float32 coordinates without a float64 copy of
-    # them, and the in-place updates save two table-sized temporaries
-    c, s = np.cos(phase), np.sin(phase)
-    out_re = re * c
-    out_re -= im * s
-    out_im = re * s
-    out_im += im * c
+    out_re = np.empty(np.broadcast_shapes(re.shape, phase.shape))
+    out_im = np.empty_like(out_re)
+    _rotate_into(re, im, np.cos(phase), np.sin(phase), out_re, out_im, np.empty_like(out_re))
     return out_re, out_im
+
+
+def _rotate_into(re, im, c, s, out_re, out_im, tmp) -> None:
+    """(re + i*im) * (c + i*s) written into the float64 ``out_re``/``out_im``.
+
+    ``tmp`` is scratch of the output shape. float64 ``c``/``s`` promote
+    float32 coordinates without a float64 copy of them.
+    """
+    np.multiply(re, c, out=out_re)
+    out_re -= np.multiply(im, s, out=tmp)
+    np.multiply(re, s, out=out_im)
+    out_im += np.multiply(im, c, out=tmp)
 
 
 def _norm(d_re: np.ndarray, d_im: np.ndarray, p: int) -> np.ndarray:
@@ -213,60 +228,55 @@ def score_fact(params: ModelParams, quad: Quadruple, binning: TimeBinning) -> fl
                           for slot, tau in terms]))
 
 
-def rotated_table(params: ModelParams, tau: int) -> np.ndarray:
-    """Every entity rotated to step ``tau``, as one float64 ``[re | im]`` table.
+def score_step(params: ModelParams, tau: int, anchors, slots, sides) -> np.ndarray:
+    """Endpoint scores at step ``tau`` with every entity substituted, per query.
 
-    Row e holds rot(e, theta_tau) as ``(n_entities, 2k)``; one table serves
-    the subject and the object side of every query at that step. It takes
-    ``n_entities * 2k * 8`` bytes (57 MB at ICEWS14 shape, k=500).
+    Query q fixes entity ``anchors[q]`` and relation slot ``slots[q]`` and
+    asks for the entity on ``sides[q]``; row q of the ``(Q, n_entities)``
+    result scores every candidate. Both sides reduce to
+    ``||rot(e, theta_tau) - x_q||_p`` over the 2k real coordinates, with a
+    the rotated anchor: ``x = [re(a) + r_re, -(im(a) + r_im)]`` when the
+    object is asked for, ``x = [re(a) - r_re, -im(a) - r_im]`` when the
+    subject is.
+
+    The entity table is rotated BLOCK_ROWS rows at a time into one buffer,
+    and every query is scored against a block while it is still in cache,
+    so no table-sized array is built.
     """
-    _check_ids(params, tau=tau)
-    return np.hstack(rotate(params.ent_re, params.ent_im, params.phase[tau]))
+    _check_ids(params, *anchors, tau=tau)
+    for slot in slots:
+        _check_ids(params, slot=slot)
+    for side in sides:
+        if side not in ("subject", "object"):
+            raise ValueError(f"side must be 'subject' or 'object', got {side!r}")
+    n, k = params.n_entities, params.k
+    anchors, slots = np.asarray(anchors, dtype=np.intp), np.asarray(slots, dtype=np.intp)
+    a_re, a_im = rotate(params.ent_re[anchors], params.ent_im[anchors], params.phase[tau])
+    r_re, r_im = params.rel_re[slots], params.rel_im[slots]
+    obj = np.array([side == "object" for side in sides])[:, None]
+    x = np.empty((len(anchors), 2 * k))
+    x[:, :k] = np.where(obj, a_re + r_re, a_re - r_re)
+    x[:, k:] = np.where(obj, -(a_im + r_im), -a_im - r_im)
 
-
-def score_table(params: ModelParams, table: np.ndarray, anchor: int, slot: int,
-                side: str) -> np.ndarray:
-    """Endpoint scores with every entity substituted on ``side``.
-
-    ``table`` is ``rotated_table`` at the query's step and ``anchor`` the
-    entity on the other side. Both sides reduce to ``||table[e] - x||_p``:
-    ``x = [re(a) + r_re, -(im(a) + r_im)]`` when the object is asked for,
-    ``x = [re(a) - r_re, -im(a) - r_im]`` when the subject is, with a the
-    rotated anchor.
-    """
-    _check_ids(params, anchor, slot=slot)
-    k = params.k
-    a_re, a_im = table[anchor, :k], table[anchor, k:]
-    r_re, r_im = params.rel_re[slot], params.rel_im[slot]
-    if side == "object":
-        x = np.concatenate([a_re + r_re, -(a_im + r_im)])
-    elif side == "subject":
-        x = np.concatenate([a_re - r_re, -a_im - r_im])
-    else:
-        raise ValueError(f"side must be 'subject' or 'object', got {side!r}")
-    return _row_distances(table, x, params.norm_p)
-
-
-def _row_distances(table: np.ndarray, x: np.ndarray, p: int) -> np.ndarray:
-    """``||table[i] - x||_p`` for every row, float64.
-
-    Works through BLOCK_ROWS rows at a time in one preallocated buffer, so
-    the difference block stays in cache instead of materialising a
-    table-sized temporary.
-    """
-    n = table.shape[0]
-    out = np.empty(n)
-    buf = np.empty((min(BLOCK_ROWS, n), table.shape[1]))
+    phase = params.phase[tau].astype(np.float64)
+    c, s = np.cos(phase), np.sin(phase)
+    rows = min(BLOCK_ROWS, n)
+    block, diff, tmp = np.empty((rows, 2 * k)), np.empty((rows, 2 * k)), np.empty((rows, k))
+    out = np.empty((len(x), n))
     for start in range(0, n, BLOCK_ROWS):
-        rows = table[start:start + BLOCK_ROWS]
-        d = buf[:len(rows)]
-        np.subtract(rows, x, out=d)
-        if p == 1:
-            np.abs(d, out=d)
-        else:
-            np.multiply(d, d, out=d)
-        d.sum(axis=1, out=out[start:start + len(rows)])
-    return out if p == 1 else np.sqrt(out, out=out)
+        stop = min(start + BLOCK_ROWS, n)
+        m = stop - start
+        b, d = block[:m], diff[:m]
+        _rotate_into(params.ent_re[start:stop], params.ent_im[start:stop], c, s,
+                     b[:, :k], b[:, k:], tmp[:m])
+        for q in range(len(x)):
+            np.subtract(b, x[q], out=d)
+            if params.norm_p == 1:
+                np.abs(d, out=d)
+            else:
+                np.multiply(d, d, out=d)
+            d.sum(axis=1, out=out[q, start:stop])
+    return out if params.norm_p == 1 else np.sqrt(out, out=out)
 
 
 def save_checkpoint(params: ModelParams, path, vocab_ref: str = "") -> None:
@@ -305,45 +315,60 @@ def save_checkpoint(params: ModelParams, path, vocab_ref: str = "") -> None:
 
 
 def load_checkpoint(path) -> tuple[ModelParams, str]:
-    """Read a checkpoint; returns fresh params (zero accumulators) + vocab ref."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    """Read a checkpoint; returns fresh params (zero accumulators) + vocab ref.
+
+    The file size is checked against the header before any array is read,
+    and each array is read straight into its float32 array.
+    """
     off = 4 + 7 * 4
-    if blob[:4] != CHECKPOINT_MAGIC or len(blob) < off:
-        raise ValueError(f"{path}: not a TeRo checkpoint")
-    version, n_e, n_r, n_tau, k, dual_flag, p = struct.unpack_from("<7I", blob, 4)
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    if dual_flag not in (0, 1) or p not in (1, 2):
-        raise ValueError(f"{path}: bad checkpoint header (dual={dual_flag}, p={p})")
-    dual = bool(dual_flag)
-    # the four relation blocks are stored on single-slot models too
-    ref_at = off + 4 * k * (2 * n_e + 4 * n_r + n_tau)
-    if len(blob) < ref_at + 4:
-        raise ValueError(f"{path}: truncated checkpoint ({len(blob)} bytes, "
-                         f"its header needs {ref_at + 4})")
-    (ref_len,) = struct.unpack_from("<I", blob, ref_at)
-    if len(blob) != ref_at + 4 + ref_len:
-        raise ValueError(f"{path}: checkpoint is {len(blob)} bytes, its header "
-                         f"describes {ref_at + 4 + ref_len}")
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(off)
+        if head[:4] != CHECKPOINT_MAGIC or len(head) < off:
+            raise ValueError(f"{path}: not a TeRo checkpoint")
+        version, n_e, n_r, n_tau, k, dual_flag, p = struct.unpack_from("<7I", head, 4)
+        if version != CHECKPOINT_VERSION:
+            raise ValueError(f"{path}: unsupported checkpoint version {version}")
+        if dual_flag not in (0, 1) or p not in (1, 2):
+            raise ValueError(f"{path}: bad checkpoint header (dual={dual_flag}, p={p})")
+        dual = bool(dual_flag)
+        # the four relation blocks are stored on single-slot models too
+        ref_at = off + 4 * k * (2 * n_e + 4 * n_r + n_tau)
+        if size < ref_at + 4:
+            raise ValueError(f"{path}: truncated checkpoint ({size} bytes, "
+                             f"its header needs {ref_at + 4})")
+        fh.seek(ref_at)
+        (ref_len,) = struct.unpack("<I", fh.read(4))
+        if size != ref_at + 4 + ref_len:
+            raise ValueError(f"{path}: checkpoint is {size} bytes, its header "
+                             f"describes {ref_at + 4 + ref_len}")
+        ref = fh.read(ref_len).decode("utf-8")
+        fh.seek(off)
 
-    def take(rows: int) -> np.ndarray:
-        nonlocal off
-        n = rows * k
-        arr = np.frombuffer(blob, dtype="<f4", count=n, offset=off).astype(np.float32)
-        off += n * 4
-        return arr.reshape(rows, k)
+        def read_into(arr: np.ndarray) -> None:
+            if fh.readinto(arr) != arr.nbytes:
+                raise ValueError(f"{path}: checkpoint changed while it was read")
 
-    ent_re, ent_im = take(n_e), take(n_e)
-    rb_re, rb_im = take(n_r), take(n_r)
-    re_re, re_im = take(n_r), take(n_r)
-    phase = take(n_tau)
-    if dual:
-        rel_re = np.concatenate([rb_re, re_re])
-        rel_im = np.concatenate([rb_im, re_im])
-    else:
-        rel_re, rel_im = rb_re, rb_im
-    ref = blob[ref_at + 4:].decode("utf-8")
-    params = ModelParams(ent_re, ent_im, rel_re, rel_im, phase,
+        def take(rows: int) -> np.ndarray:
+            arr = np.empty((rows, k), dtype="<f4")
+            read_into(arr)
+            return arr
+
+        ent_re, ent_im = take(n_e), take(n_e)
+        # slot r + n_r is the end of relation r on dual models; single-slot
+        # models skip the stored end blocks
+        n_slots = 2 * n_r if dual else n_r
+        rel_re = np.empty((n_slots, k), dtype="<f4")
+        rel_im = np.empty((n_slots, k), dtype="<f4")
+        read_into(rel_re[:n_r])
+        read_into(rel_im[:n_r])
+        if dual:
+            read_into(rel_re[n_r:])
+            read_into(rel_im[n_r:])
+        else:
+            fh.seek(2 * n_r * k * 4, os.SEEK_CUR)
+        phase = take(n_tau)
+    params = ModelParams(*(a.astype(np.float32, copy=False)
+                           for a in (ent_re, ent_im, rel_re, rel_im, phase)),
                          n_relations=n_r, dual=dual, norm_p=p)
     return params, ref

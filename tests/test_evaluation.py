@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import params_from
-from oracles import rank_oracle
+from oracles import rank_oracle, table_scores_oracle
 from tero.data import PartialDate, Quadruple, TimeAnnotation, bin_fixed
 from tero.evaluation import (FilterSet, QueryRank, candidate_scores, evaluate,
                              rank_from_scores, rank_query, time_key)
@@ -103,6 +105,49 @@ class TestFilterSet:
         assert fs.true_objects(9, 0, (0, 0)) == []
 
 
+def mixed_queries(rng, n_e: int, n_r: int, n_steps: int, n: int) -> list:
+    """Point, two-step and half-open facts, asked on alternating sides."""
+    queries = []
+    for i in range(n):
+        b, e = sorted(int(t) for t in rng.integers(n_steps, size=2))
+        date_b, date_e = PartialDate(2014, 1, 1 + b), PartialDate(2014, 1, 1 + e)
+        time = [TimeAnnotation.point(date_b), TimeAnnotation(date_b, date_e),
+                TimeAnnotation(date_b, None), TimeAnnotation(None, date_e)][i % 4]
+        quad = Quadruple(int(rng.integers(n_e)), int(rng.integers(n_r)),
+                         int(rng.integers(n_e)), time)
+        queries.append((quad, ("subject", "object")[(i // 4) % 2]))
+    return queries
+
+
+class TestCandidateScores:
+    @given(seeds, st.sampled_from([1, 2]), st.booleans())
+    def test_grouping_invariance(self, seed, p, dual):
+        # 150 entities span several row blocks of the kernel, the last one short
+        rng = np.random.default_rng(seed)
+        n_e, n_r, n_steps = 150, 3, 4
+        params = init_params(n_e, n_r, n_steps, 5, dual=dual, seed=int(seed % 993), norm_p=p)
+        binning = day_binning(n_steps)
+        queries = mixed_queries(rng, n_e, n_r, n_steps, 16)
+        batched = candidate_scores(params, queries, binning)
+        assert batched.shape == (len(queries), n_e)
+        for row, query in zip(batched, queries):
+            assert np.array_equal(row, candidate_scores(params, [query], binning)[0])
+            assert np.array_equal(row, table_scores_oracle(params, *query, binning))
+
+    def test_builds_no_rotated_table(self):
+        n, k = 4096, 64
+        params = init_params(n, 2, 3, k, dual=False, seed=35)
+        query = (Quadruple(0, 1, 2, day(1)), "object")
+        candidate_scores(params, [query], day_binning(3))  # warm up numpy
+        tracemalloc.start()
+        try:
+            candidate_scores(params, [query], day_binning(3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * 2 * k * 8 / 8
+
+
 class TestRankQuery:
     def constructed_model(self):
         # entity 1 completes (0, r, ?, tau0) exactly, being conj(s + r);
@@ -117,7 +162,7 @@ class TestRankQuery:
         binning = day_binning(2)
         quad = Quadruple(0, 0, 1, day(0))
         fs = FilterSet.build([quad], binning)
-        assert candidate_scores(params, quad, "object", binning)[1] < 1e-6
+        assert candidate_scores(params, [(quad, "object")], binning)[0, 1] < 1e-6
         assert rank_query(params, quad, "object", fs, binning) == 1
 
     def test_all_other_candidates_filtered(self):
@@ -160,7 +205,7 @@ class TestRankQuery:
                  [(1, 0), (2, 1), (3, 2), (4, 3), (5, 1), (6, 2)]]
         fs = FilterSet.build(facts, binning)
         for quad in facts:
-            scores = candidate_scores(params, quad, "object", binning)
+            scores = candidate_scores(params, [(quad, "object")], binning)[0]
             timewise = rank_query(params, quad, "object", fs, binning)
             keep = np.ones(10, bool)
             keep[[q.object for q in facts]] = False  # triple-level: any time
@@ -172,7 +217,7 @@ class TestRankQuery:
 class TestEvaluate:
     def test_aggregation_arithmetic(self, monkeypatch):
         canned = iter([2, 4, 10, 2, 4, 10])
-        monkeypatch.setattr("tero.evaluation.rank_query",
+        monkeypatch.setattr("tero.evaluation.filtered_rank",
                             lambda *a, **k: next(canned))
         params = init_params(4, 1, 2, 2, dual=False, seed=25)
         binning = day_binning(2)
@@ -276,6 +321,19 @@ class TestEvaluateMatchesOracle:
                              4, dual=False, seed=34)
         self.assert_matches_oracle(params, ds.test[:6], ds.all_facts, ds.binning,
                                    score_binning=flat)
+
+
+    def test_group_split_across_calls(self, monkeypatch):
+        # a time-collapsed model puts every query in one group, which
+        # evaluate() scores a few queries per call
+        from tero.synthetic import collapsed_binning, temporary_relation_suite
+        monkeypatch.setattr("tero.evaluation.QUERIES_PER_CALL", 5)
+        ds = temporary_relation_suite()
+        flat = collapsed_binning(ds)
+        params = init_params(ds.vocab.n_entities, ds.vocab.n_relations, flat.n_tau,
+                             4, dual=False, seed=36)
+        self.assert_matches_oracle(params, ds.test[:6], ds.all_facts, ds.binning,
+                                   score_binning=flat, threads=2)
 
 
 class TestScoreBinningSplit:

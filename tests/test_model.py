@@ -8,8 +8,7 @@ from conftest import params_from
 from oracles import fact_score_oracle, rotate_oracle, score_oracle
 from tero.data import PartialDate, Quadruple, TimeAnnotation, bin_threshold
 from tero.model import (init_params, load_checkpoint, param_count, rotate,
-                        rotated_table, save_checkpoint, score_fact, score_point,
-                        score_quads, score_table)
+                        save_checkpoint, score_fact, score_point, score_quads, score_step)
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -199,28 +198,27 @@ class TestBatchScoring:
         n = 150
         params = init_params(n, 2, 3, 4, dual=False, seed=int(seed % 1000), norm_p=p)
         anchor, slot, tau = int(rng.integers(n)), int(rng.integers(2)), int(rng.integers(3))
-        table = rotated_table(params, tau)
+        obj, subj = score_step(params, tau, [anchor, anchor], [slot, slot], ["object", "subject"])
         every, fixed = np.arange(n), np.full(n, anchor)
         slots, taus = np.full(n, slot), np.full(n, tau)
-        assert np.allclose(score_table(params, table, anchor, slot, "object"),
-                           score_quads(params, fixed, slots, every, taus), rtol=0, atol=1e-12)
-        assert np.allclose(score_table(params, table, anchor, slot, "subject"),
-                           score_quads(params, every, slots, fixed, taus), rtol=0, atol=1e-12)
+        assert np.allclose(obj, score_quads(params, fixed, slots, every, taus),
+                           rtol=0, atol=1e-12)
+        assert np.allclose(subj, score_quads(params, every, slots, fixed, taus),
+                           rtol=0, atol=1e-12)
 
     def test_table_scoring_rejects_out_of_range_ids(self, tiny_params):
         # numpy would wrap a negative id round to the last row
-        table = rotated_table(tiny_params, 0)
         with pytest.raises(IndexError):
-            score_table(tiny_params, table, -1, 0, "object")
+            score_step(tiny_params, 0, [-1], [0], ["object"])
         with pytest.raises(IndexError):
-            score_table(tiny_params, table, 0, -1, "subject")
+            score_step(tiny_params, 0, [0], [-1], ["subject"])
         for tau in (-1, tiny_params.n_tau):
             with pytest.raises(IndexError):
-                rotated_table(tiny_params, tau)
+                score_step(tiny_params, tau, [0], [0], ["object"])
 
     def test_unknown_side_rejected(self, tiny_params):
         with pytest.raises(ValueError, match="side"):
-            score_table(tiny_params, rotated_table(tiny_params, 0), 0, 0, "both")
+            score_step(tiny_params, 0, [0], [0], ["both"])
 
     def test_score_quads_vectorizes(self, tiny_params):
         s = np.array([0, 1, 2])
