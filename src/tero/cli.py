@@ -1,38 +1,78 @@
 """Command line front end: preprocess, train, eval, predict.
 
-Configuration precedence is flag > config file > profile > built-in default.
-Config files are plain ``key = value`` lines with ``#`` comments; keys match
-the long flag names with dashes or underscores. Exit codes: 0 success,
-1 usage error, 2 data error, 3 numerical failure.
+Every option is declared once, as a row of ``OPTIONS``; the argparse flags,
+the built-in defaults and the checks on config-file values all come from
+that table. Configuration precedence is flag > config file > profile >
+built-in default. Config files are plain ``key = value`` lines with ``#``
+comments; keys match the long flag names with dashes or underscores, and
+values are checked against the option's type and choices as flags are.
+Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, fields
 from pathlib import Path
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
 from .data import (DataError, PartialDate, Quadruple, TimeAnnotation, TimeBinning,
-                   Vocab, INTERVAL_TSV, POINT_TSV, load_dataset, parse_date)
-from .evaluation import FilterSet, candidate_scores, evaluate
+                   Vocab, FORMATS, INTERVAL_TSV, POINT_TSV, load_dataset, parse_date)
+from .evaluation import TIE_MODES, FilterSet, candidate_scores, evaluate
 from .model import load_checkpoint, save_checkpoint
 from .training import NumericalError, TrainConfig, train
 
-DEFAULTS: dict = {
-    "train": None, "valid": None, "test": None,
-    "format": POINT_TSV,
-    "dim": 500, "margin": 110.0, "lr": 0.1, "neg_ratio": 10, "batch_size": 512,
-    "time_unit": 1, "time_threshold": None,
-    "norm": 1, "dual": "auto", "seed": 0,
-    "max_epochs": 5000, "valid_every": 100, "patience": 5,
-    "checkpoint": None, "out_dir": "runs", "threads": 1,
-    "tie": "mean", "dump_ranks": None,
-    "side": "object", "top_n": 10,
-    "subject": None, "relation": None, "object": None, "time": None,
-}
+
+class Option(NamedTuple):
+    name: str  # config key; the flag is --name with dashes
+    type: type
+    default: object
+    group: str
+    help: str
+    choices: tuple | None = None
+    metavar: str | None = None
+
+
+OPTIONS: tuple[Option, ...] = (
+    Option("train", str, None, "dataset", "training split TSV", metavar="FILE"),
+    Option("valid", str, None, "dataset", "validation split TSV", metavar="FILE"),
+    Option("test", str, None, "dataset", "test split TSV", metavar="FILE"),
+    Option("format", str, POINT_TSV, "dataset", "input layout", FORMATS),
+    Option("time_unit", int, 1, "dataset", "fixed time-step length in days", metavar="DAYS"),
+    Option("time_threshold", int, None, "dataset",
+           "min fact mentions per clubbed year bin (default: none)", metavar="N"),
+    Option("dual", str, "auto", "dataset", "dual begin/end relation embeddings",
+           ("auto", "on", "off")),
+    Option("dim", int, 500, "training", "embedding dimension"),
+    Option("margin", float, 110.0, "training", "loss margin"),
+    Option("lr", float, 0.1, "training", "Adagrad learning rate"),
+    Option("neg_ratio", int, 10, "training", "negatives per positive"),
+    Option("batch_size", int, 512, "training", "minibatch size"),
+    Option("norm", int, 1, "training", "score p-norm", (1, 2)),
+    Option("seed", int, 0, "training", "RNG seed"),
+    Option("max_epochs", int, 5000, "training", "epoch cap"),
+    Option("valid_every", int, 100, "training", "epochs between validations"),
+    Option("patience", int, 5, "training", "non-improving validations before stopping"),
+    Option("checkpoint", str, None, "run", "checkpoint path (default: <out-dir>/model.tero)",
+           metavar="FILE"),
+    Option("out_dir", str, "runs", "run", "artifact directory", metavar="DIR"),
+    Option("threads", int, 1, "run", "evaluation worker threads, each scoring whole time "
+           "steps; ranks do not depend on it"),
+    Option("tie", str, "mean", "evaluation", "tie handling for equal scores", TIE_MODES),
+    Option("dump_ranks", str, None, "evaluation", "write per-query ranks TSV", metavar="FILE"),
+    Option("subject", str, None, "query", "subject entity (object-side query)", metavar="STR"),
+    Option("relation", str, None, "query", "relation name", metavar="STR"),
+    Option("object", str, None, "query", "object entity (subject-side query)", metavar="STR"),
+    Option("time", str, None, "query",
+           "date, 'B..E' interval, 'B..' begin only or '..E' end only", metavar="T"),
+    Option("side", str, "object", "query", "which side to predict", ("subject", "object")),
+    Option("top_n", int, 10, "query", "completions to print"),
+)
+_OPTION = {opt.name: opt for opt in OPTIONS}
+DEFAULTS: dict = {opt.name: opt.default for opt in OPTIONS}
 
 # Per-dataset presets: only parameters that differ from the defaults above.
 PROFILES: dict[str, dict] = {
@@ -42,45 +82,13 @@ PROFILES: dict[str, dict] = {
     "wikidata12k": {"format": INTERVAL_TSV, "lr": 0.3, "margin": 20.0, "time_threshold": 300},
 }
 
-_INT_KEYS = {"dim", "neg_ratio", "batch_size", "time_unit", "time_threshold", "norm",
-             "seed", "max_epochs", "valid_every", "patience", "threads", "top_n"}
-_FLOAT_KEYS = {"margin", "lr"}
-
 
 class UsageError(Exception):
     pass
 
 
-@dataclass
-class RunConfig:
-    train: str | None
-    valid: str | None
-    test: str | None
-    format: str
-    dim: int
-    margin: float
-    lr: float
-    neg_ratio: int
-    batch_size: int
-    time_unit: int | None
-    time_threshold: int | None
-    norm: int
-    dual: str
-    seed: int
-    max_epochs: int
-    valid_every: int
-    patience: int
-    checkpoint: str | None
-    out_dir: str
-    threads: int
-    tie: str
-    dump_ranks: str | None
-    side: str
-    top_n: int
-    subject: str | None
-    relation: str | None
-    object: str | None
-    time: str | None
+class RunConfig(SimpleNamespace):
+    """Resolved configuration: one attribute per ``OPTIONS`` row."""
 
     def dual_flag(self) -> bool:
         if self.dual == "auto":
@@ -114,20 +122,28 @@ def parse_config_file(path: str) -> dict:
             raise UsageError(f"{path}:{line_no}: expected key = value")
         key, value = (part.strip() for part in line.split("=", 1))
         key = key.replace("-", "_")
-        if key not in DEFAULTS:
+        if key not in _OPTION:
             raise UsageError(f"{path}:{line_no}: unknown option {key!r}")
-        values[key] = _coerce(key, value)
+        values[key] = _coerce(_OPTION[key], value, f"{path}:{line_no}")
     return values
 
 
-def _coerce(key: str, value: str):
+def _coerce(opt: Option, value: str, where: str):
+    """A config-file value checked like the flag: type, then choices."""
     if value.lower() in ("none", "null", ""):
+        # time_unit has a default but may be unset: time_threshold then bins
+        if opt.default is not None and opt.name != "time_unit":
+            raise UsageError(f"{where}: {opt.name} cannot be none")
         return None
-    if key in _INT_KEYS:
-        return int(value)
-    if key in _FLOAT_KEYS:
-        return float(value)
-    return value
+    try:
+        out = opt.type(value)
+    except ValueError:
+        raise UsageError(f"{where}: {opt.name}: invalid {opt.type.__name__} value: "
+                         f"{value!r}") from None
+    if opt.choices is not None and out not in opt.choices:
+        raise UsageError(f"{where}: {opt.name}: invalid choice: {out!r} (choose from "
+                         f"{', '.join(map(repr, opt.choices))})")
+    return out
 
 
 def _merge_layer(cfg: dict, layer: dict) -> None:
@@ -153,104 +169,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     _merge_layer(cfg, cli_layer)
     if cfg["time_unit"] is None and cfg["time_threshold"] is None:
         raise UsageError("one of --time-unit / --time-threshold is required")
-    known = {f.name for f in fields(RunConfig)}
-    return RunConfig(**{key: value for key, value in cfg.items() if key in known})
-
-
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with 2 on bad usage; the contract here is exit code 1.
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _dataset_args(p: argparse.ArgumentParser) -> None:
-    g = p.add_argument_group("dataset")
-    g.add_argument("--train", metavar="FILE", help="training split TSV")
-    g.add_argument("--valid", metavar="FILE", help="validation split TSV")
-    g.add_argument("--test", metavar="FILE", help="test split TSV")
-    g.add_argument("--format", choices=[POINT_TSV, INTERVAL_TSV],
-                   help=f"input layout (default: {DEFAULTS['format']})")
-    g.add_argument("--time-unit", type=int, metavar="DAYS",
-                   help=f"fixed time-step length in days (default: {DEFAULTS['time_unit']})")
-    g.add_argument("--time-threshold", type=int, metavar="N",
-                   help="min fact mentions per clubbed year bin (default: none)")
-    g.add_argument("--dual", choices=["auto", "on", "off"],
-                   help="dual begin/end relation embeddings (default: auto)")
-
-
-def _training_args(p: argparse.ArgumentParser) -> None:
-    g = p.add_argument_group("training")
-    g.add_argument("--dim", type=int, help=f"embedding dimension (default: {DEFAULTS['dim']})")
-    g.add_argument("--margin", type=float, help=f"loss margin (default: {DEFAULTS['margin']})")
-    g.add_argument("--lr", type=float, help=f"Adagrad learning rate (default: {DEFAULTS['lr']})")
-    g.add_argument("--neg-ratio", type=int,
-                   help=f"negatives per positive (default: {DEFAULTS['neg_ratio']})")
-    g.add_argument("--batch-size", type=int,
-                   help=f"minibatch size (default: {DEFAULTS['batch_size']})")
-    g.add_argument("--norm", type=int, choices=[1, 2],
-                   help=f"score p-norm (default: {DEFAULTS['norm']})")
-    g.add_argument("--seed", type=int, help=f"RNG seed (default: {DEFAULTS['seed']})")
-    g.add_argument("--max-epochs", type=int,
-                   help=f"epoch cap (default: {DEFAULTS['max_epochs']})")
-    g.add_argument("--valid-every", type=int,
-                   help=f"epochs between validations (default: {DEFAULTS['valid_every']})")
-    g.add_argument("--patience", type=int,
-                   help=f"non-improving validations before stopping (default: {DEFAULTS['patience']})")
-
-
-def _common_args(p: argparse.ArgumentParser) -> None:
-    g = p.add_argument_group("run")
-    g.add_argument("--checkpoint", metavar="FILE",
-                   help="checkpoint path (default: <out-dir>/model.tero)")
-    g.add_argument("--out-dir", metavar="DIR",
-                   help=f"artifact directory (default: {DEFAULTS['out_dir']})")
-    g.add_argument("--threads", type=int,
-                   help=f"evaluation worker threads, each scoring whole time steps; "
-                        f"ranks do not depend on it (default: {DEFAULTS['threads']})")
-    g.add_argument("--profile", choices=sorted(PROFILES),
-                   help="named hyperparameter preset")
-    g.add_argument("--config", metavar="FILE", help="key = value config file")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="tero",
-                     description="Temporal KG embeddings with per-time-step rotation")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p = sub.add_parser("preprocess", help="build vocab tables and binning manifest")
-    _dataset_args(p)
-    _common_args(p)
-    p.set_defaults(func=cmd_preprocess)
-
-    p = sub.add_parser("train", help="train a model and write the best checkpoint")
-    _dataset_args(p)
-    _training_args(p)
-    _common_args(p)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("eval", help="time-wise filtered link prediction metrics")
-    _dataset_args(p)
-    _common_args(p)
-    g = p.add_argument_group("evaluation")
-    g.add_argument("--tie", choices=["mean", "optimistic", "pessimistic"],
-                   help=f"tie handling for equal scores (default: {DEFAULTS['tie']})")
-    g.add_argument("--dump-ranks", metavar="FILE", help="write per-query ranks TSV")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("predict", help="rank completions for a partial fact")
-    _common_args(p)
-    g = p.add_argument_group("query")
-    g.add_argument("--subject", metavar="STR", help="subject entity (object-side query)")
-    g.add_argument("--relation", metavar="STR", help="relation name")
-    g.add_argument("--object", metavar="STR", help="object entity (subject-side query)")
-    g.add_argument("--time", metavar="T",
-                   help="date, 'B..E' interval, 'B..' begin only or '..E' end only")
-    g.add_argument("--side", choices=["subject", "object"],
-                   help=f"which side to predict (default: {DEFAULTS['side']})")
-    g.add_argument("--top-n", type=int, help=f"completions to print (default: {DEFAULTS['top_n']})")
-    p.set_defaults(func=cmd_predict)
-    return parser
+    return RunConfig(**cfg)
 
 
 def _require(cfg: RunConfig, *names: str) -> None:
@@ -266,10 +185,6 @@ def _load(cfg: RunConfig):
                         dual=cfg.dual_flag())
 
 
-def _sidecar_dir(cfg: RunConfig) -> Path:
-    return Path(cfg.out_dir)
-
-
 def _write_sidecar(ds, out_dir: Path) -> None:
     ds.vocab.save(out_dir)
     (out_dir / "binning.txt").write_text(ds.binning.to_manifest(), encoding="utf-8")
@@ -277,7 +192,7 @@ def _write_sidecar(ds, out_dir: Path) -> None:
 
 def cmd_preprocess(cfg: RunConfig) -> int:
     ds = _load(cfg)
-    out = _sidecar_dir(cfg)
+    out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_sidecar(ds, out)
     print(f"n_entities\t{ds.vocab.n_entities}")
@@ -292,7 +207,7 @@ def cmd_preprocess(cfg: RunConfig) -> int:
 
 def cmd_train(cfg: RunConfig) -> int:
     ds = _load(cfg)
-    out = _sidecar_dir(cfg)
+    out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_sidecar(ds, out)
     ckpt = Path(cfg.checkpoint) if cfg.checkpoint else out / "model.tero"
@@ -318,7 +233,7 @@ def _load_model(cfg: RunConfig):
         params, vocab_ref = load_checkpoint(cfg.checkpoint)
     except ValueError as exc:
         raise DataError(str(exc)) from exc
-    sidecar = Path(vocab_ref) if vocab_ref else _sidecar_dir(cfg)
+    sidecar = Path(vocab_ref) if vocab_ref else Path(cfg.out_dir)
     if not sidecar.is_absolute() and not sidecar.exists():
         alt = Path(cfg.checkpoint).parent / sidecar
         sidecar = alt if alt.exists() else sidecar
@@ -345,7 +260,7 @@ def cmd_eval(cfg: RunConfig) -> int:
     filter_set = FilterSet.build(ds.all_facts, binning)
     report = evaluate(params, ds.test, filter_set, binning, tie=cfg.tie, threads=cfg.threads)
     sys.stdout.write(report.to_tsv())
-    out = _sidecar_dir(cfg)
+    out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "eval.tsv").write_text(report.to_tsv(), encoding="utf-8")
     if cfg.dump_ranks:
@@ -403,6 +318,49 @@ def cmd_predict(cfg: RunConfig) -> int:
     for idx in np.argsort(scores, kind="stable")[:top_n]:
         print(f"{vocab.id2ent[idx]}\t{scores[idx]:.6f}")
     return 0
+
+
+# command -> (help, handler, option groups in --help order)
+COMMANDS = {
+    "preprocess": ("build vocab tables and binning manifest", cmd_preprocess,
+                   ("dataset", "run")),
+    "train": ("train a model and write the best checkpoint", cmd_train,
+              ("dataset", "training", "run")),
+    "eval": ("time-wise filtered link prediction metrics", cmd_eval,
+             ("dataset", "run", "evaluation")),
+    "predict": ("rank completions for a partial fact", cmd_predict, ("run", "query")),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    # argparse exits with 2 on bad usage; the contract here is exit code 1.
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="tero",
+                     description="Temporal KG embeddings with per-time-step rotation")
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    for command, (help_text, handler, groups) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.set_defaults(func=handler)
+        for group in groups:
+            g = p.add_argument_group(group)
+            for opt in OPTIONS:
+                if opt.group != group:
+                    continue
+                shown = opt.help if opt.default is None else f"{opt.help} (default: {opt.default})"
+                g.add_argument("--" + opt.name.replace("_", "-"), type=opt.type,
+                               choices=opt.choices, metavar=opt.metavar, help=shown)
+            # --profile and --config pick the layers under the flags; they are
+            # not config keys, so they are not rows of OPTIONS
+            if group == "run":
+                g.add_argument("--profile", choices=sorted(PROFILES),
+                               help="named hyperparameter preset")
+                g.add_argument("--config", metavar="FILE", help="key = value config file")
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:

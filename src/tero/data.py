@@ -35,7 +35,7 @@ class DataError(Exception):
         self.line_no = line_no
         where = ""
         if self.path is not None:
-            where = f"{self.path}:" if line_no is None else f"{self.path}:{line_no}: "
+            where = f"{self.path}: " if line_no is None else f"{self.path}:{line_no}: "
         super().__init__(f"{where}{message}")
 
 

@@ -171,20 +171,6 @@ def filtered_rank(scores: np.ndarray, quad: Quadruple, side: str, filter_set: Fi
     return rank_from_scores(scores, target, keep, tie)
 
 
-def rank_query(params: ModelParams, quad: Quadruple, side: str, filter_set: FilterSet,
-               binning: TimeBinning, tie: str = "mean",
-               score_binning: TimeBinning | None = None) -> int:
-    """Time-wise filtered rank of one test fact on one side.
-
-    ``binning`` fixes the benchmark protocol (filter keys); ``score_binning``
-    is the model's own time resolution when it differs, e.g. a time-collapsed
-    ablation judged under the dataset's native granularity.
-    """
-    scores = candidate_scores(params, [(quad, side)],
-                              binning if score_binning is None else score_binning)
-    return filtered_rank(scores[0], quad, side, filter_set, binning, tie)
-
-
 def evaluate(params: ModelParams, test_facts: Sequence[Quadruple], filter_set: FilterSet,
              binning: TimeBinning, tie: str = "mean", threads: int = 1,
              score_binning: TimeBinning | None = None) -> EvalReport:

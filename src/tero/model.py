@@ -107,11 +107,6 @@ class ModelParams:
             acc={k: v.copy() for k, v in self.acc.items()},
         )
 
-    def assert_finite(self) -> None:
-        for name, arr in self.arrays().items():
-            if not np.isfinite(arr).all():
-                raise FloatingPointError(f"non-finite values in {name}")
-
 
 def init_params(n_entities: int, n_relations: int, n_tau: int, k: int, dual: bool,
                 seed: int, norm_p: int = 1, dtype=np.float32) -> ModelParams:

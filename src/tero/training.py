@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .data import Quadruple, TimeBinning, TrainQuad, Vocab, expand_for_training
-from .model import ModelParams, init_params, score_quads
+from .model import ModelParams, init_params
 
 ADAGRAD_EPS = 1e-10
 # loss weights below this carry no representable update
@@ -116,32 +116,16 @@ class ValidationRecord:
     TSV_HEADER = "epoch\ttrain_loss\tmrr\thits1\thits3\thits10\tseconds"
 
 
-def sample_negatives(quad: TrainQuad, neg_ratio: int, n_entities: int,
-                     rng: np.random.Generator) -> list[TrainQuad]:
-    """Corrupt the subject or object of one quadruple ``neg_ratio`` times.
+def _corrupt_batch(pos: np.ndarray, neg_ratio: int, n_entities: int,
+                   rng: np.random.Generator) -> np.ndarray:
+    """Corrupt each of (B, 4) positives ``neg_ratio`` times: (B * neg_ratio, 4).
 
-    A fair coin picks the side; the replacement is uniform over all other
-    entities. Accidental true facts are not filtered.
+    A fair coin picks the subject or object side of each negative; the
+    replacement is uniform over all other entities. Accidental true facts
+    are not filtered.
     """
     if n_entities < 2:
         raise ValueError("need at least 2 entities to corrupt")
-    out = []
-    for _ in range(neg_ratio):
-        corrupt_subject = rng.random() < 0.5
-        original = quad.subject if corrupt_subject else quad.object
-        repl = int(rng.integers(0, n_entities - 1))
-        if repl >= original:
-            repl += 1
-        if corrupt_subject:
-            out.append(TrainQuad(repl, quad.slot, quad.object, quad.tau))
-        else:
-            out.append(TrainQuad(quad.subject, quad.slot, repl, quad.tau))
-    return out
-
-
-def _corrupt_batch(pos: np.ndarray, neg_ratio: int, n_entities: int,
-                   rng: np.random.Generator) -> np.ndarray:
-    """Vectorized corruption: (B, 4) positives -> (B * neg_ratio, 4) negatives."""
     neg = np.repeat(pos, neg_ratio, axis=0)
     n = len(neg)
     subject_side = rng.random(n) < 0.5
@@ -172,16 +156,6 @@ def loss(pos_score: float, neg_scores: Sequence[float], margin: float, neg_ratio
     if neg.shape != (neg_ratio,):
         raise ValueError(f"expected {neg_ratio} negative scores, got {neg.shape}")
     return float(_softplus(pos_score - margin) + _softplus(margin - neg).sum() / neg_ratio)
-
-
-def batch_loss(params: ModelParams, pos: np.ndarray, neg: np.ndarray,
-               margin: float, neg_ratio: int) -> float:
-    """Mean loss over a batch of (B, 4) positives and (B*neg_ratio, 4) negatives."""
-    f_pos = score_quads(params, pos[:, 0], pos[:, 1], pos[:, 2], pos[:, 3])
-    f_neg = score_quads(params, neg[:, 0], neg[:, 1], neg[:, 2], neg[:, 3])
-    per_pos = _softplus(f_pos - margin)
-    per_neg = _softplus(margin - f_neg).reshape(len(pos), neg_ratio).sum(axis=1) / neg_ratio
-    return float((per_pos + per_neg).mean())
 
 
 def _scatter_rows(idx: np.ndarray, vals: Sequence[np.ndarray],

@@ -4,8 +4,10 @@ Nearly everything here works one element at a time with Python complex
 numbers and plain loops, so it shares no code with the vectorized
 implementations it is used to verify. The exceptions are
 ``dense_step_oracle``, the dense training step the row-sparse one must
-match bit for bit, and ``table_scores_oracle``, the whole-table scoring
-path the blocked kernel must match bit for bit.
+match bit for bit, ``table_scores_oracle``, the whole-table scoring
+path the blocked kernel must match bit for bit, and ``batch_loss``, the
+batch loss from ``score_quads`` that ``fd_grads`` differentiates: a
+forward pass that shares no code with ``loss_and_grads``.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import math
 import numpy as np
 
 from tero.data import Quadruple, TimeBinning, endpoint_terms
-from tero.model import ModelParams
+from tero.model import ModelParams, score_quads
 
 
 def rotate_oracle(v: list[complex], phases: list[float]) -> list[complex]:
@@ -105,11 +107,21 @@ def loss_oracle(pos: float, negs: list[float], margin: float) -> float:
     return -log_sigmoid(margin - pos) - sum(log_sigmoid(f - margin) for f in negs) / len(negs)
 
 
+def batch_loss(params: ModelParams, pos: np.ndarray, neg: np.ndarray,
+               margin: float, neg_ratio: int) -> float:
+    """Mean loss over a batch of (B, 4) positives and (B*neg_ratio, 4) negatives."""
+    from tero.training import _softplus
+
+    f_pos = score_quads(params, pos[:, 0], pos[:, 1], pos[:, 2], pos[:, 3])
+    f_neg = score_quads(params, neg[:, 0], neg[:, 1], neg[:, 2], neg[:, 3])
+    per_pos = _softplus(f_pos - margin)
+    per_neg = _softplus(margin - f_neg).reshape(len(pos), neg_ratio).sum(axis=1) / neg_ratio
+    return float((per_pos + per_neg).mean())
+
+
 def fd_grads(params: ModelParams, pos, neg, margin: float, neg_ratio: int,
              h: float = 1e-4) -> dict:
-    """Central finite differences of the batch loss over every coordinate."""
-    from tero.training import batch_loss
-
+    """Central finite differences of ``batch_loss`` over every coordinate."""
     out = {}
     for name, arr in params.arrays().items():
         g = arr * 0.0

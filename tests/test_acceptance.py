@@ -18,7 +18,7 @@ import pytest
 from oracles import dense_grads, fd_grads, rank_oracle
 from tero.data import (PartialDate, POINT_TSV, bin_fixed, bin_threshold,
                        load_dataset, year_mention_counts)
-from tero.evaluation import FilterSet, evaluate, rank_query
+from tero.evaluation import FilterSet, candidate_scores, evaluate, filtered_rank
 from tero.model import init_params, load_checkpoint, rotate, save_checkpoint
 from tero.synthetic import (asymmetric_relation_suite, collapsed_binning, random_kg,
                             reflexive_relation_suite, subsample_dataset,
@@ -116,7 +116,8 @@ def test_criterion_3_ranking_matches_bruteforce_oracle():
             [(q, side) for q in ds.all_facts for side in ("subject", "object")]
         checked = 0
         for quad, side, rank in report.ranks:
-            fast = rank_query(params, quad, side, fs, ds.binning)
+            scores = candidate_scores(params, [(quad, side)], ds.binning)[0]
+            fast = filtered_rank(scores, quad, side, fs, ds.binning)
             slow = rank_oracle(params, quad, side, keys, ds.binning)
             assert fast == slow, f"{quad} {side}: {fast} != {slow}"
             assert rank == slow, f"evaluate {quad} {side}: {rank} != {slow}"

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import params_from
-from tero.cli import (DEFAULTS, PROFILES, build_parser, main, parse_config_file,
-                      resolve_config)
+from tero.cli import (COMMANDS, DEFAULTS, OPTIONS, PROFILES, build_parser, main,
+                      parse_config_file, resolve_config)
 from tero.data import POINT_TSV, Vocab, bin_fixed, PartialDate, format_fact
 from tero.model import init_params, load_checkpoint, save_checkpoint
 from tero.synthetic import temporary_relation_suite
@@ -85,6 +85,53 @@ class TestConfigResolution:
 
     def test_missing_paths_is_usage_error(self):
         assert main(["preprocess"]) == 1
+
+
+def command_for(opt) -> str:
+    return next(name for name, (_, _, groups) in COMMANDS.items() if opt.group in groups)
+
+
+def valid_value(opt) -> str:
+    if opt.choices is not None:
+        return str(next(c for c in reversed(opt.choices) if c != opt.default))
+    return {int: "7", float: "0.25", str: "some/value"}[opt.type]
+
+
+class TestConfigFileFlagParity:
+    # one case per OPTIONS row, so a new option is covered without a new test
+
+    @pytest.mark.parametrize("opt", OPTIONS, ids=lambda opt: opt.name)
+    def test_config_value_resolves_like_flag(self, opt, tmp_path):
+        value = valid_value(opt)
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"{opt.name} = {value}\n", encoding="utf-8")
+        parser = build_parser()
+        command = command_for(opt)
+        flag = "--" + opt.name.replace("_", "-")
+        by_flag = resolve_config(parser.parse_args([command, flag, value]))
+        by_file = resolve_config(parser.parse_args([command, "--config", str(conf)]))
+        assert vars(by_file) == vars(by_flag)
+        got = getattr(by_file, opt.name)
+        assert type(got) is opt.type and got != opt.default
+
+    @pytest.mark.parametrize("opt", [opt for opt in OPTIONS
+                                     if opt.type is not str or opt.choices],
+                             ids=lambda opt: opt.name)
+    def test_bad_config_value_exits_one_naming_the_line(self, opt, tmp_path, capsys):
+        bad = "3" if opt.choices and opt.type is int else "bogus"
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"# tuned\n{opt.name} = {bad}\n", encoding="utf-8")
+        assert main([command_for(opt), "--config", str(conf)]) == 1
+        assert f"{conf}:2: {opt.name}" in capsys.readouterr().err
+
+    def test_none_only_where_an_option_may_be_unset(self, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("time_unit = none\ntime_threshold = 100\n", encoding="utf-8")
+        cfg = resolve_config(build_parser().parse_args(["train", "--config", str(conf)]))
+        assert cfg.time_unit is None and cfg.time_threshold == 100
+        conf.write_text("dim = none\n", encoding="utf-8")
+        assert main(["train", "--config", str(conf)]) == 1
+        assert f"{conf}:1: dim" in capsys.readouterr().err
 
 
 class TestPreprocess:

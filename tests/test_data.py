@@ -62,6 +62,11 @@ class TestParsePoint:
         with pytest.raises(DataError, match="not found"):
             read_facts(tmp_path / "nope.txt", POINT_TSV)
 
+    def test_message_prefix_separates_path(self):
+        assert str(DataError("file not found", "x")) == "x: file not found"
+        assert str(DataError("bad line", "x", 3)) == "x:3: bad line"
+        assert str(DataError("no path")) == "no path"
+
 
 class TestParseInterval:
     def test_begin_only(self, tmp_path):

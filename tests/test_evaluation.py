@@ -8,7 +8,7 @@ from conftest import params_from
 from oracles import rank_oracle, table_scores_oracle
 from tero.data import PartialDate, Quadruple, TimeAnnotation, bin_fixed
 from tero.evaluation import (FilterSet, QueryRank, candidate_scores, evaluate,
-                             rank_from_scores, rank_query, time_key)
+                             filtered_rank, rank_from_scores, time_key)
 from tero.model import init_params
 from tero.synthetic import random_kg
 
@@ -17,6 +17,12 @@ seeds = st.integers(0, 2**32 - 1)
 
 def day(i: int) -> TimeAnnotation:
     return TimeAnnotation.point(PartialDate(2014, 1, 1 + i))
+
+
+def rank_alone(params, quad, side, fs, binning) -> int:
+    """Filtered rank of one query, scored on its own."""
+    return filtered_rank(candidate_scores(params, [(quad, side)], binning)[0],
+                         quad, side, fs, binning)
 
 
 def day_binning(n: int):
@@ -163,7 +169,7 @@ class TestRankQuery:
         quad = Quadruple(0, 0, 1, day(0))
         fs = FilterSet.build([quad], binning)
         assert candidate_scores(params, [(quad, "object")], binning)[0, 1] < 1e-6
-        assert rank_query(params, quad, "object", fs, binning) == 1
+        assert rank_alone(params, quad, "object", fs, binning) == 1
 
     def test_all_other_candidates_filtered(self):
         params = init_params(4, 1, 2, 3, dual=False, seed=21)
@@ -171,14 +177,14 @@ class TestRankQuery:
         facts = [Quadruple(0, 0, o, day(0)) for o in range(4)]
         fs = FilterSet.build(facts, binning)
         for o in range(4):
-            assert rank_query(params, facts[o], "object", fs, binning) == 1
+            assert rank_alone(params, facts[o], "object", fs, binning) == 1
 
     def test_query_must_be_known_positive(self):
         params = init_params(4, 1, 2, 3, dual=False, seed=22)
         binning = day_binning(2)
         fs = FilterSet.build([Quadruple(0, 0, 1, day(0))], binning)
         with pytest.raises(ValueError, match="not in the filter set"):
-            rank_query(params, Quadruple(0, 0, 2, day(0)), "subject", fs, binning)
+            rank_alone(params, Quadruple(0, 0, 2, day(0)), "subject", fs, binning)
 
     @given(seeds)
     def test_matches_exhaustive_oracle(self, seed):
@@ -192,7 +198,7 @@ class TestRankQuery:
         keys = {fs.key_of(q, binning) for q in facts}
         for quad in facts[:4]:
             for side in ("subject", "object"):
-                assert rank_query(params, quad, side, fs, binning) == \
+                assert rank_alone(params, quad, side, fs, binning) == \
                     rank_oracle(params, quad, side, keys, binning)
 
     def test_timewise_rank_at_least_triple_filtered_rank(self):
@@ -206,7 +212,7 @@ class TestRankQuery:
         fs = FilterSet.build(facts, binning)
         for quad in facts:
             scores = candidate_scores(params, [(quad, "object")], binning)[0]
-            timewise = rank_query(params, quad, "object", fs, binning)
+            timewise = rank_alone(params, quad, "object", fs, binning)
             keep = np.ones(10, bool)
             keep[[q.object for q in facts]] = False  # triple-level: any time
             keep[quad.object] = True

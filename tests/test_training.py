@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import (dense_grads, dense_step_oracle, fd_grads, loss_oracle,
+from oracles import (batch_loss, dense_grads, dense_step_oracle, fd_grads, loss_oracle,
                      max_relative_error)
-from tero.data import TrainQuad, expand_for_training
+from tero.data import expand_for_training
 from tero.model import init_params, score_quads
 from tero.synthetic import reflexive_relation_suite, temporary_relation_suite
-from tero.training import (NumericalError, TrainConfig, apply_adagrad, batch_loss,
-                           grad_step, loss, loss_and_grads, quads_to_array,
-                           sample_negatives, train)
+from tero.training import (NumericalError, TrainConfig, _corrupt_batch, apply_adagrad,
+                           grad_step, loss, loss_and_grads, quads_to_array, train)
 
 
 def make_batch(params, n_pos, neg_ratio, seed=0):
@@ -26,36 +25,36 @@ def make_batch(params, n_pos, neg_ratio, seed=0):
 
 
 class TestSampleNegatives:
+    def corrupt(self, quad, neg_ratio, n_entities, seed):
+        return _corrupt_batch(np.array([quad]), neg_ratio, n_entities,
+                              np.random.default_rng(seed))
+
     def test_changes_exactly_one_slot(self):
-        rng = np.random.default_rng(0)
-        quad = TrainQuad(3, 1, 7, 2)
-        for neg in sample_negatives(quad, 50, 10, rng):
-            changed_s = neg.subject != quad.subject
-            changed_o = neg.object != quad.object
-            assert changed_s != changed_o
-            assert (neg.slot, neg.tau) == (quad.slot, quad.tau)
+        quad = (3, 1, 7, 2)
+        neg = self.corrupt(quad, 50, 10, 0)
+        assert neg.shape == (50, 4)
+        changed_s = neg[:, 0] != quad[0]
+        changed_o = neg[:, 2] != quad[2]
+        assert (changed_s != changed_o).all()
+        assert (neg[:, 1] == quad[1]).all() and (neg[:, 3] == quad[3]).all()
 
     def test_two_entities_forces_the_other(self):
-        rng = np.random.default_rng(1)
-        for neg in sample_negatives(TrainQuad(0, 0, 1, 0), 20, 2, rng):
-            assert (neg.subject, neg.object) in ((1, 1), (0, 0))
+        neg = self.corrupt((0, 0, 1, 0), 20, 2, 1)
+        assert all((s, o) in ((1, 1), (0, 0)) for s, o in neg[:, [0, 2]])
 
     def test_side_choice_is_fair(self):
-        rng = np.random.default_rng(2)
-        quad = TrainQuad(5, 0, 9, 0)
-        negs = sample_negatives(quad, 100_000, 50, rng)
-        frac = sum(n.subject != quad.subject for n in negs) / len(negs)
+        quad = (5, 0, 9, 0)
+        neg = self.corrupt(quad, 100_000, 50, 2)
+        frac = (neg[:, 0] != quad[0]).mean()
         assert abs(frac - 0.5) < 0.01
 
     def test_replacement_never_original(self):
-        rng = np.random.default_rng(3)
-        quad = TrainQuad(2, 0, 2, 1)
-        for neg in sample_negatives(quad, 2000, 4, rng):
-            assert neg.subject != 2 or neg.object != 2
+        neg = self.corrupt((2, 0, 2, 1), 2000, 4, 3)
+        assert ((neg[:, 0] != 2) | (neg[:, 2] != 2)).all()
 
     def test_too_few_entities(self):
-        with pytest.raises(ValueError):
-            sample_negatives(TrainQuad(0, 0, 0, 0), 1, 1, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="at least 2 entities"):
+            self.corrupt((0, 0, 0, 0), 1, 1, 0)
 
 
 class TestLoss:
@@ -300,7 +299,6 @@ class TestTrainLoop:
         params = init_params(ds.vocab.n_entities, ds.vocab.n_relations, ds.binning.n_tau,
                              cfg.k, False, cfg.seed, cfg.norm_p)
         rng = np.random.default_rng(0)
-        from tero.training import _corrupt_batch
         neg0 = _corrupt_batch(quads, cfg.neg_ratio, ds.vocab.n_entities, rng)
         initial = batch_loss(params, quads, neg0, cfg.margin, cfg.neg_ratio)
         losses = []
