@@ -5,7 +5,8 @@ the built-in defaults and the checks on config-file values all come from
 that table. Configuration precedence is flag > config file > profile >
 built-in default. Config files are plain ``key = value`` lines with ``#``
 comments; keys match the long flag names with dashes or underscores, and
-values are checked against the option's type and choices as flags are.
+values are checked against the option's type, choices and lower bound as
+flags are.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 """
 
@@ -34,6 +35,7 @@ class Option(NamedTuple):
     help: str
     choices: tuple | None = None
     metavar: str | None = None
+    min: int | None = None  # smallest value accepted
 
 
 OPTIONS: tuple[Option, ...] = (
@@ -41,20 +43,22 @@ OPTIONS: tuple[Option, ...] = (
     Option("valid", str, None, "dataset", "validation split TSV", metavar="FILE"),
     Option("test", str, None, "dataset", "test split TSV", metavar="FILE"),
     Option("format", str, POINT_TSV, "dataset", "input layout", FORMATS),
-    Option("time_unit", int, 1, "dataset", "fixed time-step length in days", metavar="DAYS"),
+    Option("time_unit", int, 1, "dataset", "fixed time-step length in days", metavar="DAYS",
+           min=1),
     Option("time_threshold", int, None, "dataset",
-           "min fact mentions per clubbed year bin (default: none)", metavar="N"),
+           "min fact mentions per clubbed year bin (default: none)", metavar="N", min=1),
     Option("dual", str, "auto", "dataset", "dual begin/end relation embeddings",
            ("auto", "on", "off")),
-    Option("dim", int, 500, "training", "embedding dimension"),
+    Option("dim", int, 500, "training", "embedding dimension", min=1),
     Option("margin", float, 110.0, "training", "loss margin"),
     Option("lr", float, 0.1, "training", "Adagrad learning rate"),
     Option("neg_ratio", int, 10, "training", "negatives per positive"),
     Option("batch_size", int, 512, "training", "minibatch size"),
     Option("norm", int, 1, "training", "score p-norm", (1, 2)),
     Option("seed", int, 0, "training", "RNG seed"),
-    Option("max_epochs", int, 5000, "training", "epoch cap"),
-    Option("valid_every", int, 100, "training", "epochs between validations"),
+    # 0 epochs is allowed: it writes the seeded initialization as a checkpoint
+    Option("max_epochs", int, 5000, "training", "epoch cap", min=0),
+    Option("valid_every", int, 100, "training", "epochs between validations", min=1),
     Option("patience", int, 5, "training", "non-improving validations before stopping"),
     Option("checkpoint", str, None, "run", "checkpoint path (default: <out-dir>/model.tero)",
            metavar="FILE"),
@@ -136,14 +140,28 @@ def _coerce(opt: Option, value: str, where: str):
             raise UsageError(f"{where}: {opt.name} cannot be none")
         return None
     try:
-        out = opt.type(value)
+        out = _flag_type(opt)(value)
     except ValueError:
         raise UsageError(f"{where}: {opt.name}: invalid {opt.type.__name__} value: "
                          f"{value!r}") from None
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"{where}: {opt.name}: {exc}") from None
     if opt.choices is not None and out not in opt.choices:
         raise UsageError(f"{where}: {opt.name}: invalid choice: {out!r} (choose from "
                          f"{', '.join(map(repr, opt.choices))})")
     return out
+
+
+def _flag_type(opt: Option):
+    """The option's type, checked against its lower bound if it has one."""
+    def bounded(text: str):
+        value = opt.type(text)
+        if opt.min is not None and value < opt.min:
+            raise argparse.ArgumentTypeError(f"must be at least {opt.min}, got {value}")
+        return value
+
+    bounded.__name__ = opt.type.__name__  # argparse names it in "invalid int value"
+    return bounded
 
 
 def _merge_layer(cfg: dict, layer: dict) -> None:
@@ -352,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
                 if opt.group != group:
                     continue
                 shown = opt.help if opt.default is None else f"{opt.help} (default: {opt.default})"
-                g.add_argument("--" + opt.name.replace("_", "-"), type=opt.type,
+                g.add_argument("--" + opt.name.replace("_", "-"), type=_flag_type(opt),
                                choices=opt.choices, metavar=opt.metavar, help=shown)
             # --profile and --config pick the layers under the flags; they are
             # not config keys, so they are not rows of OPTIONS

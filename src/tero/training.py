@@ -12,12 +12,17 @@ table gets the sorted rows that a remaining quadruple touches and a
 gradient for those rows only, and Adagrad reads and writes only those rows
 of the table and of its accumulator. A step therefore costs time in
 proportion to the batch, not to the tables.
+
+The step works on blocks of BLOCK_ROWS quadruples or rows, so that its
+temporaries stay in cache. The forward pass keeps only the scores; the
+backward pass recomputes the forward of each block of live quadruples and
+writes their gradients into one array per table, stored as column slabs
+that the scatter sums with one ``bincount`` each; Adagrad updates the
+touched rows a block at a time.
 """
 
 from __future__ import annotations
 
-import ctypes
-import sys
 import time
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -25,40 +30,19 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .data import Quadruple, TimeBinning, TrainQuad, Vocab, expand_for_training
-from .model import ModelParams, init_params
+from .model import BLOCK_ROWS, ModelParams, _norm, init_params
 
 ADAGRAD_EPS = 1e-10
 # loss weights below this carry no representable update
 FLUSH_BELOW = 1e-30
+# widest column slab the gradient scatter sums with one bincount (slabs are
+# the largest divisor of k up to this). At k=500 slabs of 10-50 columns
+# scattered alike; 100 and 250 were 5% and 30% slower
+SCATTER_COLS = 50
 
 
 class NumericalError(Exception):
     """Training produced a non-finite loss or gradient."""
-
-
-_malloc_tuned = False
-
-
-def _retain_malloc_arenas() -> None:
-    """Keep glibc from unmapping the step loop's large temporaries.
-
-    Every step churns on the order of 100 MB of short-lived arrays; with
-    default trim/mmap thresholds glibc hands the pages back to the kernel
-    on free and the next step page-faults them in again, tripling step
-    time on kernels without transparent hugepages. No-op off glibc.
-    """
-    global _malloc_tuned
-    if _malloc_tuned or not sys.platform.startswith("linux"):
-        return
-    _malloc_tuned = True
-    try:
-        libc = ctypes.CDLL("libc.so.6")
-        m_trim_threshold, m_top_pad, m_mmap_threshold = -1, -2, -3
-        libc.mallopt(m_trim_threshold, 2**31 - 1)
-        libc.mallopt(m_top_pad, 64 * 2**20)
-        libc.mallopt(m_mmap_threshold, 2**27)
-    except OSError:
-        pass
 
 
 @dataclass
@@ -158,20 +142,50 @@ def loss(pos_score: float, neg_scores: Sequence[float], margin: float, neg_ratio
     return float(_softplus(pos_score - margin) + _softplus(margin - neg).sum() / neg_ratio)
 
 
-def _scatter_rows(idx: np.ndarray, vals: Sequence[np.ndarray],
-                  k: int) -> tuple[np.ndarray, list[np.ndarray]]:
+def _scatter_rows(idx: np.ndarray,
+                  vals: Sequence[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
     """Sum value rows that share a row index, over the touched rows only.
 
-    ``vals`` are (len(idx), k) tables indexed alike by ``idx``; the index is
-    compacted once for all of them. Returns the sorted unique indices
-    ``rows`` and, per table, a (len(rows), k) float64 table whose row i is
-    the sum, in input order, of the value rows with index ``rows[i]``.
+    ``vals`` are (len(idx), k // w, w) tables indexed alike by ``idx``, a
+    row of k values split into slabs of w columns, whose slabs ``v[:, j]``
+    are contiguous. Returns the sorted unique indices ``rows`` and, per
+    table, a (len(rows), k) float64 table whose row i is the sum, in input
+    order, of the value rows with index ``rows[i]``. Each slab is summed by
+    one ``bincount`` that reads it in place, with one flat index reused for
+    every slab.
     """
     rows, inv = np.unique(idx, return_inverse=True)
-    flat = (inv[:, None] * k + np.arange(k)).ravel()
-    n = len(rows) * k
-    return rows, [np.bincount(flat, weights=v.ravel(), minlength=n).reshape(len(rows), k)
-                  for v in vals]
+    n, (_, n_slabs, w) = len(rows), vals[0].shape
+    flat = (inv[:, None] * w + np.arange(w)).ravel()
+    out = [np.empty((n, n_slabs * w)) for _ in vals]
+    for j in range(n_slabs):
+        for v, g in zip(vals, out):
+            g[:, j * w: (j + 1) * w] = np.bincount(
+                flat, weights=v[:, j].ravel(), minlength=n * w).reshape(n, w)
+    return rows, out
+
+
+def _forward(params: ModelParams, cos: np.ndarray, sin: np.ndarray, s: np.ndarray,
+             slot: np.ndarray, o: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Rotated differences of a block of quadruples and the terms they are built from.
+
+    Returns ``c, sn, a1, a2, b1, b2, d_re, d_im``, each (len(s), k) in the
+    storage dtype; ``cos``/``sin`` are the trig tables of every phase row.
+    """
+    c, sn = cos[tau], sin[tau]
+    s_re, s_im = params.ent_re[s], params.ent_im[s]
+    o_re, o_im = params.ent_re[o], params.ent_im[o]
+    a1 = s_re - o_re
+    a2 = s_im - o_im
+    b1 = s_re + o_re
+    b2 = s_im + o_im
+    d_re = a1 * c
+    d_re -= a2 * sn
+    d_re += params.rel_re[slot]
+    d_im = b1 * sn
+    d_im += b2 * c
+    d_im += params.rel_im[slot]
+    return c, sn, a1, a2, b1, b2, d_re, d_im
 
 
 def loss_and_grads(params: ModelParams, pos: np.ndarray, neg: np.ndarray,
@@ -192,26 +206,14 @@ def loss_and_grads(params: ModelParams, pos: np.ndarray, neg: np.ndarray,
     quads = np.concatenate([pos, neg])
     # contiguous index columns gather measurably faster than strided views
     s, slot, o, tau = (np.ascontiguousarray(quads[:, j]) for j in range(4))
-    k = params.k
+    k, dtype = params.k, params.ent_re.dtype
     # trig over the phase table once, then gather: far fewer evaluations
-    c, sn = np.cos(params.phase)[tau], np.sin(params.phase)[tau]
-    s_re, s_im = params.ent_re[s], params.ent_im[s]
-    o_re, o_im = params.ent_re[o], params.ent_im[o]
-    a1 = s_re - o_re
-    a2 = s_im - o_im
-    b1 = s_re + o_re
-    b2 = s_im + o_im
-    d_re = a1 * c
-    d_re -= a2 * sn
-    d_re += params.rel_re[slot]
-    d_im = b1 * sn
-    d_im += b2 * c
-    d_im += params.rel_im[slot]
-
-    if params.norm_p == 1:
-        scores = np.abs(d_re).sum(axis=1) + np.abs(d_im).sum(axis=1)
-    else:
-        scores = np.sqrt((d_re * d_re).sum(axis=1) + (d_im * d_im).sum(axis=1))
+    cos, sin = np.cos(params.phase), np.sin(params.phase)
+    scores = np.empty(len(quads), dtype)
+    for lo in range(0, len(quads), BLOCK_ROWS):
+        b = slice(lo, lo + BLOCK_ROWS)
+        *_, d_re, d_im = _forward(params, cos, sin, s[b], slot[b], o[b], tau[b])
+        scores[b] = _norm(d_re, d_im, params.norm_p)
 
     f_pos, f_neg = scores[:B], scores[B:]
     total = float((_softplus(f_pos - margin)
@@ -221,41 +223,52 @@ def loss_and_grads(params: ModelParams, pos: np.ndarray, neg: np.ndarray,
     if not np.isfinite(total) or not np.isfinite(w).all():
         raise NumericalError("non-finite loss in batch")
 
-    # backward pass over the live quadruples only
+    # backward pass over the live quadruples only, recomputing each block's
+    # forward; the subject half of the entity gradients comes first
     live = np.flatnonzero(np.abs(w) >= FLUSH_BELOW)
-    w = w[live, None]
-    s, slot, o, tau = s[live], slot[live], o[live], tau[live]
-    c, sn = c[live], sn[live]
-    a1, a2, b1, b2 = a1[live], a2[live], b1[live], b2[live]
-    d_re, d_im = d_re[live], d_im[live]
-    if params.norm_p == 1:
-        u_re, u_im = np.sign(d_re), np.sign(d_im)
-    else:
-        norm = scores[live, None]
-        safe = np.where(norm > 0.0, norm, 1.0)
-        u_re = np.where(norm > 0.0, d_re / safe, 0.0)
-        u_im = np.where(norm > 0.0, d_im / safe, 0.0)
-    u_re *= w
-    u_im *= w
+    s, slot, o, tau, w, norm = (x[live] for x in (s, slot, o, tau, w[:, None],
+                                                   scores[:, None]))
+    n = len(live)
+    # per-quadruple gradients as (rows, k // w, w) views of slab-major
+    # storage, so that each slab of w columns is contiguous for the scatter
+    w_slab = max(d for d in range(1, min(k, SCATTER_COLS) + 1) if k % d == 0)
+    g_ent_re, g_ent_im, g_rel_re, g_rel_im, g_phase = (
+        np.empty((k // w_slab, rows, w_slab), dtype).transpose(1, 0, 2)
+        for rows in (2 * n, 2 * n, n, n, n))
+    for lo in range(0, n, BLOCK_ROWS):
+        hi = min(lo + BLOCK_ROWS, n)
+        b, ob = slice(lo, hi), slice(n + lo, n + hi)
+        c, sn, a1, a2, b1, b2, d_re, d_im = _forward(params, cos, sin, s[b], slot[b],
+                                                     o[b], tau[b])
+        if params.norm_p == 1:
+            u_re, u_im = np.sign(d_re), np.sign(d_im)
+        else:
+            safe = np.where(norm[b] > 0.0, norm[b], 1.0)
+            u_re = np.where(norm[b] > 0.0, d_re / safe, 0.0)
+            u_im = np.where(norm[b] > 0.0, d_im / safe, 0.0)
+        u_re *= w[b]
+        u_im *= w[b]
+        urc = u_re * c
+        urs = u_re * sn
+        uic = u_im * c
+        uis = u_im * sn
+        g = uic * b1
+        g -= uis * b2
+        g -= urc * a2
+        g -= urs * a1
+        as_slabs = (hi - lo, k // w_slab, w_slab)
+        g_phase[b] = g.reshape(as_slabs)
+        g_rel_re[b] = u_re.reshape(as_slabs)
+        g_rel_im[b] = u_im.reshape(as_slabs)
+        g_ent_re[b] = (urc + uis).reshape(as_slabs)
+        g_ent_re[ob] = (uis - urc).reshape(as_slabs)
+        g_ent_im[b] = (uic - urs).reshape(as_slabs)
+        g_ent_im[ob] = (urs + uic).reshape(as_slabs)
 
-    urc = u_re * c
-    urs = u_re * sn
-    uic = u_im * c
-    uis = u_im * sn
-    g_s_re = urc + uis
-    g_s_im = uic - urs
-    g_o_re = uis - urc
-    g_o_im = urs + uic
-    g_phase = uic * b1
-    g_phase -= uis * b2
-    g_phase -= urc * a2
-    g_phase -= urs * a1
-
-    ent_rows, (g_ent_re, g_ent_im) = _scatter_rows(
-        np.concatenate([s, o]),
-        [np.concatenate([g_s_re, g_o_re]), np.concatenate([g_s_im, g_o_im])], k)
-    rel_rows, (g_rel_re, g_rel_im) = _scatter_rows(slot, [u_re, u_im], k)
-    tau_rows, (g_tau,) = _scatter_rows(tau, [g_phase], k)
+    ent_rows, (g_ent_re, g_ent_im) = _scatter_rows(np.concatenate([s, o]),
+                                                   [g_ent_re, g_ent_im])
+    rel_rows, (g_rel_re, g_rel_im) = _scatter_rows(slot, [g_rel_re, g_rel_im])
+    tau_rows, (g_tau,) = _scatter_rows(tau, [g_phase])
     return total, {"ent_re": (ent_rows, g_ent_re), "ent_im": (ent_rows, g_ent_im),
                    "rel_re": (rel_rows, g_rel_re), "rel_im": (rel_rows, g_rel_im),
                    "phase": (tau_rows, g_tau)}
@@ -267,15 +280,18 @@ def apply_adagrad(params: ModelParams, grads: dict[str, tuple[np.ndarray, np.nda
 
     ``grads`` maps a table name to ``(rows, g)`` with unique ``rows``, as
     ``loss_and_grads`` returns it; only those rows of the table and of its
-    accumulator are read or written. The float64 step rounds into the
-    storage dtype on assignment.
+    accumulator are read or written, BLOCK_ROWS rows at a time. The float64
+    step rounds into the storage dtype on assignment.
     """
     arrays = params.arrays()
     for name, (rows, g) in grads.items():
-        acc = params.acc[name][rows]
-        acc += g * g
-        params.acc[name][rows] = acc
-        arrays[name][rows] -= lr * g / (np.sqrt(acc) + ADAGRAD_EPS)
+        table, acc_table = arrays[name], params.acc[name]
+        for lo in range(0, len(rows), BLOCK_ROWS):
+            r, g_b = rows[lo: lo + BLOCK_ROWS], g[lo: lo + BLOCK_ROWS]
+            acc = acc_table[r]
+            acc += g_b * g_b
+            acc_table[r] = acc
+            table[r] -= lr * g_b / (np.sqrt(acc) + ADAGRAD_EPS)
 
 
 def grad_step(params: ModelParams, pos: np.ndarray, neg: np.ndarray,
@@ -307,7 +323,6 @@ def train(train_facts: Sequence[Quadruple], valid_facts: Sequence[Quadruple],
 
     if not train_facts:
         raise ValueError("empty training set")
-    _retain_malloc_arenas()
     quads = quads_to_array(expand_for_training(train_facts, binning, config.dual,
                                                vocab.n_relations))
     params = init_params(vocab.n_entities, vocab.n_relations, binning.n_tau,

@@ -133,6 +133,26 @@ class TestConfigFileFlagParity:
         assert main(["train", "--config", str(conf)]) == 1
         assert f"{conf}:1: dim" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    @pytest.mark.parametrize("opt", [opt for opt in OPTIONS if opt.min is not None],
+                             ids=lambda opt: opt.name)
+    def test_value_below_minimum_exits_one(self, opt, form, tmp_path, capsys):
+        command, flag = command_for(opt), "--" + opt.name.replace("_", "-")
+        below = str(opt.min - 1)
+        if form == "flag":
+            with pytest.raises(SystemExit) as exc:
+                main([command, flag, below])
+            assert exc.value.code == 1
+            assert f"argument {flag}: must be at least {opt.min}" in capsys.readouterr().err
+        else:
+            conf = tmp_path / "run.conf"
+            conf.write_text(f"{opt.name} = {below}\n", encoding="utf-8")
+            assert main([command, "--config", str(conf)]) == 1
+            assert f"{conf}:1: {opt.name}: must be at least {opt.min}" in \
+                capsys.readouterr().err
+        cfg = resolve_config(build_parser().parse_args([command, flag, str(opt.min)]))
+        assert getattr(cfg, opt.name) == opt.min
+
 
 class TestPreprocess:
     def test_prints_counts_and_writes_artifacts(self, suite_files, tmp_path, capsys):

@@ -6,11 +6,13 @@ from hypothesis import given, strategies as st
 
 from oracles import (batch_loss, dense_grads, dense_step_oracle, fd_grads, loss_oracle,
                      max_relative_error)
+from tero import training
 from tero.data import expand_for_training
 from tero.model import init_params, score_quads
 from tero.synthetic import reflexive_relation_suite, temporary_relation_suite
-from tero.training import (NumericalError, TrainConfig, _corrupt_batch, apply_adagrad,
-                           grad_step, loss, loss_and_grads, quads_to_array, train)
+from tero.training import (ADAGRAD_EPS, NumericalError, TrainConfig, _corrupt_batch,
+                           apply_adagrad, grad_step, loss, loss_and_grads, quads_to_array,
+                           train)
 
 
 def make_batch(params, n_pos, neg_ratio, seed=0):
@@ -176,6 +178,37 @@ class TestSparseStep:
             assert np.array_equal(arr, dense.arrays()[name]), name
             assert np.array_equal(params.acc[name], dense.acc[name]), name
 
+    # With 40 quadruples, 24 of them live, and 10 touched entity rows,
+    # 3-row blocks leave a short last block in the forward pass and in
+    # Adagrad, 5-row blocks one in the backward pass; 3-column slabs split
+    # k=6 into two.
+    @pytest.mark.parametrize("block_rows", [3, 5])
+    @pytest.mark.parametrize("norm_p,dual", [(1, False), (2, False), (1, True)])
+    def test_block_boundaries_match_dense_oracle(self, monkeypatch, block_rows, norm_p, dual):
+        monkeypatch.setattr(training, "BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(training, "SCATTER_COLS", 4)
+        self.test_matches_dense_oracle_bit_for_bit(norm_p, dual)
+
+    def test_all_flushed_batch_changes_nothing(self):
+        params = init_params(4, 1, 2, 6, dual=False, seed=24)
+        params.ent_re[0] *= 1e4
+        params.ent_im[0] *= 1e4
+        # positives score far below the margin, negatives (through entity 0)
+        # far above it: every loss weight is below the flush threshold
+        pos = np.array([[1, 0, 2, 0], [2, 0, 3, 1]])
+        neg = np.array([[0, 0, 2, 0], [1, 0, 0, 0], [0, 0, 3, 1], [2, 0, 0, 1]])
+        before = params.copy()
+        total, grads = loss_and_grads(params, pos, neg, margin=100.0, neg_ratio=2)
+        assert np.isfinite(total)
+        for name, (rows, g) in grads.items():
+            assert rows.shape == (0,), name
+            assert g.shape == (0, params.k) and g.dtype == np.float64, name
+        cfg = TrainConfig(k=6, batch_size=2, neg_ratio=2, margin=100.0, lr=0.3, seed=0)
+        grad_step(params, pos, neg, cfg)
+        for name, arr in params.arrays().items():
+            assert np.array_equal(arr, before.arrays()[name]), name
+            assert np.array_equal(params.acc[name], before.acc[name]), name
+
     def test_rows_touched_only_by_flushed_quads_stay_put(self):
         params = init_params(12, 3, 5, 6, dual=False, seed=22)
         pos, neg, n_flushed = saturating_batch(params, 8, 4, 2.0, seed=10)
@@ -235,6 +268,26 @@ class TestAdagrad:
             assert np.array_equal(params.rel_re[slot], before["rel_re"][slot]) == (slot != 1)
         for tau in range(6):
             assert np.array_equal(params.phase[tau], before["phase"][tau]) == (tau != 3)
+
+    def test_blocks_match_whole_table_update(self, monkeypatch):
+        monkeypatch.setattr(training, "BLOCK_ROWS", 3)
+        params = init_params(20, 4, 7, 5, dual=False, seed=25)
+        rng = np.random.default_rng(26)
+        dense = params.copy()
+        for _ in range(3):
+            grads = {}
+            for name, arr in params.arrays().items():
+                # 11 entity rows: three full blocks and a short one
+                rows = np.sort(rng.choice(len(arr), min(11, len(arr)), replace=False))
+                grads[name] = (rows, rng.standard_normal((len(rows), params.k)))
+            apply_adagrad(params, grads, lr=0.3)
+            full = dense_grads(params, grads)
+            for name, arr in dense.arrays().items():
+                dense.acc[name] += full[name] * full[name]
+                arr -= 0.3 * full[name] / (np.sqrt(dense.acc[name]) + ADAGRAD_EPS)
+        for name, arr in params.arrays().items():
+            assert np.array_equal(arr, dense.arrays()[name]), name
+            assert np.array_equal(params.acc[name], dense.acc[name]), name
 
     def test_storage_stays_float32(self):
         params = init_params(4, 2, 3, 3, dual=False, seed=18)
