@@ -11,9 +11,8 @@ import argparse
 import time
 
 from tero.data import POINT_TSV, load_dataset
-from tero.evaluation import FilterSet, evaluate
 from tero.synthetic import collapsed_binning, subsample_dataset
-from tero.training import TrainConfig, train
+from tero.training import TrainConfig, train_and_test
 
 
 def main():
@@ -38,18 +37,14 @@ def main():
     config = TrainConfig(k=args.dim, batch_size=512, neg_ratio=10, margin=args.margin,
                          lr=args.lr, max_epochs=args.epochs, valid_every=50,
                          patience=5, norm_p=1, seed=args.seed)
-    fs = FilterSet.build(ds.all_facts, ds.binning)
 
     begin = time.time()
-    best, _ = train(ds.train, ds.valid, config, ds.binning, ds.vocab, progress=True)
-    report = evaluate(best, ds.test, fs, ds.binning)
+    _, _, report = train_and_test(ds, config, progress=True)
     print(f"temporal\tmrr={report.mrr:.4f}\thits@1={report.hits1:.4f}"
           f"\thits@10={report.hits10:.4f}\t({time.time() - begin:.0f}s)")
 
     begin = time.time()
-    flat = collapsed_binning(ds)
-    blind, _ = train(ds.train, ds.valid, config, flat, ds.vocab, progress=True)
-    flat_report = evaluate(blind, ds.test, fs, ds.binning, score_binning=flat)
+    _, _, flat_report = train_and_test(ds, config, collapsed_binning(ds), progress=True)
     print(f"time-blind\tmrr={flat_report.mrr:.4f}\thits@1={flat_report.hits1:.4f}"
           f"\thits@10={flat_report.hits10:.4f}\t({time.time() - begin:.0f}s)")
     print(f"granularity gain: {report.mrr - flat_report.mrr:+.4f} mrr")

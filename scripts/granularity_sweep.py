@@ -11,8 +11,7 @@ import sys
 import time
 
 from tero.data import INTERVAL_TSV, POINT_TSV, load_dataset
-from tero.evaluation import FilterSet, evaluate
-from tero.training import TrainConfig, train
+from tero.training import TrainConfig, train_and_test
 
 EVENT_UNITS = [1, 2, 3, 7, 14, 30, 90, 365]
 INTERVAL_THRESHOLDS = [1, 3, 10, 30, 100, 300, 1000, 3000, 10000, 30000]
@@ -50,9 +49,7 @@ def main():
                                  seed=args.seed, dual=ds.dual,
                                  time_unit=unit, time_threshold=thre)
             begin = time.time()
-            best, _ = train(ds.train, ds.valid, config, ds.binning, ds.vocab)
-            fs = FilterSet.build(ds.all_facts, ds.binning)
-            report = evaluate(best, ds.test, fs, ds.binning)
+            _, _, report = train_and_test(ds, config)
             row = (f"{g}\t{ds.binning.n_tau}\t{report.mrr:.4f}\t{report.hits1:.4f}"
                    f"\t{report.hits3:.4f}\t{report.hits10:.4f}\t{time.time() - begin:.0f}")
             print(row)

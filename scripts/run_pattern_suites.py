@@ -8,18 +8,13 @@ under the same fine-grained protocol.
 
 import argparse
 
-from tero.evaluation import FilterSet, evaluate
 from tero.synthetic import (asymmetric_relation_suite, collapsed_binning,
                             reflexive_relation_suite, temporary_relation_suite)
-from tero.training import TrainConfig, train
+from tero.training import TrainConfig, train_and_test
 
 
 def run(name, ds, config, train_binning=None):
-    binning = train_binning if train_binning is not None else ds.binning
-    best, history = train(ds.train, ds.valid, config, binning, ds.vocab)
-    fs = FilterSet.build(ds.all_facts, ds.binning)
-    report = evaluate(best, ds.test, fs, ds.binning,
-                      score_binning=train_binning)
+    _, history, report = train_and_test(ds, config, train_binning)
     print(f"{name}\tmrr={report.mrr:.4f}\thits@1={report.hits1:.4f}"
           f"\thits@10={report.hits10:.4f}\tvalidations={len(history)}")
     return report

@@ -5,8 +5,8 @@ from .data import (Dataset, DataError, PartialDate, Quadruple, TimeAnnotation,
                    expand_for_training, load_dataset, parse_dataset)
 from .evaluation import EvalReport, FilterSet, evaluate
 from .model import (ModelParams, init_params, load_checkpoint, param_count,
-                    rotate, save_checkpoint, score_fact, score_point)
-from .training import NumericalError, TrainConfig, grad_step, loss, train
+                    rotate, save_checkpoint)
+from .training import NumericalError, TrainConfig, grad_step, loss, train, train_and_test
 
 __version__ = "0.1.0"
 
@@ -15,8 +15,7 @@ __all__ = [
     "TimeBinning", "TrainQuad", "Vocab", "bin_fixed", "bin_threshold",
     "expand_for_training", "load_dataset", "parse_dataset",
     "EvalReport", "FilterSet", "evaluate",
-    "ModelParams", "init_params", "load_checkpoint", "param_count", "rotate",
-    "save_checkpoint", "score_fact", "score_point",
-    "NumericalError", "TrainConfig", "grad_step", "loss", "train",
+    "ModelParams", "init_params", "load_checkpoint", "param_count", "rotate", "save_checkpoint",
+    "NumericalError", "TrainConfig", "grad_step", "loss", "train", "train_and_test",
     "__version__",
 ]

@@ -52,19 +52,19 @@ OPTIONS: tuple[Option, ...] = (
     Option("dim", int, 500, "training", "embedding dimension", min=1),
     Option("margin", float, 110.0, "training", "loss margin"),
     Option("lr", float, 0.1, "training", "Adagrad learning rate"),
-    Option("neg_ratio", int, 10, "training", "negatives per positive"),
-    Option("batch_size", int, 512, "training", "minibatch size"),
+    Option("neg_ratio", int, 10, "training", "negatives per positive", min=1),
+    Option("batch_size", int, 512, "training", "minibatch size", min=1),
     Option("norm", int, 1, "training", "score p-norm", (1, 2)),
     Option("seed", int, 0, "training", "RNG seed"),
     # 0 epochs is allowed: it writes the seeded initialization as a checkpoint
     Option("max_epochs", int, 5000, "training", "epoch cap", min=0),
     Option("valid_every", int, 100, "training", "epochs between validations", min=1),
-    Option("patience", int, 5, "training", "non-improving validations before stopping"),
+    Option("patience", int, 5, "training", "non-improving validations before stopping", min=1),
     Option("checkpoint", str, None, "run", "checkpoint path (default: <out-dir>/model.tero)",
            metavar="FILE"),
     Option("out_dir", str, "runs", "run", "artifact directory", metavar="DIR"),
     Option("threads", int, 1, "run", "evaluation worker threads, each scoring whole time "
-           "steps; ranks do not depend on it"),
+           "steps; ranks do not depend on it", min=1),
     Option("tie", str, "mean", "evaluation", "tie handling for equal scores", TIE_MODES),
     Option("dump_ranks", str, None, "evaluation", "write per-query ranks TSV", metavar="FILE"),
     Option("subject", str, None, "query", "subject entity (object-side query)", metavar="STR"),
@@ -73,7 +73,7 @@ OPTIONS: tuple[Option, ...] = (
     Option("time", str, None, "query",
            "date, 'B..E' interval, 'B..' begin only or '..E' end only", metavar="T"),
     Option("side", str, "object", "query", "which side to predict", ("subject", "object")),
-    Option("top_n", int, 10, "query", "completions to print"),
+    Option("top_n", int, 10, "query", "completions to print", min=1),
 )
 _OPTION = {opt.name: opt for opt in OPTIONS}
 DEFAULTS: dict = {opt.name: opt.default for opt in OPTIONS}
@@ -332,8 +332,7 @@ def cmd_predict(cfg: RunConfig) -> int:
         scores = candidate_scores(params, [(quad, cfg.side)], binning)[0]
     except ValueError as exc:
         raise DataError(str(exc)) from exc
-    top_n = max(0, min(cfg.top_n, params.n_entities))
-    for idx in np.argsort(scores, kind="stable")[:top_n]:
+    for idx in np.argsort(scores, kind="stable")[:cfg.top_n]:
         print(f"{vocab.id2ent[idx]}\t{scores[idx]:.6f}")
     return 0
 

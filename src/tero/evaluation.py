@@ -61,8 +61,7 @@ class FilterSet:
 
     @classmethod
     def build(cls, facts: Iterable[Quadruple], binning: TimeBinning) -> "FilterSet":
-        return cls({(q.subject, q.relation, q.object, time_key(q.time, binning))
-                    for q in facts})
+        return cls({cls.key_of(q, binning) for q in facts})
 
     def __contains__(self, key: tuple) -> bool:
         return key in self._keys
@@ -70,7 +69,8 @@ class FilterSet:
     def __len__(self) -> int:
         return len(self._keys)
 
-    def key_of(self, quad: Quadruple, binning: TimeBinning) -> tuple:
+    @staticmethod
+    def key_of(quad: Quadruple, binning: TimeBinning) -> tuple:
         return (quad.subject, quad.relation, quad.object, time_key(quad.time, binning))
 
     def true_objects(self, s: int, r: int, tk: tuple) -> list[int]:
@@ -156,9 +156,10 @@ def candidate_scores(params: ModelParams, queries: Sequence[tuple[Quadruple, str
 def filtered_rank(scores: np.ndarray, quad: Quadruple, side: str, filter_set: FilterSet,
                   binning: TimeBinning, tie: str = "mean") -> int:
     """Time-wise filtered rank of one test fact on one side, from its scores."""
-    if filter_set.key_of(quad, binning) not in filter_set:
+    key = filter_set.key_of(quad, binning)
+    if key not in filter_set:
         raise ValueError("test quadruple is not in the filter set")
-    tk = time_key(quad.time, binning)
+    tk = key[3]
     keep = np.ones(len(scores), dtype=bool)
     if side == "object":
         true_ids = filter_set.true_objects(quad.subject, quad.relation, tk)

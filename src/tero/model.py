@@ -12,6 +12,10 @@ Lower is more plausible. Relations on interval datasets come in dual
 begin/end variants stored as two row blocks of one table: slot r is the
 beginning of relation r, slot r + n_relations its end.
 
+Row-paired quadruples are scored by one kernel, ``_forward``, run
+BLOCK_ROWS rows at a time: in float64 by ``score_quads`` and in the
+storage dtype by the training step, so no whole-batch temporary is built.
+
 Link prediction needs every entity rotated to the query's step.
 ``score_step`` fuses that rotation with the scoring: it rotates the entity
 table BLOCK_ROWS rows at a time into one small buffer and scores every
@@ -32,8 +36,6 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .data import Quadruple, TimeBinning, endpoint_terms
 
 CHECKPOINT_MAGIC = b"TERO"
 CHECKPOINT_VERSION = 1
@@ -178,6 +180,42 @@ def _norm(d_re: np.ndarray, d_im: np.ndarray, p: int) -> np.ndarray:
     return np.sqrt((d_re * d_re).sum(axis=-1) + (d_im * d_im).sum(axis=-1))
 
 
+def _forward(params: ModelParams, cos: np.ndarray, sin: np.ndarray, s: np.ndarray,
+             slot: np.ndarray, o: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Differences ``rot(s) + r - conj(rot(o))`` of row-paired quadruples, with their terms.
+
+    Works in the dtype of the ``cos``/``sin`` tables, which ``tau`` indexes;
+    entity rows are converted to it, with no copy in the storage dtype.
+    Returns ``c, sn, a1, a2, b1, b2, d_re, d_im``, each (len(s), k).
+    """
+    c, sn = cos[tau], sin[tau]
+    s_re, s_im, o_re, o_im = (table[rows].astype(cos.dtype, copy=False) for rows in (s, o)
+                              for table in (params.ent_re, params.ent_im))
+    a1 = s_re - o_re
+    a2 = s_im - o_im
+    b1 = s_re + o_re
+    b2 = s_im + o_im
+    # conj(rot(o)) flips the sign of the rotated imaginary part, hence the +.
+    d_re = a1 * c
+    d_re -= a2 * sn
+    d_re += params.rel_re[slot]
+    d_im = b1 * sn
+    d_im += b2 * c
+    d_im += params.rel_im[slot]
+    return c, sn, a1, a2, b1, b2, d_re, d_im
+
+
+def _scores(params: ModelParams, cos: np.ndarray, sin: np.ndarray, s: np.ndarray,
+            slot: np.ndarray, o: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """Scores of row-paired quadruples in the dtype of ``cos``, BLOCK_ROWS at a time."""
+    out = np.empty(len(s), cos.dtype)
+    for lo in range(0, len(s), BLOCK_ROWS):
+        b = slice(lo, lo + BLOCK_ROWS)
+        *_, d_re, d_im = _forward(params, cos, sin, s[b], slot[b], o[b], tau[b])
+        out[b] = _norm(d_re, d_im, params.norm_p)
+    return out
+
+
 def score_quads(params: ModelParams, s: np.ndarray, slot: np.ndarray,
                 o: np.ndarray, tau: np.ndarray) -> np.ndarray:
     """Vectorized endpoint scores for index arrays of equal length.
@@ -185,44 +223,20 @@ def score_quads(params: ModelParams, s: np.ndarray, slot: np.ndarray,
     Computed in float64 whatever the storage dtype, so scores are safe to
     compare for ranking.
     """
-    c, sn = np.cos(params.phase[tau].astype(np.float64)), \
-        np.sin(params.phase[tau].astype(np.float64))
-    s_re, s_im = params.ent_re[s].astype(np.float64), params.ent_im[s].astype(np.float64)
-    o_re, o_im = params.ent_re[o].astype(np.float64), params.ent_im[o].astype(np.float64)
-    # conj(rot(o)) flips the sign of the rotated imaginary part, hence the +.
-    d_re = (s_re - o_re) * c - (s_im - o_im) * sn + params.rel_re[slot]
-    d_im = (s_re + o_re) * sn + (s_im + o_im) * c + params.rel_im[slot]
-    return _norm(d_re, d_im, params.norm_p)
+    # trig over the distinct steps only, which the inverse then indexes
+    steps, tau = np.unique(tau, return_inverse=True)
+    phase = params.phase[steps].astype(np.float64)
+    return _scores(params, np.cos(phase), np.sin(phase), s, slot, o, tau)
 
 
-def _check_ids(params: ModelParams, *entities: int, slot: int | None = None,
-               tau: int | None = None) -> None:
+def _check_ids(params: ModelParams, entities, slots, tau: int) -> None:
     # numpy indexing would wrap a negative id round to the last row
     if not all(0 <= e < params.n_entities for e in entities):
         raise IndexError(f"entity id out of range: {entities}, n={params.n_entities}")
-    if slot is not None and not 0 <= slot < params.n_slots:
-        raise IndexError(f"relation slot {slot} out of range (n_slots={params.n_slots})")
-    if tau is not None and not 0 <= tau < params.n_tau:
+    if not all(0 <= slot < params.n_slots for slot in slots):
+        raise IndexError(f"relation slot out of range: {slots}, n_slots={params.n_slots}")
+    if not 0 <= tau < params.n_tau:
         raise IndexError(f"time step {tau} out of range (n_tau={params.n_tau})")
-
-
-def score_point(params: ModelParams, s: int, slot: int, o: int, tau: int) -> float:
-    """Score of a single endpoint quadruple. Non-negative; lower is better."""
-    _check_ids(params, s, o, slot=slot, tau=tau)
-    return float(score_quads(params, np.array([s]), np.array([slot]),
-                             np.array([o]), np.array([tau]))[0])
-
-
-def score_fact(params: ModelParams, quad: Quadruple, binning: TimeBinning) -> float:
-    """Score a fact as the mean of its endpoint-term scores.
-
-    Intervals average the begin and end quadruples; half-open annotations
-    score only the known endpoint; point facts on dual models average both
-    slots at the same step.
-    """
-    terms = endpoint_terms(quad, binning, params.dual, params.n_relations)
-    return float(np.mean([score_point(params, quad.subject, slot, quad.object, tau)
-                          for slot, tau in terms]))
 
 
 def score_step(params: ModelParams, tau: int, anchors, slots, sides) -> np.ndarray:
@@ -240,9 +254,7 @@ def score_step(params: ModelParams, tau: int, anchors, slots, sides) -> np.ndarr
     and every query is scored against a block while it is still in cache,
     so no table-sized array is built.
     """
-    _check_ids(params, *anchors, tau=tau)
-    for slot in slots:
-        _check_ids(params, slot=slot)
+    _check_ids(params, anchors, slots, tau)
     for side in sides:
         if side not in ("subject", "object"):
             raise ValueError(f"side must be 'subject' or 'object', got {side!r}")

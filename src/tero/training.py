@@ -14,11 +14,11 @@ of the table and of its accumulator. A step therefore costs time in
 proportion to the batch, not to the tables.
 
 The step works on blocks of BLOCK_ROWS quadruples or rows, so that its
-temporaries stay in cache. The forward pass keeps only the scores; the
-backward pass recomputes the forward of each block of live quadruples and
-writes their gradients into one array per table, stored as column slabs
-that the scatter sums with one ``bincount`` each; Adagrad updates the
-touched rows a block at a time.
+temporaries stay in cache. The forward pass, ``model._forward`` in the
+storage dtype, keeps only the scores; the backward pass recomputes the
+forward of each block of live quadruples and writes their gradients into
+one array per table, stored as column slabs that the scatter sums with one
+``bincount`` each; Adagrad updates the touched rows a block at a time.
 """
 
 from __future__ import annotations
@@ -29,8 +29,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .data import Quadruple, TimeBinning, TrainQuad, Vocab, expand_for_training
-from .model import BLOCK_ROWS, ModelParams, _norm, init_params
+from . import evaluation
+from .data import Dataset, Quadruple, TimeBinning, TrainQuad, Vocab, expand_for_training
+from .model import BLOCK_ROWS, ModelParams, _forward, _scores, init_params
 
 ADAGRAD_EPS = 1e-10
 # loss weights below this carry no representable update
@@ -165,29 +166,6 @@ def _scatter_rows(idx: np.ndarray,
     return rows, out
 
 
-def _forward(params: ModelParams, cos: np.ndarray, sin: np.ndarray, s: np.ndarray,
-             slot: np.ndarray, o: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Rotated differences of a block of quadruples and the terms they are built from.
-
-    Returns ``c, sn, a1, a2, b1, b2, d_re, d_im``, each (len(s), k) in the
-    storage dtype; ``cos``/``sin`` are the trig tables of every phase row.
-    """
-    c, sn = cos[tau], sin[tau]
-    s_re, s_im = params.ent_re[s], params.ent_im[s]
-    o_re, o_im = params.ent_re[o], params.ent_im[o]
-    a1 = s_re - o_re
-    a2 = s_im - o_im
-    b1 = s_re + o_re
-    b2 = s_im + o_im
-    d_re = a1 * c
-    d_re -= a2 * sn
-    d_re += params.rel_re[slot]
-    d_im = b1 * sn
-    d_im += b2 * c
-    d_im += params.rel_im[slot]
-    return c, sn, a1, a2, b1, b2, d_re, d_im
-
-
 def loss_and_grads(params: ModelParams, pos: np.ndarray, neg: np.ndarray,
                    margin: float, neg_ratio: int,
                    ) -> tuple[float, dict[str, tuple[np.ndarray, np.ndarray]]]:
@@ -209,11 +187,7 @@ def loss_and_grads(params: ModelParams, pos: np.ndarray, neg: np.ndarray,
     k, dtype = params.k, params.ent_re.dtype
     # trig over the phase table once, then gather: far fewer evaluations
     cos, sin = np.cos(params.phase), np.sin(params.phase)
-    scores = np.empty(len(quads), dtype)
-    for lo in range(0, len(quads), BLOCK_ROWS):
-        b = slice(lo, lo + BLOCK_ROWS)
-        *_, d_re, d_im = _forward(params, cos, sin, s[b], slot[b], o[b], tau[b])
-        scores[b] = _norm(d_re, d_im, params.norm_p)
+    scores = _scores(params, cos, sin, s, slot, o, tau)
 
     f_pos, f_neg = scores[:B], scores[B:]
     total = float((_softplus(f_pos - margin)
@@ -319,8 +293,6 @@ def train(train_facts: Sequence[Quadruple], valid_facts: Sequence[Quadruple],
     best snapshot (the final params if validation never ran) and the
     per-validation history.
     """
-    from .evaluation import FilterSet, evaluate
-
     if not train_facts:
         raise ValueError("empty training set")
     quads = quads_to_array(expand_for_training(train_facts, binning, config.dual,
@@ -330,7 +302,7 @@ def train(train_facts: Sequence[Quadruple], valid_facts: Sequence[Quadruple],
     rng = np.random.default_rng([config.seed, 1])
     filter_set = None
     if valid_facts:
-        filter_set = FilterSet.build(list(train_facts) + list(valid_facts), binning)
+        filter_set = evaluation.FilterSet.build(list(train_facts) + list(valid_facts), binning)
 
     history: list[ValidationRecord] = []
     best = None
@@ -351,7 +323,7 @@ def train(train_facts: Sequence[Quadruple], valid_facts: Sequence[Quadruple],
             epoch_loss /= len(quads)
 
             if filter_set is not None and epoch % config.valid_every == 0:
-                report = evaluate(params, valid_facts, filter_set, binning)
+                report = evaluation.evaluate(params, valid_facts, filter_set, binning)
                 rec = ValidationRecord(epoch, epoch_loss, report.mrr, report.hits1,
                                        report.hits3, report.hits10,
                                        time.perf_counter() - start)
@@ -373,3 +345,18 @@ def train(train_facts: Sequence[Quadruple], valid_facts: Sequence[Quadruple],
     finally:
         if log_fh:
             log_fh.close()
+
+
+def train_and_test(ds: Dataset, config: TrainConfig, train_binning: TimeBinning | None = None,
+                   progress: bool = False,
+                   ) -> tuple[ModelParams, list[ValidationRecord], evaluation.EvalReport]:
+    """``train`` on ``ds``, then ``evaluate`` the best snapshot on ``ds.test``.
+
+    Training and test scoring use ``train_binning`` (default ``ds.binning``);
+    the time-wise filter always keys on ``ds.binning``.
+    """
+    binning = ds.binning if train_binning is None else train_binning
+    best, history = train(ds.train, ds.valid, config, binning, ds.vocab, progress=progress)
+    filter_set = evaluation.FilterSet.build(ds.all_facts, ds.binning)
+    report = evaluation.evaluate(best, ds.test, filter_set, ds.binning, score_binning=binning)
+    return best, history, report

@@ -2,12 +2,15 @@
 
 Nearly everything here works one element at a time with Python complex
 numbers and plain loops, so it shares no code with the vectorized
-implementations it is used to verify. The exceptions are
-``dense_step_oracle``, the dense training step the row-sparse one must
-match bit for bit, ``table_scores_oracle``, the whole-table scoring
-path the blocked kernel must match bit for bit, and ``batch_loss``, the
-batch loss from ``score_quads`` that ``fd_grads`` differentiates: a
-forward pass that shares no code with ``loss_and_grads``.
+implementations it is used to verify; ``score_oracle`` checks the forward
+kernel that ``score_quads`` and the training step share. The exceptions
+are ``dense_step_oracle``, the dense training step the row-sparse one
+must match bit for bit, ``table_scores_oracle``, the whole-table scoring
+path the blocked kernel must match bit for bit, ``score_one``, which
+calls ``score_quads`` on one quadruple, and ``batch_loss``, the batch loss
+from ``score_quads`` that ``fd_grads`` differentiates. ``batch_loss``
+shares its forward with ``loss_and_grads``, so the finite differences
+check the hand-derived backward, not the forward.
 """
 
 from __future__ import annotations
@@ -47,6 +50,11 @@ def score_oracle(params: ModelParams, s: int, slot: int, o: int, tau: int) -> fl
         else:
             total += d.real * d.real + d.imag * d.imag
     return total if params.norm_p == 1 else math.sqrt(total)
+
+
+def score_one(params: ModelParams, s: int, slot: int, o: int, tau: int) -> float:
+    """``score_quads`` on one endpoint quadruple."""
+    return float(score_quads(params, *(np.array([i]) for i in (s, slot, o, tau)))[0])
 
 
 def fact_score_oracle(params: ModelParams, quad: Quadruple, binning: TimeBinning) -> float:

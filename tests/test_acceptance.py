@@ -23,7 +23,7 @@ from tero.model import init_params, load_checkpoint, rotate, save_checkpoint
 from tero.synthetic import (asymmetric_relation_suite, collapsed_binning, random_kg,
                             reflexive_relation_suite, subsample_dataset,
                             temporary_relation_suite)
-from tero.training import TrainConfig, loss, loss_and_grads, train
+from tero.training import TrainConfig, loss, loss_and_grads, train, train_and_test
 
 
 @contextmanager
@@ -57,14 +57,6 @@ def skip_absent(name: str, dataset: str):
 
 PATTERN_CONFIG = TrainConfig(k=50, batch_size=32, neg_ratio=10, margin=10.0, lr=0.3,
                              max_epochs=500, valid_every=25, patience=8, norm_p=1, seed=1)
-
-
-def train_and_score(ds, config, train_binning=None):
-    binning = train_binning if train_binning is not None else ds.binning
-    best, _ = train(ds.train, ds.valid, config, binning, ds.vocab)
-    fs = FilterSet.build(ds.all_facts, ds.binning)
-    score_binning = train_binning if train_binning is not None else None
-    return evaluate(best, ds.test, fs, ds.binning, score_binning=score_binning)
 
 
 def test_criterion_1_gradients_match_finite_differences():
@@ -158,7 +150,7 @@ def test_criterion_4_year_clubbing_fixtures():
 def test_criterion_5_temporary_relation_suite():
     with criterion("pattern-temporary"):
         start = time.perf_counter()
-        report = train_and_score(temporary_relation_suite(), PATTERN_CONFIG)
+        _, _, report = train_and_test(temporary_relation_suite(), PATTERN_CONFIG)
         assert report.mrr >= 0.9, f"temporary suite mrr {report.mrr:.3f}"
         assert time.perf_counter() - start < 120.0
 
@@ -166,7 +158,7 @@ def test_criterion_5_temporary_relation_suite():
 def test_criterion_5_asymmetric_relation_suite():
     with criterion("pattern-asymmetric"):
         start = time.perf_counter()
-        report = train_and_score(asymmetric_relation_suite(), PATTERN_CONFIG)
+        _, _, report = train_and_test(asymmetric_relation_suite(), PATTERN_CONFIG)
         assert report.mrr >= 0.9, f"asymmetric suite mrr {report.mrr:.3f}"
         assert time.perf_counter() - start < 120.0
 
@@ -174,7 +166,7 @@ def test_criterion_5_asymmetric_relation_suite():
 def test_criterion_5_reflexive_relation_suite():
     with criterion("pattern-reflexive"):
         start = time.perf_counter()
-        report = train_and_score(reflexive_relation_suite(), PATTERN_CONFIG)
+        _, _, report = train_and_test(reflexive_relation_suite(), PATTERN_CONFIG)
         assert report.mrr >= 0.9, f"reflexive suite mrr {report.mrr:.3f}"
         assert time.perf_counter() - start < 120.0
 
@@ -183,7 +175,7 @@ def test_criterion_5_time_collapsed_ablation_fails_temporary_suite():
     with criterion("pattern-temporary-ablation"):
         start = time.perf_counter()
         ds = temporary_relation_suite()
-        report = train_and_score(ds, PATTERN_CONFIG, train_binning=collapsed_binning(ds))
+        _, _, report = train_and_test(ds, PATTERN_CONFIG, train_binning=collapsed_binning(ds))
         assert report.mrr <= 0.6, f"time-collapsed ablation mrr {report.mrr:.3f}"
         assert time.perf_counter() - start < 120.0
 
@@ -213,8 +205,8 @@ def test_criterion_7_event_benchmark_subsample():
         ds = subsample_dataset(full, n_train=10_000, n_valid=1_000, n_test=2_000, seed=0)
         config = TrainConfig(k=100, batch_size=512, neg_ratio=10, margin=30.0, lr=0.1,
                              max_epochs=500, valid_every=50, patience=5, norm_p=1, seed=0)
-        report = train_and_score(ds, config)
-        ablation = train_and_score(ds, config, train_binning=collapsed_binning(ds))
+        _, _, report = train_and_test(ds, config)
+        _, _, ablation = train_and_test(ds, config, train_binning=collapsed_binning(ds))
         print(f"subsample mrr {report.mrr:.4f}, time-collapsed {ablation.mrr:.4f}")
         assert report.mrr >= 0.25, f"subsample mrr {report.mrr:.3f}"
         assert report.mrr - ablation.mrr >= 0.05, \

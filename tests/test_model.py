@@ -1,14 +1,16 @@
 import cmath
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import params_from
-from oracles import fact_score_oracle, rotate_oracle, score_oracle
+from oracles import fact_score_oracle, rotate_oracle, score_one, score_oracle
 from tero.data import PartialDate, Quadruple, TimeAnnotation, bin_threshold
+from tero.evaluation import candidate_scores
 from tero.model import (init_params, load_checkpoint, param_count, rotate,
-                        save_checkpoint, score_fact, score_point, score_quads, score_step)
+                        save_checkpoint, score_quads, score_step)
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -69,11 +71,11 @@ class TestScorePoint:
         theta, s, r = 0.7, 1.5 - 0.5j, 0.25 + 1j
         o, _ = build_exact_match(theta, s, r)
         params = params_from([[s], [o]], [[r]], [[theta]])
-        assert score_point(params, 0, 0, 1, 0) < 1e-12
+        assert score_one(params, 0, 0, 1, 0) < 1e-12
 
     def test_real_identity_pair(self):
         params = params_from([[1 + 0j]], [[0j]], [[0.0]])
-        assert score_point(params, 0, 0, 0, 0) == 0.0
+        assert score_one(params, 0, 0, 0, 0) == 0.0
 
     @given(seeds, st.sampled_from([1, 2]))
     def test_matches_arithmetic_oracle(self, seed, p):
@@ -83,37 +85,29 @@ class TestScorePoint:
         phase = rng.uniform(0, 2 * np.pi, (2, 2))
         params = params_from(ent, rel, phase, norm_p=p)
         for s, r, o, tau in [(0, 0, 1, 0), (2, 1, 2, 1), (1, 0, 0, 1)]:
-            assert score_point(params, s, r, o, tau) == pytest.approx(
+            assert score_one(params, s, r, o, tau) == pytest.approx(
                 score_oracle(params, s, r, o, tau), abs=1e-10)
 
     def test_nonnegative(self, tiny_params):
         for s in range(4):
             for o in range(4):
-                assert score_point(tiny_params, s, 0, o, 1) >= 0.0
-
-    def test_id_out_of_range(self, tiny_params):
-        with pytest.raises(IndexError):
-            score_point(tiny_params, 4, 0, 0, 0)
-        with pytest.raises(IndexError):
-            score_point(tiny_params, 0, 2, 0, 0)
-        with pytest.raises(IndexError):
-            score_point(tiny_params, 0, 0, 0, 3)
+                assert score_one(tiny_params, s, 0, o, 1) >= 0.0
 
     def test_asymmetric_by_construction(self):
         # a fact that holds exactly one way round scores far worse reversed
         theta, s, r = 0.3, 1 + 1j, 0.5 - 0.2j
         o, _ = build_exact_match(theta, s, r)
         params = params_from([[s], [o]], [[r]], [[theta]])
-        assert score_point(params, 0, 0, 1, 0) < 1e-12
-        assert score_point(params, 1, 0, 0, 0) > 0.1
+        assert score_one(params, 0, 0, 1, 0) < 1e-12
+        assert score_one(params, 1, 0, 0, 0) > 0.1
 
     def test_temporal_sensitivity(self):
         theta1 = 0.0
         s, r = 1 + 0.5j, 0.2 + 0.1j
         o, _ = build_exact_match(theta1, s, r)
         params = params_from([[s], [o]], [[r]], [[theta1], [np.pi / 3]])
-        assert score_point(params, 0, 0, 1, 0) < 1e-12
-        assert score_point(params, 0, 0, 1, 1) > 0.1
+        assert score_one(params, 0, 0, 1, 0) < 1e-12
+        assert score_one(params, 0, 0, 1, 1) > 0.1
 
     def test_two_reflexive_relations_coexist(self):
         # distinct self-relations need distinct imaginary parts, which the
@@ -121,10 +115,15 @@ class TestScorePoint:
         a, b = 0.8 + 0.3j, -0.4 + 1.1j
         r1, r2 = -2 * 0.3j, -2 * 1.1j
         params = params_from([[a], [b]], [[r1], [r2]], [[0.0]])
-        assert score_point(params, 0, 0, 0, 0) < 1e-12
-        assert score_point(params, 1, 1, 1, 0) < 1e-12
-        assert score_point(params, 0, 1, 0, 0) > 0.1
-        assert score_point(params, 1, 0, 1, 0) > 0.1
+        assert score_one(params, 0, 0, 0, 0) < 1e-12
+        assert score_one(params, 1, 1, 1, 0) < 1e-12
+        assert score_one(params, 0, 1, 0, 0) > 0.1
+        assert score_one(params, 1, 0, 1, 0) > 0.1
+
+
+def fact_score(params, quad, binning) -> float:
+    """The fact's mean term score, read from its object query's candidate row."""
+    return float(candidate_scores(params, [(quad, "object")], binning)[0, quad.object])
 
 
 class TestScoreFact:
@@ -140,15 +139,15 @@ class TestScoreFact:
         quad = Quadruple(0, 1, 2, TimeAnnotation(PartialDate(2003), PartialDate(2005)))
         begin = score_oracle(params, 0, 1, 2, 0)
         end = score_oracle(params, 0, 3, 2, 2)
-        assert score_fact(params, quad, self.binning()) == pytest.approx(
+        assert fact_score(params, quad, self.binning()) == pytest.approx(
             (begin + end) / 2, abs=1e-10)
 
     def test_mean_of_equal_components_is_that_value(self):
         params = params_from([[1 + 1j], [2 - 1j]], [[0.3j], [0.3j]],
                              [[0.0], [0.0], [0.0]], n_relations=1, dual=True)
         quad = Quadruple(0, 0, 1, TimeAnnotation(PartialDate(2003), PartialDate(2005)))
-        single = score_point(params, 0, 0, 1, 0)
-        assert score_fact(params, quad, self.binning()) == pytest.approx(single, abs=1e-12)
+        single = score_one(params, 0, 0, 1, 0)
+        assert fact_score(params, quad, self.binning()) == pytest.approx(single, abs=1e-12)
 
     def test_begin_only_uses_begin_slot(self, ):
         rng = np.random.default_rng(6)
@@ -157,8 +156,8 @@ class TestScoreFact:
         phase = rng.uniform(0, 2 * np.pi, (3, 3))
         params = params_from(ent, rel, phase, n_relations=1, dual=True)
         quad = Quadruple(0, 0, 1, TimeAnnotation(PartialDate(2004), None))
-        assert score_fact(params, quad, self.binning()) == pytest.approx(
-            score_point(params, 0, 0, 1, 1), abs=1e-12)
+        assert fact_score(params, quad, self.binning()) == pytest.approx(
+            score_one(params, 0, 0, 1, 1), abs=1e-12)
 
     def test_end_only_uses_end_slot(self):
         rng = np.random.default_rng(7)
@@ -167,8 +166,8 @@ class TestScoreFact:
         phase = rng.uniform(0, 2 * np.pi, (3, 3))
         params = params_from(ent, rel, phase, n_relations=1, dual=True)
         quad = Quadruple(0, 0, 1, TimeAnnotation(None, PartialDate(2005)))
-        assert score_fact(params, quad, self.binning()) == pytest.approx(
-            score_point(params, 0, 1, 1, 2), abs=1e-12)
+        assert fact_score(params, quad, self.binning()) == pytest.approx(
+            score_one(params, 0, 1, 1, 2), abs=1e-12)
 
     @given(seeds)
     def test_matches_oracle_on_mixed_annotations(self, seed):
@@ -186,7 +185,7 @@ class TestScoreFact:
         for t in annotations:
             quad = Quadruple(int(rng.integers(4)), int(rng.integers(2)),
                              int(rng.integers(4)), t)
-            assert score_fact(params, quad, self.binning()) == pytest.approx(
+            assert fact_score(params, quad, self.binning()) == pytest.approx(
                 fact_score_oracle(params, quad, self.binning()), abs=1e-10)
 
 
@@ -205,6 +204,32 @@ class TestBatchScoring:
                            rtol=0, atol=1e-12)
         assert np.allclose(subj, score_quads(params, every, slots, fixed, taus),
                            rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("norm_p,dual", [(1, False), (2, False), (1, True), (2, True)])
+    def test_blocks_match_row_by_row_and_oracle(self, dtype, norm_p, dual):
+        # 150 rows are three blocks of the forward kernel, the last one short
+        params = init_params(20, 3, 5, 6, dual=dual, seed=31, norm_p=norm_p, dtype=dtype)
+        rng = np.random.default_rng(32)
+        quads = np.stack([rng.integers(0, 20, 150), rng.integers(0, params.n_slots, 150),
+                          rng.integers(0, 20, 150), rng.integers(0, 5, 150)], axis=1)
+        batch = score_quads(params, *quads.T)
+        assert np.array_equal(batch, [score_one(params, *q) for q in quads])
+        oracle = [score_oracle(params, *map(int, q)) for q in quads]
+        assert np.abs(batch - oracle).max() < 1e-10
+
+    def test_peak_memory_is_a_few_blocks(self):
+        # one whole-batch float64 temporary would be (4096, 64) x 8 bytes, 2.1 MB
+        params = init_params(4096, 2, 3, 64, dual=False, seed=33)
+        rows = np.arange(4096)
+        slot, o, tau = rows % 2, rows[::-1].copy(), rows % 3
+        tracemalloc.start()
+        try:
+            score_quads(params, rows, slot, o, tau)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4096 * 64 * 8
 
     def test_table_scoring_rejects_out_of_range_ids(self, tiny_params):
         # numpy would wrap a negative id round to the last row
@@ -228,7 +253,7 @@ class TestBatchScoring:
         batch = score_quads(tiny_params, s, slot, o, tau)
         for i in range(3):
             assert batch[i] == pytest.approx(
-                score_point(tiny_params, int(s[i]), int(slot[i]), int(o[i]), int(tau[i])),
+                score_oracle(tiny_params, int(s[i]), int(slot[i]), int(o[i]), int(tau[i])),
                 abs=1e-12)
 
 
@@ -310,8 +335,8 @@ class TestCheckpoint:
         save_checkpoint(tiny_params, f)
         loaded, _ = load_checkpoint(f)
         for s in range(4):
-            assert score_point(loaded, s, 1, (s + 1) % 4, s % 3) == \
-                score_point(tiny_params, s, 1, (s + 1) % 4, s % 3)
+            assert score_one(loaded, s, 1, (s + 1) % 4, s % 3) == \
+                score_one(tiny_params, s, 1, (s + 1) % 4, s % 3)
 
     def test_rejects_header_that_does_not_match_the_data(self, tmp_path, tiny_params):
         f = tmp_path / "m.tero"

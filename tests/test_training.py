@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from oracles import (batch_loss, dense_grads, dense_step_oracle, fd_grads, loss_oracle,
                      max_relative_error)
-from tero import training
+from tero import model, training
 from tero.data import expand_for_training
 from tero.model import init_params, score_quads
 from tero.synthetic import reflexive_relation_suite, temporary_relation_suite
@@ -185,6 +185,7 @@ class TestSparseStep:
     @pytest.mark.parametrize("block_rows", [3, 5])
     @pytest.mark.parametrize("norm_p,dual", [(1, False), (2, False), (1, True)])
     def test_block_boundaries_match_dense_oracle(self, monkeypatch, block_rows, norm_p, dual):
+        monkeypatch.setattr(model, "BLOCK_ROWS", block_rows)
         monkeypatch.setattr(training, "BLOCK_ROWS", block_rows)
         monkeypatch.setattr(training, "SCATTER_COLS", 4)
         self.test_matches_dense_oracle_bit_for_bit(norm_p, dual)
