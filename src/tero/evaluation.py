@@ -14,7 +14,8 @@ by the time steps of their endpoint terms and scores each group with one
 table per step: each block of rows is rotated into a small buffer and
 every query of the group is scored against it while it is in cache. No
 rotated table is ever built; a call holds its ``(Q, n_entities)`` scores
-and one ``(Q, n_entities)`` array of distances per step.
+and one ``(Q, n_entities)`` array of distances per step. ``FilterSet.build``
+bins each distinct annotation once, since facts share a few hundred.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .data import Quadruple, TimeAnnotation, TimeBinning, endpoint_terms
+from .data import Quadruple, TimeAnnotation, TimeBinning, distinct_times, endpoint_terms
 from .model import ModelParams, score_step
 
 TIE_MODES = ("mean", "optimistic", "pessimistic")
@@ -48,20 +49,40 @@ class FilterSet:
 
     Membership is exact on the full key, so the same triple at a different
     time step does not match. Also keeps per-query indexes of known-true
-    entities for fast candidate masking.
+    entities for fast candidate masking, as sorted arrays that give a query's
+    entities as one ``searchsorted`` slice.
     """
 
     def __init__(self, keys: set[tuple]):
         self._keys = keys
-        self._true_objects: dict[tuple, list[int]] = {}
-        self._true_subjects: dict[tuple, list[int]] = {}
-        for s, r, o, tk in keys:
-            self._true_objects.setdefault((s, r, tk), []).append(o)
-            self._true_subjects.setdefault((o, r, tk), []).append(s)
+        self._tk_codes = codes = {}  # time key -> small int
+        s, r, o, c = np.array([(s, r, o, codes.setdefault(tk, len(codes))) for s, r, o, tk in keys],
+                              dtype=np.int64).reshape(len(keys), 4).T
+        self._n_rel = int(r.max(initial=-1)) + 1
+        self._index = {}  # side -> sorted _flat codes of the anchor side, true entity of each
+        for side, anchor, true in (("object", s, o), ("subject", o, s)):
+            flat = self._flat(anchor, r, c)
+            order = np.argsort(flat, kind="stable")
+            self._index[side] = flat[order], true[order]
+
+    def _flat(self, e, r, c):
+        """One integer per (entity, relation, time code); ids must be in range."""
+        return (e * self._n_rel + r) * len(self._tk_codes) + c
+
+    def _true(self, side: str, e: int, r: int, tk: tuple) -> list[int]:
+        c = self._tk_codes.get(tk)
+        if c is None or e < 0 or not 0 <= r < self._n_rel:
+            return []
+        flat, true = self._index[side]
+        key = self._flat(e, r, c)
+        lo, hi = flat.searchsorted([key, key + 1])
+        return true[lo:hi].tolist()
 
     @classmethod
     def build(cls, facts: Iterable[Quadruple], binning: TimeBinning) -> "FilterSet":
-        return cls({cls.key_of(q, binning) for q in facts})
+        facts = list(facts)  # keeps every annotation alive while tks is keyed by id()
+        tks = {id(t): time_key(t, binning) for t, _ in distinct_times(facts)}
+        return cls({(q.subject, q.relation, q.object, tks[id(q.time)]) for q in facts})
 
     def __contains__(self, key: tuple) -> bool:
         return key in self._keys
@@ -74,10 +95,10 @@ class FilterSet:
         return (quad.subject, quad.relation, quad.object, time_key(quad.time, binning))
 
     def true_objects(self, s: int, r: int, tk: tuple) -> list[int]:
-        return self._true_objects.get((s, r, tk), [])
+        return self._true("object", s, r, tk)
 
     def true_subjects(self, o: int, r: int, tk: tuple) -> list[int]:
-        return self._true_subjects.get((o, r, tk), [])
+        return self._true("subject", o, r, tk)
 
 
 class QueryRank(NamedTuple):

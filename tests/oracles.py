@@ -7,20 +7,23 @@ kernel that ``score_quads`` and the training step share. The exceptions
 are ``dense_step_oracle``, the dense training step the row-sparse one
 must match bit for bit, ``table_scores_oracle``, the whole-table scoring
 path the blocked kernel must match bit for bit, ``score_one``, which
-calls ``score_quads`` on one quadruple, and ``batch_loss``, the batch loss
-from ``score_quads`` that ``fd_grads`` differentiates. ``batch_loss``
-shares its forward with ``loss_and_grads``, so the finite differences
-check the hand-derived backward, not the forward.
+calls ``score_quads`` on one quadruple, ``read_facts_oracle``, which checks
+each line with ``read_facts``'s own line parser but without its date memo,
+and ``batch_loss``, the batch loss from ``score_quads`` that ``fd_grads``
+differentiates. ``batch_loss`` shares its forward with ``loss_and_grads``,
+so the finite differences check the hand-derived backward, not the
+forward.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from pathlib import Path
 
 import numpy as np
 
-from tero.data import Quadruple, TimeBinning, endpoint_terms
+from tero.data import Quadruple, RawFact, TimeBinning, _parse_line, endpoint_terms
 from tero.model import ModelParams, score_quads
 
 
@@ -72,6 +75,19 @@ def fact_score_oracle(params: ModelParams, quad: Quadruple, binning: TimeBinning
         terms = [(begin_slot, binning.index_of(t.begin)), (end_slot, binning.index_of(t.end))]
     scores = [score_oracle(params, quad.subject, slot, quad.object, tau) for slot, tau in terms]
     return sum(scores) / len(scores)
+
+
+def read_facts_oracle(path, fmt: str) -> list[RawFact]:
+    """``read_facts`` line by line in text mode, parsing every line's dates anew.
+
+    Each line gets an empty date memo, so no annotation is shared between
+    lines; the reference for ``read_facts``'s per-file memo and its reading
+    of the file's bytes.
+    """
+    path = Path(path)
+    with open(path, encoding="utf-8") as fh:
+        return [_parse_line(line.rstrip("\n"), fmt, path, line_no, {})
+                for line_no, line in enumerate(fh, 1) if line.strip()]
 
 
 def rank_oracle(params: ModelParams, quad: Quadruple, side: str, positive_keys: set,

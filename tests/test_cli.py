@@ -179,6 +179,14 @@ class TestPreprocess:
         paths = dict(paths, train=str(empty))
         assert main(["preprocess", *run_args(paths, tmp_path / "x")]) == 2
 
+    def test_invalid_utf8_line_is_data_error(self, suite_files, tmp_path, capsys):
+        _, paths = suite_files
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"A\tr\tB\t2014-01-02\n\xff\xfe\tr\tB\t2014-01-02\n")
+        paths = dict(paths, train=str(bad))
+        assert main(["preprocess", *run_args(paths, tmp_path / "x")]) == 2
+        assert "bad.txt:2: invalid UTF-8" in capsys.readouterr().err
+
     def test_malformed_line_reports_file_and_line(self, suite_files, tmp_path, capsys):
         _, paths = suite_files
         bad = tmp_path / "bad.txt"
@@ -329,6 +337,31 @@ class TestPredictCommand:
                      "--relation", "likes", "--time", "2014-01-01", "--top-n", "4"])
         assert code == 2
         assert "3 entities" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("table, message", [
+        (b"zero\tA\n1\tB\n2\tC\n3\tD\n", "entities.tsv:1: vocab id 'zero' is not an integer"),
+        (b"0\tA\n1\t\xff\n2\tC\n3\tD\n", "entities.tsv:2: invalid UTF-8"),
+    ])
+    def test_bad_sidecar_vocab_is_data_error(self, tmp_path, capsys, table, message):
+        ckpt = self.make_constructed_checkpoint(tmp_path)
+        (tmp_path / "side" / "entities.tsv").write_bytes(table)
+        code = main(["predict", "--checkpoint", str(ckpt), "--subject", "A",
+                     "--relation", "likes", "--time", "2014-01-01"])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("manifest", [
+        "mode = fixed\nparam = 1\nn_tau = 2\norigin = ####-##-##\nspan_days = 2\n",
+        "mode = fixed\nparam = 0\nn_tau = 2\norigin = 2014-01-01\nspan_days = 2\n",
+        "mode = weekly\nparam = 1\nn_tau = 2\nbins = 2014:2014,2015:2015\n",
+    ])
+    def test_bad_binning_manifest_is_data_error(self, tmp_path, capsys, manifest):
+        ckpt = self.make_constructed_checkpoint(tmp_path)
+        (tmp_path / "side" / "binning.txt").write_text(manifest, encoding="utf-8")
+        code = main(["predict", "--checkpoint", str(ckpt), "--subject", "A",
+                     "--relation", "likes", "--time", "2014-01-01"])
+        assert code == 2
+        assert "bad binning manifest" in capsys.readouterr().err
 
     def test_subject_side_query(self, tmp_path, capsys):
         ckpt = self.make_constructed_checkpoint(tmp_path)

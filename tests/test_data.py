@@ -3,6 +3,7 @@ from datetime import date, timedelta
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import read_facts_oracle
 from tero.data import (DataError, PartialDate, Quadruple, TimeAnnotation, TimeBinning,
                        Vocab, INTERVAL_TSV, POINT_TSV, bin_fixed, bin_threshold,
                        build_binning, expand_for_training, format_fact, load_dataset,
@@ -103,6 +104,85 @@ class TestParseInterval:
             read_facts(p, INTERVAL_TSV)
 
 
+# date texts drawn from small pools, so that texts repeat across lines
+good_dates = {
+    POINT_TSV: ["2014-01-02", "2014-01-03", " 2014-01-02", "2014-12-31"],
+    INTERVAL_TSV: ["2003-##-##", "2005-##-##", "2003", "-453-##-##", "####-##-##",
+                   "2014-01-02"],
+}
+bad_dates = ["2014-##-##", "####-##-##", "2014-13-01", "2014-01-32", "abc", ""]
+good_names = st.sampled_from(["A", "B", " C "])
+
+
+@st.composite
+def split_file(draw):
+    """A split file's text: fact lines and blank lines, and at most one bad line.
+
+    The bad line may have a malformed, masked or reversed date, an empty
+    name or the wrong number of fields.
+    """
+    fmt = draw(st.sampled_from([POINT_TSV, INTERVAL_TSV]))
+    dates = st.sampled_from(good_dates[fmt])
+    n_dates = 1 if fmt == POINT_TSV else 2
+    line = st.one_of(st.tuples(good_names, good_names, good_names,
+                               *[dates] * n_dates).map("\t".join),
+                     st.sampled_from(["", "   "]))
+    lines = draw(st.lists(line, max_size=30))
+    if draw(st.booleans()):
+        bad = st.one_of(
+            st.tuples(good_names, good_names, good_names,
+                      *[st.sampled_from(good_dates[fmt] + bad_dates)] * n_dates),
+            st.tuples(st.sampled_from(["A", "", "  "]), good_names, good_names,
+                      *[dates] * n_dates),
+            st.lists(good_names, max_size=6))
+        lines.insert(draw(st.integers(0, len(lines))), "\t".join(draw(bad)))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return fmt, "".join(text + newline for text in lines)
+
+
+def outcome(read, path, fmt):
+    """The facts read, or the error's message, path and line number."""
+    try:
+        return read(path, fmt)
+    except DataError as exc:
+        return (str(exc), exc.path, exc.line_no)
+
+
+class TestReadFactsMemo:
+    @given(split_file())
+    def test_matches_per_line_oracle(self, case):
+        import tempfile
+        from pathlib import Path
+
+        fmt, text = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "split.txt"
+            path.write_bytes(text.encode("utf-8"))
+            got = outcome(read_facts, path, fmt)
+            assert got == outcome(read_facts_oracle, path, fmt)
+        if isinstance(got, list):  # one annotation object per distinct date text
+            stamps = {line.split("\t", 3)[3] for line in text.splitlines() if line.strip()}
+            assert len({id(f.time) for f in got}) <= len(stamps)
+
+    def test_repeated_date_text_shares_annotation(self, tmp_path):
+        p = write(tmp_path, "t.txt", ["A\tr\tB\t2014-01-02", "B\tr\tC\t2014-01-03",
+                                      "C\tr\tA\t2014-01-02"])
+        a, b, c = read_facts(p, POINT_TSV)
+        assert a.time is c.time and a.time is not b.time
+
+    def test_bad_date_reported_at_its_first_line(self, tmp_path):
+        p = write(tmp_path, "t.txt", ["A\tr\tB\t2014-01-02", "A\tr\tB\t2014-13-01",
+                                      "A\tr\tB\t2014-13-01"])
+        with pytest.raises(DataError, match="t.txt:2: month out of range"):
+            read_facts(p, POINT_TSV)
+
+    def test_invalid_utf8_names_file_and_line(self, tmp_path):
+        p = tmp_path / "t.txt"
+        p.write_bytes(b"A\tr\tB\t2014-01-02\nA\xff\xfe\tr\tB\t2014-01-02\n")
+        with pytest.raises(DataError, match="t.txt:2: invalid UTF-8"):
+            read_facts(p, POINT_TSV)
+
+
 class TestVocab:
     def test_round_trip_identity(self, tmp_path):
         p = write(tmp_path, "t.txt", ["B\tr2\tA\t2014-01-02", "A\tr1\tC\t2014-01-03"])
@@ -124,6 +204,21 @@ class TestVocab:
         vocab.save(tmp_path)
         loaded = Vocab.load(tmp_path)
         assert loaded.id2ent == vocab.id2ent and loaded.id2rel == vocab.id2rel
+
+    @pytest.mark.parametrize("table, message", [
+        ("0\tA\n2\tB\n", "entities.tsv:2: vocab ids are not contiguous"),
+        ("0\tA\n\nzero\tB\n", "entities.tsv:3: vocab id 'zero' is not an integer"),
+        ("0\tA\n1\tB", None),  # no final newline
+        ("0\tA\r\n\r\n 1\tB\r\n", None),  # blank lines skipped; int() takes " 1"
+    ])
+    def test_load_checks_id_column(self, tmp_path, table, message):
+        Vocab(["A", "B"], ["r"]).save(tmp_path)
+        (tmp_path / "entities.tsv").write_text(table, encoding="utf-8", newline="")
+        if message is None:
+            assert Vocab.load(tmp_path).id2ent == ["A", "B"]
+        else:
+            with pytest.raises(DataError, match=message):
+                Vocab.load(tmp_path)
 
 
 def year_span_dates(year: int) -> list[PartialDate]:
@@ -346,6 +441,58 @@ class TestManifest:
     def test_bad_manifest_rejected(self):
         with pytest.raises(DataError):
             TimeBinning.from_manifest("mode = fixed\n")
+
+    @pytest.mark.parametrize("change, message", [
+        (("origin = 2014-01-01", "origin = ####-##-##"), "origin must be a full date"),
+        (("origin = 2014-01-01", "origin = 2014-##-##"), "origin must be a full date"),
+        (("param = 2", "param = 0"), "param must be at least 1"),
+        (("mode = fixed", "mode = weekly"), "unknown mode 'weekly'"),
+    ])
+    def test_invalid_values_rejected(self, change, message):
+        text = bin_fixed(year_span_dates(2014), 2).to_manifest()
+        assert change[0] in text
+        with pytest.raises(DataError, match=f"bad binning manifest: {message}"):
+            TimeBinning.from_manifest(text.replace(*change))
+
+
+annotations = st.lists(
+    st.one_of(full_dates.map(TimeAnnotation.point),
+              st.tuples(st.integers(-500, 2500), st.integers(0, 40)).map(
+                  lambda t: TimeAnnotation(PartialDate(t[0]), PartialDate(t[0] + t[1]))),
+              st.integers(-500, 2500).map(lambda y: TimeAnnotation(PartialDate(y), None)),
+              st.integers(-500, 2500).map(lambda y: TimeAnnotation(None, PartialDate(y)))),
+    min_size=1, max_size=8)
+
+
+class TestBinningOverSharedAnnotations:
+    """Facts that share annotation objects bin as facts with their own copies do."""
+
+    @staticmethod
+    def facts(times, picks, shared):
+        return [Quadruple(0, 0, 1, times[i] if shared else
+                          TimeAnnotation(times[i].begin, times[i].end)) for i in picks]
+
+    @given(annotations, st.lists(st.integers(0, 7), min_size=1, max_size=60),
+           st.integers(1, 20))
+    def test_threshold_bins_unchanged(self, times, picks, threshold):
+        picks = [i % len(times) for i in picks]
+        shared, own = self.facts(times, picks, True), self.facts(times, picks, False)
+        per_fact: dict[int, int] = {}
+        for q in own:
+            for y in {d.year for d in (q.time.begin, q.time.end) if d is not None}:
+                per_fact[y] = per_fact.get(y, 0) + 1
+        assert year_mention_counts(shared) == per_fact
+        assert year_mention_counts(iter(shared)) == per_fact
+        assert build_binning(shared, None, threshold) == bin_threshold(per_fact, threshold)
+
+    @given(st.lists(full_dates.map(TimeAnnotation.point), min_size=1, max_size=8),
+           st.lists(st.integers(0, 7), min_size=1, max_size=60), st.integers(1, 30))
+    def test_fixed_bins_unchanged(self, times, picks, unit):
+        picks = [i % len(times) for i in picks]
+        every_date = [times[i].begin for i in picks]
+        for shared in (True, False):
+            facts = self.facts(times, picks, shared)
+            assert build_binning(facts, unit, None) == bin_fixed(every_date, unit)
 
 
 class TestBuildBinning:

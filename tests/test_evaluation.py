@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from conftest import params_from
 from oracles import rank_oracle, table_scores_oracle
-from tero.data import PartialDate, Quadruple, TimeAnnotation, bin_fixed
+from tero.data import PartialDate, Quadruple, TimeAnnotation, bin_fixed, bin_threshold
 from tero.evaluation import (FilterSet, QueryRank, candidate_scores, evaluate,
                              filtered_rank, rank_from_scores, time_key)
 from tero.model import init_params
@@ -109,6 +109,46 @@ class TestFilterSet:
         assert sorted(fs.true_objects(0, 0, (0, 0))) == [1, 2]
         assert sorted(fs.true_subjects(1, 0, (0, 0))) == [0, 3]
         assert fs.true_objects(9, 0, (0, 0)) == []
+
+    @given(seeds)
+    def test_true_entities_match_a_scan_of_the_keys(self, seed):
+        rng = np.random.default_rng(seed)
+        binning = bin_threshold({2000: 1, 2001: 1, 2002: 1}, 1)
+        y = [PartialDate(2000 + i) for i in range(3)]
+        times = [TimeAnnotation.point(y[0]), TimeAnnotation(y[0], y[2]), TimeAnnotation(y[1], None),
+                 TimeAnnotation(None, y[1]), TimeAnnotation(y[1], y[2])]
+        facts = [Quadruple(int(rng.integers(5)), int(rng.integers(2)), int(rng.integers(5)),
+                           times[int(rng.integers(len(times)))])
+                 for _ in range(int(rng.integers(0, 40)))]
+        fs = FilterSet.build(facts, binning)
+        keys = {fs.key_of(q, binning) for q in facts}
+        assert len(fs) == len(keys) and all(key in fs for key in keys)
+        for e in range(-1, 6):
+            for r in range(-1, 3):
+                for tk in {time_key(t, binning) for t in times} | {(None, 9)}:
+                    assert sorted(fs.true_objects(e, r, tk)) == \
+                        sorted(o for s, rr, o, t in keys if (s, rr, t) == (e, r, tk))
+                    assert sorted(fs.true_subjects(e, r, tk)) == \
+                        sorted(s for s, rr, o, t in keys if (o, rr, t) == (e, r, tk))
+
+    def test_generator_of_fresh_quadruples_matches_list(self):
+        # every quadruple and annotation the generator yields is freed once
+        # consumed, so an id() of one may come back for the next
+        ds = random_kg(seed=6, n_entities=12, n_relations=2, n_steps=30, n_facts=200)
+
+        def fresh():
+            for q in ds.all_facts:
+                yield Quadruple(q.subject, q.relation, q.object,
+                                TimeAnnotation(q.time.begin, q.time.end))
+
+        from_list = FilterSet.build(ds.all_facts, ds.binning)
+        from_generator = FilterSet.build(fresh(), ds.binning)
+        keys = {from_list.key_of(q, ds.binning) for q in ds.all_facts}
+        assert len(from_generator) == len(from_list) == len(keys)
+        assert all(key in from_generator for key in keys)
+        for s, r, o, tk in keys:
+            assert from_generator.true_objects(s, r, tk) == from_list.true_objects(s, r, tk)
+            assert from_generator.true_subjects(o, r, tk) == from_list.true_subjects(o, r, tk)
 
 
 def mixed_queries(rng, n_e: int, n_r: int, n_steps: int, n: int) -> list:
