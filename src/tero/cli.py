@@ -20,8 +20,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import (DataError, PartialDate, Quadruple, TimeAnnotation, TimeBinning,
-                   Vocab, FORMATS, INTERVAL_TSV, POINT_TSV, load_dataset, parse_date)
+from .data import (DataError, Quadruple, TimeAnnotation, TimeBinning, Vocab, FORMATS,
+                   INTERVAL_TSV, POINT_TSV, load_dataset, parse_dataset, parse_date,
+                   read_lines)
 from .evaluation import TIE_MODES, FilterSet, candidate_scores, evaluate
 from .model import load_checkpoint, save_checkpoint
 from .training import NumericalError, TrainConfig, train
@@ -118,7 +119,11 @@ def parse_config_file(path: str) -> dict:
     p = Path(path)
     if not p.exists():
         raise UsageError(f"config file not found: {path}")
-    for line_no, raw in enumerate(p.read_text(encoding="utf-8").splitlines(), 1):
+    try:
+        lines = read_lines(p)
+    except DataError as exc:
+        raise UsageError(f"bad config file: {exc}") from None
+    for line_no, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -198,6 +203,8 @@ def _require(cfg: RunConfig, *names: str) -> None:
 
 def _load(cfg: RunConfig):
     _require(cfg, "train", "valid", "test")
+    if cfg.time_unit is not None and cfg.time_threshold is not None:
+        raise UsageError("--time-unit and --time-threshold exclude each other")
     return load_dataset(cfg.train, cfg.valid, cfg.test, cfg.format,
                         unit_days=cfg.time_unit, threshold=cfg.time_threshold,
                         dual=cfg.dual_flag())
@@ -263,7 +270,7 @@ def _load_model(cfg: RunConfig):
     manifest = sidecar / "binning.txt"
     if not manifest.exists():
         raise DataError("binning manifest missing from sidecar", manifest)
-    binning = TimeBinning.from_manifest(manifest.read_text(encoding="utf-8"))
+    binning = TimeBinning.from_manifest("\n".join(read_lines(manifest)))
     if binning.n_tau != params.n_tau:
         raise DataError(f"checkpoint has {params.n_tau} time steps but manifest "
                         f"describes {binning.n_tau}", manifest)
@@ -272,11 +279,17 @@ def _load_model(cfg: RunConfig):
 
 def cmd_eval(cfg: RunConfig) -> int:
     params, vocab, binning = _load_model(cfg)
-    ds = _load(cfg)
-    if ds.vocab.n_entities != vocab.n_entities or ds.vocab.n_relations != vocab.n_relations:
+    _require(cfg, "train", "valid", "test")
+    # the checkpoint's binning scores the splits, so none is built from them
+    ds_vocab, splits = parse_dataset([cfg.train, cfg.valid, cfg.test], cfg.format)
+    if (ds_vocab.id2ent, ds_vocab.id2rel) != (vocab.id2ent, vocab.id2rel):
         raise DataError("dataset vocabulary does not match the checkpoint sidecar")
-    filter_set = FilterSet.build(ds.all_facts, binning)
-    report = evaluate(params, ds.test, filter_set, binning, tie=cfg.tie, threads=cfg.threads)
+    try:
+        filter_set = FilterSet.build([q for split in splits for q in split], binning)
+        report = evaluate(params, splits[2], filter_set, binning, tie=cfg.tie,
+                          threads=cfg.threads)
+    except ValueError as exc:
+        raise DataError(str(exc)) from exc
     sys.stdout.write(report.to_tsv())
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)

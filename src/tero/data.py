@@ -10,10 +10,14 @@ Handles two TSV layouts:
 
 Also builds entity/relation vocabularies, discretizes timestamps into time
 steps (fixed-length units or frequency-threshold year clubbing), and expands
-interval facts into per-endpoint training quadruples. Facts repeat a few
-hundred distinct timestamps (ICEWS14: 90,730 facts, 365 days), so the
-per-timestamp work runs once per distinct annotation: each date text of a
-file is parsed once, and its facts share the one annotation.
+facts into per-endpoint training quadruples, one row of an int64 array each.
+``time_key`` is the one function that bins a fact's annotation; the
+endpoint terms, the training rows and the evaluation filter all take their
+steps from it. Facts repeat a few hundred distinct timestamps (ICEWS14:
+90,730 facts, 365 days), so the per-timestamp work runs once per distinct
+annotation: each date text of a file is parsed once, its facts share the
+one annotation, and the training expansion and the filter bin each shared
+annotation once.
 """
 
 from __future__ import annotations
@@ -24,6 +28,8 @@ from dataclasses import dataclass, field
 from datetime import date as _pydate
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 POINT_TSV = "point-tsv"
 INTERVAL_TSV = "interval-tsv"
@@ -176,7 +182,7 @@ class Vocab:
             if not path.exists():
                 raise DataError(f"vocab table {name} missing", path)
             items: list[str] = []
-            for line_no, line in enumerate(_read_lines(path), 1):
+            for line_no, line in enumerate(read_lines(path), 1):
                 if not line:
                     continue
                 idx, _, s = line.partition("\t")
@@ -220,7 +226,7 @@ def parse_date(token: str) -> PartialDate | None:
     return PartialDate(year, month, day)
 
 
-def _read_lines(path: Path) -> list[str]:
+def read_lines(path: Path) -> list[str]:
     """A UTF-8 file's lines, split as text-mode reads split them; bad bytes are a DataError."""
     raw = path.read_bytes()
     try:
@@ -269,7 +275,7 @@ def read_facts(path: str | Path, fmt: str) -> list[RawFact]:
         raise DataError("file not found", path)
     times: dict[tuple[str, ...], TimeAnnotation] = {}
     return [_parse_line(line, fmt, path, line_no, times)
-            for line_no, line in enumerate(_read_lines(path), 1) if line.strip()]
+            for line_no, line in enumerate(read_lines(path), 1) if line.strip()]
 
 
 def to_quadruples(facts: Iterable[RawFact], vocab: Vocab) -> list[Quadruple]:
@@ -468,17 +474,14 @@ def build_binning(facts: Iterable[Quadruple], unit_days: int | None,
     return bin_threshold(year_mention_counts(facts), threshold)
 
 
-class TrainQuad(NamedTuple):
-    """One training item: (subject, relation slot row, object, time step).
+def time_key(t: TimeAnnotation, binning: TimeBinning) -> tuple[int | None, int | None]:
+    """Annotation normalized to time-step indices; points become (tau, tau).
 
-    On dual-relation models the slot row is ``relation`` for the beginning
-    endpoint and ``relation + n_relations`` for the end endpoint.
+    The one place a fact's annotation is binned.
     """
-
-    subject: int
-    slot: int
-    object: int
-    tau: int
+    tb = binning.index_of(t.begin) if t.begin is not None else None
+    te = binning.index_of(t.end) if t.end is not None else None
+    return (tb, te)
 
 
 def endpoint_terms(quad: Quadruple, binning: TimeBinning, dual: bool,
@@ -489,27 +492,32 @@ def endpoint_terms(quad: Quadruple, binning: TimeBinning, dual: bool,
     only the known endpoint; points yield both slots at the same step when
     dual, else a single term. A fact's score is the mean over its terms.
     """
-    t = quad.time
+    tau_b, tau_e = time_key(quad.time, binning)
     begin_slot = quad.relation
     end_slot = quad.relation + n_relations if dual else quad.relation
-    if t.is_begin_only:
-        return [(begin_slot, binning.index_of(t.begin))]
-    if t.is_end_only:
-        return [(end_slot, binning.index_of(t.end))]
-    tau_b, tau_e = binning.index_of(t.begin), binning.index_of(t.end)
-    if t.is_point and not dual:
+    if tau_e is None:
+        return [(begin_slot, tau_b)]
+    if tau_b is None:
+        return [(end_slot, tau_e)]
+    if quad.time.is_point and not dual:
         return [(begin_slot, tau_b)]
     return [(begin_slot, tau_b), (end_slot, tau_e)]
 
 
 def expand_for_training(facts: Iterable[Quadruple], binning: TimeBinning,
-                        dual: bool, n_relations: int) -> list[TrainQuad]:
-    """Expand facts into per-endpoint training quadruples."""
-    out = []
-    for q in facts:
-        for slot, tau in endpoint_terms(q, binning, dual, n_relations):
-            out.append(TrainQuad(q.subject, slot, q.object, tau))
-    return out
+                        dual: bool, n_relations: int) -> np.ndarray:
+    """Per-endpoint training quadruples as an (N, 4) int64 array.
+
+    Rows are ``(subject, slot, object, tau)``, fact by fact and each fact's
+    terms in ``endpoint_terms`` order. The terms of each distinct annotation
+    are worked out once, at relation 0, where each slot is the offset that a
+    fact's relation is added to.
+    """
+    facts = list(facts)  # keeps every annotation alive while terms is keyed by id()
+    terms = {id(t): endpoint_terms(Quadruple(0, 0, 0, t), binning, dual, n_relations)
+             for t, _ in distinct_times(facts)}
+    return np.array([(q.subject, q.relation + offset, q.object, tau) for q in facts
+                     for offset, tau in terms[id(q.time)]], np.int64).reshape(-1, 4)
 
 
 @dataclass
@@ -541,5 +549,8 @@ def load_dataset(train_path: str | Path, valid_path: str | Path, test_path: str 
         raise DataError("training split is empty", train_path)
     if dual is None:
         dual = fmt == INTERVAL_TSV
-    binning = build_binning(train + valid + test, unit_days, threshold)
+    try:
+        binning = build_binning(train + valid + test, unit_days, threshold)
+    except ValueError as exc:
+        raise DataError(str(exc)) from exc
     return Dataset(vocab, train, valid, test, binning, dual)

@@ -15,7 +15,8 @@ table per step: each block of rows is rotated into a small buffer and
 every query of the group is scored against it while it is in cache. No
 rotated table is ever built; a call holds its ``(Q, n_entities)`` scores
 and one ``(Q, n_entities)`` array of distances per step. ``FilterSet.build``
-bins each distinct annotation once, since facts share a few hundred.
+bins each distinct annotation once, since facts share a few hundred, and
+keeps its keys only as sorted index arrays, which answer membership too.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .data import Quadruple, TimeAnnotation, TimeBinning, distinct_times, endpoint_terms
+from .data import Quadruple, TimeBinning, distinct_times, endpoint_terms, time_key
 from .model import ModelParams, score_step
 
 TIE_MODES = ("mean", "optimistic", "pessimistic")
@@ -37,24 +38,16 @@ TIE_MODES = ("mean", "optimistic", "pessimistic")
 QUERIES_PER_CALL = 128
 
 
-def time_key(t: TimeAnnotation, binning: TimeBinning) -> tuple[int | None, int | None]:
-    """Annotation normalized to time-step indices; points become (tau, tau)."""
-    tb = binning.index_of(t.begin) if t.begin is not None else None
-    te = binning.index_of(t.end) if t.end is not None else None
-    return (tb, te)
-
-
 class FilterSet:
     """All positive quadruples keyed by (s, r, o, binned time annotation).
 
     Membership is exact on the full key, so the same triple at a different
-    time step does not match. Also keeps per-query indexes of known-true
-    entities for fast candidate masking, as sorted arrays that give a query's
-    entities as one ``searchsorted`` slice.
+    time step does not match. The keys are held only as per-query indexes of
+    known-true entities, sorted arrays that give a query's entities as one
+    ``searchsorted`` slice; membership and length are read from them.
     """
 
     def __init__(self, keys: set[tuple]):
-        self._keys = keys
         self._tk_codes = codes = {}  # time key -> small int
         s, r, o, c = np.array([(s, r, o, codes.setdefault(tk, len(codes))) for s, r, o, tk in keys],
                               dtype=np.int64).reshape(len(keys), 4).T
@@ -85,10 +78,11 @@ class FilterSet:
         return cls({(q.subject, q.relation, q.object, tks[id(q.time)]) for q in facts})
 
     def __contains__(self, key: tuple) -> bool:
-        return key in self._keys
+        s, r, o, tk = key
+        return o in self.true_objects(s, r, tk)
 
     def __len__(self) -> int:
-        return len(self._keys)
+        return len(self._index["object"][0])
 
     @staticmethod
     def key_of(quad: Quadruple, binning: TimeBinning) -> tuple:
@@ -177,17 +171,16 @@ def candidate_scores(params: ModelParams, queries: Sequence[tuple[Quadruple, str
 def filtered_rank(scores: np.ndarray, quad: Quadruple, side: str, filter_set: FilterSet,
                   binning: TimeBinning, tie: str = "mean") -> int:
     """Time-wise filtered rank of one test fact on one side, from its scores."""
-    key = filter_set.key_of(quad, binning)
-    if key not in filter_set:
-        raise ValueError("test quadruple is not in the filter set")
-    tk = key[3]
-    keep = np.ones(len(scores), dtype=bool)
+    tk = time_key(quad.time, binning)
     if side == "object":
         true_ids = filter_set.true_objects(quad.subject, quad.relation, tk)
         target = quad.object
     else:
         true_ids = filter_set.true_subjects(quad.object, quad.relation, tk)
         target = quad.subject
+    if target not in true_ids:
+        raise ValueError("test quadruple is not in the filter set")
+    keep = np.ones(len(scores), dtype=bool)
     keep[true_ids] = False
     keep[target] = True
     return rank_from_scores(scores, target, keep, tie)

@@ -17,13 +17,12 @@ binning gives one time step per logical step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from datetime import date, timedelta
 
 import numpy as np
 
 from .data import (Dataset, PartialDate, Quadruple, TimeAnnotation, Vocab,
-                   build_binning)
+                   build_binning, time_key)
 
 _EPOCH = date(2000, 1, 1)
 
@@ -46,7 +45,7 @@ def _split(items: list, n_valid: int, n_test: int,
 def _check_coverage(train: list[Quadruple], n_entities: int, n_steps: int,
                     binning) -> None:
     ents = {q.subject for q in train} | {q.object for q in train}
-    taus = {binning.index_of(q.time.begin) for q in train}
+    taus = {time_key(q.time, binning)[0] for q in train}
     if len(ents) != n_entities or len(taus) != n_steps:
         raise ValueError("training split does not cover every entity and time step; "
                          "pick another split seed")

@@ -1,7 +1,9 @@
 """Training loop: negative-sampling loss, hand-derived gradients, Adagrad.
 
-Each positive training quadruple is paired with ``neg_ratio`` corruptions of
-its subject or object. The loss per positive is
+``train`` takes its positives from ``expand_for_training`` as one (N, 4)
+int64 array of ``(subject, slot, object, tau)`` rows. Each positive is
+paired with ``neg_ratio`` corruptions of its subject or object. The loss
+per positive is
 
     L = -log sigmoid(margin - f(pos)) - (1/eta) * sum_i log sigmoid(f(neg_i) - margin)
 
@@ -25,12 +27,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import evaluation
-from .data import Dataset, Quadruple, TimeBinning, TrainQuad, Vocab, expand_for_training
+from .data import Dataset, Quadruple, TimeBinning, Vocab, expand_for_training
 from .model import BLOCK_ROWS, ModelParams, _forward, _scores, init_params
 
 ADAGRAD_EPS = 1e-10
@@ -276,10 +278,6 @@ def grad_step(params: ModelParams, pos: np.ndarray, neg: np.ndarray,
     return total
 
 
-def quads_to_array(quads: Iterable[TrainQuad]) -> np.ndarray:
-    return np.array([tuple(q) for q in quads], dtype=np.int64).reshape(-1, 4)
-
-
 def train(train_facts: Sequence[Quadruple], valid_facts: Sequence[Quadruple],
           config: TrainConfig, binning: TimeBinning, vocab: Vocab,
           log_path=None, progress: bool = False,
@@ -295,8 +293,7 @@ def train(train_facts: Sequence[Quadruple], valid_facts: Sequence[Quadruple],
     """
     if not train_facts:
         raise ValueError("empty training set")
-    quads = quads_to_array(expand_for_training(train_facts, binning, config.dual,
-                                               vocab.n_relations))
+    quads = expand_for_training(train_facts, binning, config.dual, vocab.n_relations)
     params = init_params(vocab.n_entities, vocab.n_relations, binning.n_tau,
                          config.k, config.dual, config.seed, config.norm_p)
     rng = np.random.default_rng([config.seed, 1])

@@ -9,6 +9,7 @@ must match bit for bit, ``table_scores_oracle``, the whole-table scoring
 path the blocked kernel must match bit for bit, ``score_one``, which
 calls ``score_quads`` on one quadruple, ``read_facts_oracle``, which checks
 each line with ``read_facts``'s own line parser but without its date memo,
+``expand_oracle``, which expands fact by fact through ``endpoint_terms``,
 and ``batch_loss``, the batch loss from ``score_quads`` that ``fd_grads``
 differentiates. ``batch_loss`` shares its forward with ``loss_and_grads``,
 so the finite differences check the hand-derived backward, not the
@@ -88,6 +89,13 @@ def read_facts_oracle(path, fmt: str) -> list[RawFact]:
     with open(path, encoding="utf-8") as fh:
         return [_parse_line(line.rstrip("\n"), fmt, path, line_no, {})
                 for line_no, line in enumerate(fh, 1) if line.strip()]
+
+
+def expand_oracle(facts, binning: TimeBinning, dual: bool, n_relations: int) -> np.ndarray:
+    """``expand_for_training`` one fact at a time: each fact's ``endpoint_terms`` rows."""
+    rows = [(q.subject, slot, q.object, tau) for q in facts
+            for slot, tau in endpoint_terms(q, binning, dual, n_relations)]
+    return np.array(rows, dtype=np.int64).reshape(-1, 4)
 
 
 def rank_oracle(params: ModelParams, quad: Quadruple, side: str, positive_keys: set,

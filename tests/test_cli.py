@@ -86,6 +86,12 @@ class TestConfigResolution:
     def test_missing_paths_is_usage_error(self):
         assert main(["preprocess"]) == 1
 
+    def test_invalid_utf8_config_file_is_usage_error(self, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_bytes(b"margin = 5 # \xff\n")
+        assert main(["train", "--config", str(conf)]) == 1
+        assert f"bad config file: {conf}:1: invalid UTF-8" in capsys.readouterr().err
+
 
 def command_for(opt) -> str:
     return next(name for name, (_, _, groups) in COMMANDS.items() if opt.group in groups)
@@ -197,6 +203,39 @@ class TestPreprocess:
         assert "bad.txt:2" in err
 
 
+@pytest.fixture()
+def interval_files(tmp_path):
+    splits = {
+        "train": ["a\tworksAt\tb\t2001-##-##\t2003-##-##",
+                  "b\tlivesIn\tc\t2002-##-##\t####-##-##",
+                  "c\tworksAt\ta\t####-##-##\t2003-##-##"],
+        "valid": ["a\tlivesIn\tc\t2001-##-##\t2002-##-##"],
+        "test": ["b\tworksAt\tc\t2002-##-##\t2003-##-##"],
+    }
+    paths = {}
+    for split, lines in splits.items():
+        p = tmp_path / f"{split}.txt"
+        p.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        paths[split] = str(p)
+    return paths
+
+
+@pytest.mark.parametrize("command", ["preprocess", "train"])
+def test_fixed_unit_on_partial_dates_is_data_error(command, interval_files, tmp_path, capsys):
+    code = main([command, *run_args(interval_files, tmp_path / "run"),
+                 "--format", "interval-tsv"])
+    assert code == 2
+    assert "fixed-unit binning needs full dates, got 2001-##-##" in capsys.readouterr().err
+
+
+def test_both_granularity_flags_is_usage_error(suite_files, tmp_path, capsys):
+    _, paths = suite_files
+    code = main(["preprocess", *run_args(paths, tmp_path / "run"), "--time-unit", "1",
+                 "--time-threshold", "5"])
+    assert code == 1
+    assert "--time-unit and --time-threshold exclude each other" in capsys.readouterr().err
+
+
 class TestTrainCommand:
     def quick(self, paths, out, *extra):
         return ["train", *run_args(paths, out), "--dim", "8", "--margin", "5",
@@ -267,6 +306,50 @@ class TestEvalCommand:
         assert len(rows) == 2 * len(ds.test)
         assert all(len(row) == 6 and row[4] in ("subject", "object") for row in rows)
         assert all(int(row[5]) >= 1 for row in rows)
+
+    def untrained(self, paths, out, *extra):
+        assert main(["train", *run_args(paths, out), "--dim", "4", "--max-epochs", "0",
+                     *extra]) == 0
+        return out / "model.tero"
+
+    def test_binning_comes_from_the_checkpoint(self, interval_files, tmp_path):
+        out = tmp_path / "run"
+        ckpt = self.untrained(interval_files, out, "--format", "interval-tsv",
+                              "--time-threshold", "1")
+        # the default --time-unit 1 cannot bin year dates; eval must not try
+        code = main(["eval", *run_args(interval_files, out), "--checkpoint", str(ckpt),
+                     "--format", "interval-tsv"])
+        assert code == 0
+        assert (out / "eval.tsv").read_text().startswith("mrr\t")
+
+    def test_date_outside_the_checkpoint_span_is_data_error(self, suite_files, tmp_path,
+                                                           capsys):
+        ds, paths = suite_files
+        out = tmp_path / "run"
+        ckpt = self.untrained(paths, out)
+        late = tmp_path / "late.txt"
+        q = ds.test[0]
+        late.write_text(f"{ds.vocab.id2ent[q.subject]}\t{ds.vocab.id2rel[q.relation]}\t"
+                        f"{ds.vocab.id2ent[q.object]}\t2000-02-01\n", encoding="utf-8")
+        code = main(["eval", *run_args(dict(paths, test=str(late)), out),
+                     "--checkpoint", str(ckpt)])
+        assert code == 2
+        assert "2000-02-01 beyond binning span" in capsys.readouterr().err
+
+    def test_renamed_entity_is_data_error(self, suite_files, tmp_path, capsys):
+        ds, paths = suite_files
+        out = tmp_path / "run"
+        ckpt = self.untrained(paths, out)
+        renamed = {}
+        for split, path in paths.items():
+            p = tmp_path / f"renamed_{split}.txt"
+            p.write_text(open(path, encoding="utf-8").read().replace("actor_0\t", "zz\t"),
+                         encoding="utf-8")
+            renamed[split] = str(p)
+        assert "zz" not in ds.vocab.ent2id
+        code = main(["eval", *run_args(renamed, out), "--checkpoint", str(ckpt)])
+        assert code == 2
+        assert "does not match the checkpoint sidecar" in capsys.readouterr().err
 
     def test_missing_checkpoint_is_data_error(self, suite_files, tmp_path):
         _, paths = suite_files
@@ -362,6 +445,15 @@ class TestPredictCommand:
                      "--relation", "likes", "--time", "2014-01-01"])
         assert code == 2
         assert "bad binning manifest" in capsys.readouterr().err
+
+    def test_invalid_utf8_binning_manifest_is_data_error(self, tmp_path, capsys):
+        ckpt = self.make_constructed_checkpoint(tmp_path)
+        manifest = tmp_path / "side" / "binning.txt"
+        manifest.write_bytes(manifest.read_bytes() + b"# \xff\n")
+        code = main(["predict", "--checkpoint", str(ckpt), "--subject", "A",
+                     "--relation", "likes", "--time", "2014-01-01"])
+        assert code == 2
+        assert "binning.txt:6: invalid UTF-8" in capsys.readouterr().err
 
     def test_subject_side_query(self, tmp_path, capsys):
         ckpt = self.make_constructed_checkpoint(tmp_path)

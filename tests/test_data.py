@@ -1,9 +1,10 @@
 from datetime import date, timedelta
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import read_facts_oracle
+from oracles import expand_oracle, read_facts_oracle
 from tero.data import (DataError, PartialDate, Quadruple, TimeAnnotation, TimeBinning,
                        Vocab, INTERVAL_TSV, POINT_TSV, bin_fixed, bin_threshold,
                        build_binning, expand_for_training, format_fact, load_dataset,
@@ -330,32 +331,43 @@ class TestExpansion:
         binning = self.make_binning()
         quad = Quadruple(0, 1, 2, TimeAnnotation(PartialDate(2003), PartialDate(2005)))
         out = expand_for_training([quad], binning, dual=True, n_relations=4)
-        assert [(q.slot, q.tau) for q in out] == [(1, 0), (5, 2)]
-        assert all((q.subject, q.object) == (0, 2) for q in out)
+        assert out[:, [1, 3]].tolist() == [[1, 0], [5, 2]]
+        assert out[:, [0, 2]].tolist() == [[0, 2], [0, 2]]
 
     def test_begin_only_yields_single_quad(self):
         binning = self.make_binning()
         quad = Quadruple(0, 1, 2, TimeAnnotation(PartialDate(2003), None))
         out = expand_for_training([quad], binning, dual=True, n_relations=4)
-        assert [(q.slot, q.tau) for q in out] == [(1, 0)]
+        assert out[:, [1, 3]].tolist() == [[1, 0]]
 
     def test_end_only_yields_end_slot(self):
         binning = self.make_binning()
         quad = Quadruple(0, 1, 2, TimeAnnotation(None, PartialDate(2004)))
         out = expand_for_training([quad], binning, dual=True, n_relations=4)
-        assert [(q.slot, q.tau) for q in out] == [(5, 1)]
+        assert out[:, [1, 3]].tolist() == [[5, 1]]
 
     def test_point_dual_yields_both_slots_same_step(self):
         binning = self.make_binning()
         quad = Quadruple(0, 1, 2, TimeAnnotation.point(PartialDate(2004)))
         out = expand_for_training([quad], binning, dual=True, n_relations=4)
-        assert [(q.slot, q.tau) for q in out] == [(1, 1), (5, 1)]
+        assert out[:, [1, 3]].tolist() == [[1, 1], [5, 1]]
 
     def test_point_single_slot(self):
         binning = self.make_binning()
         quad = Quadruple(0, 1, 2, TimeAnnotation.point(PartialDate(2004)))
         out = expand_for_training([quad], binning, dual=False, n_relations=4)
-        assert [(q.slot, q.tau) for q in out] == [(1, 1)]
+        assert out[:, [1, 3]].tolist() == [[1, 1]]
+
+    @pytest.mark.parametrize("dual, terms", [(True, [[1, 0], [5, 0]]), (False, [[1, 0], [1, 0]])])
+    def test_interval_in_one_bin_keeps_both_terms(self, dual, terms):
+        binning = bin_threshold({2003: 1, 2004: 1, 2005: 1}, 3)
+        quad = Quadruple(0, 1, 2, TimeAnnotation(PartialDate(2003), PartialDate(2004)))
+        out = expand_for_training([quad], binning, dual=dual, n_relations=4)
+        assert out[:, [1, 3]].tolist() == terms
+
+    def test_no_facts_give_an_empty_array(self):
+        out = expand_for_training([], self.make_binning(), dual=True, n_relations=4)
+        assert out.shape == (0, 4) and out.dtype == np.int64
 
 
 class TestLoadDataset:
@@ -373,11 +385,11 @@ class TestLoadDataset:
         ds = load_dataset(*self.make_splits(tmp_path), INTERVAL_TSV, threshold=1)
         assert ds.dual
         quads = expand_for_training(ds.all_facts, ds.binning, ds.dual, ds.vocab.n_relations)
-        for q in quads:
-            assert 0 <= q.tau < ds.binning.n_tau
-            assert 0 <= q.subject < ds.vocab.n_entities
-            assert 0 <= q.object < ds.vocab.n_entities
-            assert 0 <= q.slot < 2 * ds.vocab.n_relations
+        for subject, slot, obj, tau in quads:
+            assert 0 <= tau < ds.binning.n_tau
+            assert 0 <= subject < ds.vocab.n_entities
+            assert 0 <= obj < ds.vocab.n_entities
+            assert 0 <= slot < 2 * ds.vocab.n_relations
 
     def test_empty_train_rejected(self, tmp_path):
         train = write(tmp_path, "train.txt", [])
@@ -493,6 +505,25 @@ class TestBinningOverSharedAnnotations:
         for shared in (True, False):
             facts = self.facts(times, picks, shared)
             assert build_binning(facts, unit, None) == bin_fixed(every_date, unit)
+
+
+class TestExpansionOverSharedAnnotations:
+    """Binning each distinct annotation once expands facts as one by one does."""
+
+    @given(annotations, st.lists(st.tuples(st.integers(0, 7), st.integers(0, 3),
+                                           st.integers(0, 3), st.integers(0, 3), st.booleans()),
+                                 max_size=60),
+           st.integers(1, 20), st.booleans())
+    def test_matches_per_fact_oracle(self, times, rows, threshold, dual):
+        # a fact shares times[i] or carries its own equal copy; a threshold above
+        # the mention count puts every interval in one bin
+        facts = [Quadruple(s, r, o, times[i % len(times)] if shared else
+                           TimeAnnotation(times[i % len(times)].begin, times[i % len(times)].end))
+                 for i, s, r, o, shared in rows]
+        binning = build_binning([Quadruple(0, 0, 0, t) for t in times], None, threshold)
+        out = expand_for_training(facts, binning, dual, 4)
+        assert out.dtype == np.int64
+        assert np.array_equal(out, expand_oracle(facts, binning, dual, 4))
 
 
 class TestBuildBinning:

@@ -1,3 +1,4 @@
+import gc
 import tracemalloc
 
 import numpy as np
@@ -6,9 +7,10 @@ from hypothesis import given, strategies as st
 
 from conftest import params_from
 from oracles import rank_oracle, table_scores_oracle
-from tero.data import PartialDate, Quadruple, TimeAnnotation, bin_fixed, bin_threshold
+from tero.data import (PartialDate, Quadruple, TimeAnnotation, bin_fixed, bin_threshold,
+                       time_key)
 from tero.evaluation import (FilterSet, QueryRank, candidate_scores, evaluate,
-                             filtered_rank, rank_from_scores, time_key)
+                             filtered_rank, rank_from_scores)
 from tero.model import init_params
 from tero.synthetic import random_kg
 
@@ -130,6 +132,26 @@ class TestFilterSet:
                         sorted(o for s, rr, o, t in keys if (s, rr, t) == (e, r, tk))
                     assert sorted(fs.true_subjects(e, r, tk)) == \
                         sorted(s for s, rr, o, t in keys if (o, rr, t) == (e, r, tk))
+                    for o in range(-1, 6):
+                        assert ((e, r, o, tk) in fs) == ((e, r, o, tk) in keys)
+
+    def test_keeps_little_memory_per_key(self):
+        # the sorted index arrays take 32 bytes a key; a set of key tuples
+        # kept beside them took 150 or more. A full collection empties the
+        # tuple free lists, which would otherwise count as kept
+        ds = random_kg(seed=8, n_entities=200, n_relations=10, n_steps=50, n_facts=5000)
+        facts = ds.all_facts
+        tracemalloc.start()
+        try:
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            fs = FilterSet.build(facts, ds.binning)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(fs) == 5000
+        assert kept / len(fs) < 64
 
     def test_generator_of_fresh_quadruples_matches_list(self):
         # every quadruple and annotation the generator yields is freed once

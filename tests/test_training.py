@@ -11,8 +11,7 @@ from tero.data import expand_for_training
 from tero.model import init_params, score_quads
 from tero.synthetic import reflexive_relation_suite, temporary_relation_suite
 from tero.training import (ADAGRAD_EPS, NumericalError, TrainConfig, _corrupt_batch,
-                           apply_adagrad, grad_step, loss, loss_and_grads, quads_to_array,
-                           train)
+                           apply_adagrad, grad_step, loss, loss_and_grads, train)
 
 
 def make_batch(params, n_pos, neg_ratio, seed=0):
@@ -348,8 +347,7 @@ class TestTrainLoop:
         ds = reflexive_relation_suite()
         fact = ds.train[0]
         cfg = self.quick_config(max_epochs=200, valid_every=1000, margin=3.0)
-        quads = quads_to_array(expand_for_training([fact], ds.binning, False,
-                                                   ds.vocab.n_relations))
+        quads = expand_for_training([fact], ds.binning, False, ds.vocab.n_relations)
         params = init_params(ds.vocab.n_entities, ds.vocab.n_relations, ds.binning.n_tau,
                              cfg.k, False, cfg.seed, cfg.norm_p)
         rng = np.random.default_rng(0)
