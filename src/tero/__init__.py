@@ -4,9 +4,8 @@ from .data import (Dataset, DataError, PartialDate, Quadruple, TimeAnnotation,
                    TimeBinning, Vocab, bin_fixed, bin_threshold,
                    expand_for_training, load_dataset, parse_dataset)
 from .evaluation import EvalReport, FilterSet, evaluate
-from .model import (ModelParams, init_params, load_checkpoint, param_count,
-                    rotate, save_checkpoint)
-from .training import NumericalError, TrainConfig, grad_step, loss, train, train_and_test
+from .model import ModelParams, init_params, load_checkpoint, rotate, save_checkpoint
+from .training import NumericalError, TrainConfig, grad_step, train, train_and_test
 
 __version__ = "0.1.0"
 
@@ -15,7 +14,7 @@ __all__ = [
     "TimeBinning", "Vocab", "bin_fixed", "bin_threshold",
     "expand_for_training", "load_dataset", "parse_dataset",
     "EvalReport", "FilterSet", "evaluate",
-    "ModelParams", "init_params", "load_checkpoint", "param_count", "rotate", "save_checkpoint",
-    "NumericalError", "TrainConfig", "grad_step", "loss", "train", "train_and_test",
+    "ModelParams", "init_params", "load_checkpoint", "rotate", "save_checkpoint",
+    "NumericalError", "TrainConfig", "grad_step", "train", "train_and_test",
     "__version__",
 ]

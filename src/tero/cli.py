@@ -18,8 +18,6 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import NamedTuple
 
-import numpy as np
-
 from .data import (DataError, Quadruple, TimeAnnotation, TimeBinning, Vocab, FORMATS,
                    INTERVAL_TSV, POINT_TSV, load_dataset, parse_dataset, parse_date,
                    read_lines)
@@ -342,11 +340,11 @@ def cmd_predict(cfg: RunConfig) -> int:
     else:
         quad = Quadruple(0, rel, anchor, annotation)
     try:
-        scores = candidate_scores(params, [(quad, cfg.side)], binning)[0]
+        ids, scores = candidate_scores(params, [(quad, cfg.side)], binning).top(0, cfg.top_n)
     except ValueError as exc:
         raise DataError(str(exc)) from exc
-    for idx in np.argsort(scores, kind="stable")[:cfg.top_n]:
-        print(f"{vocab.id2ent[idx]}\t{scores[idx]:.6f}")
+    for idx, score in zip(ids, scores):
+        print(f"{vocab.id2ent[idx]}\t{score:.6f}")
     return 0
 
 

@@ -9,14 +9,12 @@ time-wise from the triple-level filter.
 
 All candidates of a query at step tau are scored against the same rotated
 entity table, rot(e, theta_tau). ``evaluate`` therefore groups its queries
-by the time steps of their endpoint terms and scores each group with one
-``candidate_scores`` call, which makes one blocked pass over the entity
-table per step: each block of rows is rotated into a small buffer and
-every query of the group is scored against it while it is in cache. No
-rotated table is ever built; a call holds its ``(Q, n_entities)`` scores
-and one ``(Q, n_entities)`` array of distances per step. ``FilterSet.build``
-bins each distinct annotation once, since facts share a few hundred, and
-keeps its keys only as sorted index arrays, which answer membership too.
+by the time steps of their endpoint terms and screens each group with one
+``candidate_scores`` call, one blocked float32 pass over the table per
+step. Each rank then rescores in float64 only the candidates too close to
+the target for the screen to order, so it equals a float64 pass's rank.
+``FilterSet.build`` bins each distinct annotation once, since facts share
+a few hundred, and keeps its keys as sorted index arrays.
 """
 
 from __future__ import annotations
@@ -28,12 +26,12 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .data import Quadruple, TimeBinning, distinct_times, endpoint_terms, time_key
-from .model import ModelParams, score_step
+from .model import ModelParams, score_step, screen_band
 
 TIE_MODES = ("mean", "optimistic", "pessimistic")
 # queries per candidate_scores call in evaluate(). It bounds the call's
-# score and distance arrays (at most 3 x 128 x n_entities float64, 22 MB at
-# 7128 entities) when many queries share their steps, as on a
+# screen and distance arrays (at most 3 x 128 x n_entities float32, 11 MB
+# at 7128 entities) when many queries share their steps, as on a
 # time-collapsed model
 QUERIES_PER_CALL = 128
 
@@ -48,14 +46,18 @@ class FilterSet:
     """
 
     def __init__(self, keys: set[tuple]):
-        self._tk_codes = codes = {}  # time key -> small int
+        codes = {}  # time key -> small int, in set order
         s, r, o, c = np.array([(s, r, o, codes.setdefault(tk, len(codes))) for s, r, o, tk in keys],
                               dtype=np.int64).reshape(len(keys), 4).T
+        # set order follows hash(None), which changes per process: renumber in key order
+        tks = sorted(codes, key=lambda tk: [-1 if t is None else t for t in tk])
+        self._tk_codes = {tk: i for i, tk in enumerate(tks)}
+        c = np.array([self._tk_codes[tk] for tk in codes], dtype=np.int64)[c]
         self._n_rel = int(r.max(initial=-1)) + 1
         self._index = {}  # side -> sorted _flat codes of the anchor side, true entity of each
         for side, anchor, true in (("object", s, o), ("subject", o, s)):
-            flat = self._flat(anchor, r, c)
-            order = np.argsort(flat, kind="stable")
+            flat, by_true = self._flat(anchor, r, c), np.argsort(true)
+            order = by_true[np.argsort(flat[by_true], kind="stable")]  # entities ascending
             self._index[side] = flat[order], true[order]
 
     def _flat(self, e, r, c):
@@ -83,10 +85,6 @@ class FilterSet:
 
     def __len__(self) -> int:
         return len(self._index["object"][0])
-
-    @staticmethod
-    def key_of(quad: Quadruple, binning: TimeBinning) -> tuple:
-        return (quad.subject, quad.relation, quad.object, time_key(quad.time, binning))
 
     def true_objects(self, s: int, r: int, tk: tuple) -> list[int]:
         return self._true("object", s, r, tk)
@@ -139,14 +137,50 @@ def rank_from_scores(scores: np.ndarray, target_idx: int, keep: np.ndarray,
     return 1 + n_lower + (n_equal + 1) // 2
 
 
-def candidate_scores(params: ModelParams, queries: Sequence[tuple[Quadruple, str]],
-                     binning: TimeBinning) -> np.ndarray:
-    """Scores of each ``(quad, side)`` query with every entity on ``side``.
+@dataclass
+class Screen:
+    """Float32 screen of queries against every entity, from ``candidate_scores``.
 
-    Row q of the ``(Q, n_entities)`` result is the mean of query q's
-    endpoint-term scores, summed in term order. The terms are gathered by
-    time step, and each step scores all of its terms in one ``score_step``
-    pass, so queries that share their steps share the rotation.
+    ``filtered_rank`` and ``top`` answer as a float64 pass would, rescoring in float64
+    only the candidates whose order the screen leaves open (``model.screen_band``).
+    """
+
+    params: ModelParams
+    queries: Sequence[tuple[Quadruple, str]]
+    binning: TimeBinning
+    scores: np.ndarray  # (Q, n_entities) float32
+    offsets: np.ndarray  # (Q,) mean term offset of each row
+
+    def exact(self, q: int, rows: np.ndarray) -> np.ndarray:
+        """Float64 scores of query q's candidates ``rows``, terms averaged in term order."""
+        quad, side = self.queries[q]
+        anchor = quad.subject if side == "object" else quad.object
+        terms = endpoint_terms(quad, self.binning, self.params.dual, self.params.n_relations)
+        out = 0
+        for slot, tau in terms:
+            out = out + score_step(self.params, tau, [anchor], [slot], [side], rows)[0][0]
+        return out / len(terms)
+
+    def top(self, q: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Query q's ``n`` lowest-scoring candidates and their float64 scores, ties by id."""
+        row = self.scores[q]
+        n = min(n, len(row))
+        _, hi = screen_band(self.params.k, np.partition(row, n - 1)[n - 1], self.offsets[q])
+        rows = np.flatnonzero(~(row > hi))
+        exact = self.exact(q, rows)
+        best = np.argsort(exact, kind="stable")[:n]
+        return rows[best], exact[best]
+
+
+def candidate_scores(params: ModelParams, queries: Sequence[tuple[Quadruple, str]],
+                     binning: TimeBinning) -> Screen:
+    """Screen of each ``(quad, side)`` query with every entity on ``side``.
+
+    Row q of the float32 screen is the mean of query q's endpoint-term
+    scores, summed in term order, and its offset the mean of theirs. The
+    terms are gathered by time step, and each step scores all of its terms
+    in one ``score_step`` pass, so queries that share their steps share
+    the rotation.
     """
     batches: dict[int, list[tuple[int, int, str]]] = {}  # tau -> (anchor, slot, side)
     refs: list[list[tuple[int, int]]] = []  # per query: (tau, row in its batch) per term
@@ -159,18 +193,22 @@ def candidate_scores(params: ModelParams, queries: Sequence[tuple[Quadruple, str
             refs[-1].append((tau, len(batch)))
             batch.append((anchor, slot, side))
     dist = {tau: score_step(params, tau, *zip(*batch)) for tau, batch in batches.items()}
-    out = np.empty((len(queries), params.n_entities))
-    for row, ((tau, i), *rest) in zip(out, refs):
-        row[:] = dist[tau][i]
+    out = np.empty((len(queries), params.n_entities), np.float32)
+    offsets = np.empty(len(queries))
+    for q, ((tau, i), *rest) in enumerate(refs):
+        row = out[q]
+        row[:] = dist[tau][0][i]
         for tau, i in rest:
-            row += dist[tau][i]
+            row += dist[tau][0][i]
         row /= len(rest) + 1
-    return out
+        offsets[q] = np.mean([dist[tau][1][i] for tau, i in refs[q]])
+    return Screen(params, queries, binning, out, offsets)
 
 
-def filtered_rank(scores: np.ndarray, quad: Quadruple, side: str, filter_set: FilterSet,
-                  binning: TimeBinning, tie: str = "mean") -> int:
-    """Time-wise filtered rank of one test fact on one side, from its scores."""
+def filtered_rank(screen: Screen, q: int, filter_set: FilterSet, binning: TimeBinning,
+                  tie: str = "mean") -> int:
+    """Time-wise filtered rank of query q of ``screen``, as a float64 pass would give it."""
+    quad, side = screen.queries[q]
     tk = time_key(quad.time, binning)
     if side == "object":
         true_ids = filter_set.true_objects(quad.subject, quad.relation, tk)
@@ -180,10 +218,15 @@ def filtered_rank(scores: np.ndarray, quad: Quadruple, side: str, filter_set: Fi
         target = quad.subject
     if target not in true_ids:
         raise ValueError("test quadruple is not in the filter set")
-    keep = np.ones(len(scores), dtype=bool)
+    keep = np.ones(screen.scores.shape[1], dtype=bool)
     keep[true_ids] = False
     keep[target] = True
-    return rank_from_scores(scores, target, keep, tie)
+    row = screen.scores[q]
+    lo, hi = screen_band(screen.params.k, row[target], screen.offsets[q])
+    below = row < lo
+    rows = np.flatnonzero(~(below | (row > hi)))  # holds the target
+    return int((below & keep).sum()) + rank_from_scores(
+        screen.exact(q, rows), int(rows.searchsorted(target)), keep[rows], tie)
 
 
 def evaluate(params: ModelParams, test_facts: Sequence[Quadruple], filter_set: FilterSet,
@@ -209,9 +252,9 @@ def evaluate(params: ModelParams, test_facts: Sequence[Quadruple], filter_set: F
              for j in range(0, len(members), QUERIES_PER_CALL)]
 
     def run(members: list[int]) -> list[tuple[int, int]]:
-        scores = candidate_scores(params, [queries[i] for i in members], score_binning)
-        return [(i, filtered_rank(row, *queries[i], filter_set, binning, tie))
-                for i, row in zip(members, scores)]
+        screen = candidate_scores(params, [queries[i] for i in members], score_binning)
+        return [(i, filtered_rank(screen, q, filter_set, binning, tie))
+                for q, i in enumerate(members)]
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

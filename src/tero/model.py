@@ -17,14 +17,13 @@ BLOCK_ROWS rows at a time: in float64 by ``score_quads`` and in the
 storage dtype by the training step, so no whole-batch temporary is built.
 
 Link prediction needs every entity rotated to the query's step.
-``score_step`` fuses that rotation with the scoring: it rotates the entity
-table BLOCK_ROWS rows at a time into one small buffer and scores every
-query of the step against each block while it is in cache, so no rotated
-copy of the table is ever built.
+``score_step`` fuses that rotation with the scoring, BLOCK_ROWS rows at a
+time, in float32: a screen. ``screen_band`` bounds its error, and the same
+kernel rescores in float64 only the gathered candidates the screen cannot
+order, so ranks equal those of a float64 pass.
 
 Parameter arrays are float32, matching the checkpoint wire format, so
-save/load round-trips are lossless; scoring upcasts to float64 so ranking
-comparisons are precision-robust. Models built with ``dtype=np.float64``
+save/load round-trips are lossless. Models built with ``dtype=np.float64``
 (for finite-difference work) behave identically but save with rounding.
 """
 
@@ -46,6 +45,7 @@ CHECKPOINT_VERSION = 1
 # query. The training step (ICEWS14 shape, batch 512) was also fastest at
 # 64 of 16-256, 4% ahead of 32 and 7-11% ahead of the rest.
 BLOCK_ROWS = 64
+U32 = 2.0 ** -24  # unit roundoff of float32
 
 
 @dataclass
@@ -136,16 +136,6 @@ def init_params(n_entities: int, n_relations: int, n_tau: int, k: int, dual: boo
                        n_relations=n_relations, dual=dual, norm_p=norm_p)
 
 
-def param_count(params: ModelParams) -> int:
-    """Trainable scalar count (accumulators excluded).
-
-    2*n_e*k entity components + 2*n_slots*k relation components + n_tau*k
-    phases, where n_slots is 2*n_relations on dual models.
-    """
-    n_e, k = params.ent_re.shape
-    return 2 * n_e * k + 2 * params.n_slots * k + params.n_tau * k
-
-
 def rotate(re: np.ndarray, im: np.ndarray,
            phase: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Elementwise complex rotation (re + i*im) * e^{i*phase}.
@@ -162,7 +152,7 @@ def rotate(re: np.ndarray, im: np.ndarray,
 
 
 def _rotate_into(re, im, c, s, out_re, out_im, tmp) -> None:
-    """(re + i*im) * (c + i*s) written into the float64 ``out_re``/``out_im``.
+    """(re + i*im) * (c + i*s) written into ``out_re``/``out_im``, in their dtype.
 
     ``tmp`` is scratch of the output shape. float64 ``c``/``s`` promote
     float32 coordinates without a float64 copy of them.
@@ -239,26 +229,29 @@ def _check_ids(params: ModelParams, entities, slots, tau: int) -> None:
         raise IndexError(f"time step {tau} out of range (n_tau={params.n_tau})")
 
 
-def score_step(params: ModelParams, tau: int, anchors, slots, sides) -> np.ndarray:
-    """Endpoint scores at step ``tau`` with every entity substituted, per query.
+def score_step(params: ModelParams, tau: int, anchors, slots, sides,
+               rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoint scores at step ``tau`` with each entity substituted, per query.
 
     Query q fixes entity ``anchors[q]`` and relation slot ``slots[q]`` and
-    asks for the entity on ``sides[q]``; row q of the ``(Q, n_entities)``
-    result scores every candidate. Both sides reduce to
+    asks for the entity on ``sides[q]``. Both sides reduce to
     ``||rot(e, theta_tau) - x_q||_p`` over the 2k real coordinates, with a
     the rotated anchor: ``x = [re(a) + r_re, -(im(a) + r_im)]`` when the
     object is asked for, ``x = [re(a) - r_re, -im(a) - r_im]`` when the
     subject is.
 
-    The entity table is rotated BLOCK_ROWS rows at a time into one buffer,
-    and every query is scored against a block while it is still in cache,
-    so no table-sized array is built.
+    Returns float32 scores of every entity, row q for query q, and the
+    per-query offsets ``screen_band`` takes. Given ``rows``, only those
+    entities are scored, in float64 and bit for bit as in a float64 pass
+    over the whole table, since each row is summed on its own. Entities are
+    rotated BLOCK_ROWS rows at a time into one buffer, and every query is
+    scored against a block while it is in cache.
     """
     _check_ids(params, anchors, slots, tau)
     for side in sides:
         if side not in ("subject", "object"):
             raise ValueError(f"side must be 'subject' or 'object', got {side!r}")
-    n, k = params.n_entities, params.k
+    k = params.k
     anchors, slots = np.asarray(anchors, dtype=np.intp), np.asarray(slots, dtype=np.intp)
     a_re, a_im = rotate(params.ent_re[anchors], params.ent_im[anchors], params.phase[tau])
     r_re, r_im = params.rel_re[slots], params.rel_im[slots]
@@ -266,18 +259,20 @@ def score_step(params: ModelParams, tau: int, anchors, slots, sides) -> np.ndarr
     x = np.empty((len(anchors), 2 * k))
     x[:, :k] = np.where(obj, a_re + r_re, a_re - r_re)
     x[:, k:] = np.where(obj, -(a_im + r_im), -a_im - r_im)
+    offsets = 17 * U32 * _norm(x[:, :k], x[:, k:], params.norm_p) + np.sqrt(2 * k) * 2.0 ** -68
 
     phase = params.phase[tau].astype(np.float64)
-    c, s = np.cos(phase), np.sin(phase)
-    rows = min(BLOCK_ROWS, n)
-    block, diff, tmp = np.empty((rows, 2 * k)), np.empty((rows, 2 * k)), np.empty((rows, k))
-    out = np.empty((len(x), n))
+    dtype = np.float32 if rows is None else np.float64
+    c, s, x = (a.astype(dtype, copy=False) for a in (np.cos(phase), np.sin(phase), x))
+    n = params.n_entities if rows is None else len(rows)
+    block, diff, tmp = (np.empty((min(BLOCK_ROWS, n), w), dtype) for w in (2 * k, 2 * k, k))
+    out = np.empty((len(x), n), dtype)
     for start in range(0, n, BLOCK_ROWS):
         stop = min(start + BLOCK_ROWS, n)
         m = stop - start
+        e = slice(start, stop) if rows is None else rows[start:stop]
         b, d = block[:m], diff[:m]
-        _rotate_into(params.ent_re[start:stop], params.ent_im[start:stop], c, s,
-                     b[:, :k], b[:, k:], tmp[:m])
+        _rotate_into(params.ent_re[e], params.ent_im[e], c, s, b[:, :k], b[:, k:], tmp[:m])
         for q in range(len(x)):
             np.subtract(b, x[q], out=d)
             if params.norm_p == 1:
@@ -285,7 +280,42 @@ def score_step(params: ModelParams, tau: int, anchors, slots, sides) -> np.ndarr
             else:
                 np.multiply(d, d, out=d)
             d.sum(axis=1, out=out[q, start:stop])
-    return out if params.norm_p == 1 else np.sqrt(out, out=out)
+    return (out if params.norm_p == 1 else np.sqrt(out, out=out)), offsets
+
+
+def screen_band(k: int, score, offset: float) -> tuple[np.float32, np.float32]:
+    """Screen scores ``(lo, hi)`` outside which a candidate's order is certain.
+
+    A candidate screened below ``lo`` scores strictly below, in float64, one
+    screened at ``score``, and one above ``hi`` strictly above; ``offset``
+    is the mean of the query's term offsets from ``score_step``. The bound: a screen score S is within B(S) = a*S + offset of its
+    float64 score; a = g/(1 - g), g = gamma(2k + 12), where gamma(m) =
+    m*u/(1 - m*u) bounds m chained roundings, u = U32. Against the exact
+    norm S* of d = rot(e) - x, x the float64 query vector, the float32
+    pass errs by gamma(4)*|e_j| per rotated coordinate (casts of cos/sin
+    and of float64 entities, two products, one sum), which rotation,
+    keeping |e_j|, turns into 2*gamma(4)*(S* + ||x||_p); by u*|x_i| from
+    the cast of x and u*|d_i| from the subtraction; by gamma(2k + 1)*S*
+    from a plain sum of 2k terms, or for p=2 the squares, their sum and
+    the square root: in all gamma(2k + 9)*S* + gamma(11)*||x||_p. The
+    float64 pass (u = 2^-53) adds under gamma(1), a mean of two terms one
+    rounding per precision (halving is exact). S* in terms of S gives a
+    and the offset's 17u*||x||_p > gamma(16)*||x||_p; its sqrt(2k)*2^-68
+    covers underflow four times. Valid while (2k + 12)*u < 1/8 and scores
+    stay below 2^60, short of float32 overflow; beyond, the band is all.
+    S is surely below when S + B(S) < score - B(score), surely above when
+    S - B(S) > score + B(score); both thresholds are rounded outward to
+    float32, so the float32 comparisons are exact.
+    """
+    t = float(score)
+    if not t + offset < 2.0 ** 60:  # also catches nan
+        return np.float32(-np.inf), np.float32(np.inf)
+    g = (2 * k + 12) * U32 / (1 - (2 * k + 12) * U32)
+    a = g / (1 - g)
+    lo = (t * (1 - a) - 2 * offset) / (1 + a)
+    hi = (t * (1 + a) + 2 * offset) / (1 - a)
+    return (np.nextafter(np.float32(lo), np.float32(-np.inf)),
+            np.nextafter(np.float32(hi), np.float32(np.inf)))
 
 
 def save_checkpoint(params: ModelParams, path, vocab_ref: str = "") -> None:

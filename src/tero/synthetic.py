@@ -119,28 +119,6 @@ def reflexive_relation_suite(seed: int = 13, group_size: int = 10,
     return ds
 
 
-def random_kg(seed: int = 0, n_entities: int = 50, n_relations: int = 5,
-              n_steps: int = 10, n_facts: int = 500) -> Dataset:
-    """Uniform random point facts, all distinct, split 60/20/20."""
-    rng = np.random.default_rng(seed)
-    vocab = Vocab([f"e{i:03d}" for i in range(n_entities)],
-                  [f"r{i}" for i in range(n_relations)])
-    seen: set[tuple] = set()
-    facts = []
-    while len(facts) < n_facts:
-        s, r, o, tau = (int(rng.integers(n_entities)), int(rng.integers(n_relations)),
-                        int(rng.integers(n_entities)), int(rng.integers(n_steps)))
-        if (s, r, o, tau) in seen:
-            continue
-        seen.add((s, r, o, tau))
-        facts.append(Quadruple(s, r, o, _day(tau)))
-    # anchor the span so every step exists even if unsampled
-    facts[0] = Quadruple(facts[0].subject, facts[0].relation, facts[0].object, _day(0))
-    facts[1] = Quadruple(facts[1].subject, facts[1].relation, facts[1].object, _day(n_steps - 1))
-    n_test = n_facts // 5
-    return _make_dataset(facts, vocab, n_valid=n_test, n_test=n_test, seed=seed + 1)
-
-
 def subsample_dataset(ds: Dataset, n_train: int, n_valid: int, n_test: int,
                       seed: int) -> Dataset:
     """Seeded without-replacement subsample of each split, vocab kept whole."""

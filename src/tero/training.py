@@ -137,14 +137,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def loss(pos_score: float, neg_scores: Sequence[float], margin: float, neg_ratio: int) -> float:
-    """Negative-sampling loss for one positive and its corruptions."""
-    neg = np.asarray(neg_scores, float)
-    if neg.shape != (neg_ratio,):
-        raise ValueError(f"expected {neg_ratio} negative scores, got {neg.shape}")
-    return float(_softplus(pos_score - margin) + _softplus(margin - neg).sum() / neg_ratio)
-
-
 def _scatter_rows(idx: np.ndarray,
                   vals: Sequence[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
     """Sum value rows that share a row index, over the touched rows only.

@@ -13,7 +13,9 @@ each line with ``read_facts``'s own line parser but without its date memo,
 and ``batch_loss``, the batch loss from ``score_quads`` that ``fd_grads``
 differentiates. ``batch_loss`` shares its forward with ``loss_and_grads``,
 so the finite differences check the hand-derived backward, not the
-forward.
+forward. ``key_of``, ``param_count`` and ``loss`` (on the training step's
+``_softplus``) are small helpers that only the tests use, as is the
+``random_kg`` dataset generator.
 """
 
 from __future__ import annotations
@@ -21,11 +23,14 @@ from __future__ import annotations
 import cmath
 import math
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
-from tero.data import Quadruple, RawFact, TimeBinning, _parse_line, endpoint_terms
+from tero.data import (Dataset, Quadruple, RawFact, TimeBinning, Vocab, _parse_line,
+                       endpoint_terms, time_key)
 from tero.model import ModelParams, score_quads
+from tero.synthetic import _day, _make_dataset
 
 
 def rotate_oracle(v: list[complex], phases: list[float]) -> list[complex]:
@@ -130,6 +135,30 @@ def rank_oracle(params: ModelParams, quad: Quadruple, side: str, positive_keys: 
         elif score == target_score:
             n_equal += 1
     return 1 + n_lower + (n_equal + 1) // 2
+
+
+def key_of(quad: Quadruple, binning: TimeBinning) -> tuple:
+    return (quad.subject, quad.relation, quad.object, time_key(quad.time, binning))
+
+
+def param_count(params: ModelParams) -> int:
+    """Trainable scalar count (accumulators excluded).
+
+    2*n_e*k entity components + 2*n_slots*k relation components + n_tau*k
+    phases, where n_slots is 2*n_relations on dual models.
+    """
+    n_e, k = params.ent_re.shape
+    return 2 * n_e * k + 2 * params.n_slots * k + params.n_tau * k
+
+
+def loss(pos_score: float, neg_scores: Sequence[float], margin: float, neg_ratio: int) -> float:
+    """Negative-sampling loss for one positive and its corruptions."""
+    from tero.training import _softplus
+
+    neg = np.asarray(neg_scores, float)
+    if neg.shape != (neg_ratio,):
+        raise ValueError(f"expected {neg_ratio} negative scores, got {neg.shape}")
+    return float(_softplus(pos_score - margin) + _softplus(margin - neg).sum() / neg_ratio)
 
 
 def loss_oracle(pos: float, negs: list[float], margin: float) -> float:
@@ -300,3 +329,25 @@ def table_scores_oracle(params: ModelParams, quad: Quadruple, side: str,
             dist = np.sqrt((d * d).sum(axis=1))
         total = total + dist
     return total / len(terms)
+
+
+def random_kg(seed: int = 0, n_entities: int = 50, n_relations: int = 5,
+              n_steps: int = 10, n_facts: int = 500) -> Dataset:
+    """Uniform random point facts, all distinct, split 60/20/20."""
+    rng = np.random.default_rng(seed)
+    vocab = Vocab([f"e{i:03d}" for i in range(n_entities)],
+                  [f"r{i}" for i in range(n_relations)])
+    seen: set[tuple] = set()
+    facts = []
+    while len(facts) < n_facts:
+        s, r, o, tau = (int(rng.integers(n_entities)), int(rng.integers(n_relations)),
+                        int(rng.integers(n_entities)), int(rng.integers(n_steps)))
+        if (s, r, o, tau) in seen:
+            continue
+        seen.add((s, r, o, tau))
+        facts.append(Quadruple(s, r, o, _day(tau)))
+    # anchor the span so every step exists even if unsampled
+    facts[0] = Quadruple(facts[0].subject, facts[0].relation, facts[0].object, _day(0))
+    facts[1] = Quadruple(facts[1].subject, facts[1].relation, facts[1].object, _day(n_steps - 1))
+    n_test = n_facts // 5
+    return _make_dataset(facts, vocab, n_valid=n_test, n_test=n_test, seed=seed + 1)

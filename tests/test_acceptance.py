@@ -15,15 +15,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import dense_grads, fd_grads, rank_oracle
+from oracles import dense_grads, fd_grads, key_of, loss, random_kg, rank_oracle
 from tero.data import (PartialDate, POINT_TSV, bin_fixed, bin_threshold,
                        load_dataset, year_mention_counts)
 from tero.evaluation import FilterSet, candidate_scores, evaluate, filtered_rank
 from tero.model import init_params, load_checkpoint, rotate, save_checkpoint
-from tero.synthetic import (asymmetric_relation_suite, collapsed_binning, random_kg,
+from tero.synthetic import (asymmetric_relation_suite, collapsed_binning,
                             reflexive_relation_suite, subsample_dataset,
                             temporary_relation_suite)
-from tero.training import TrainConfig, loss, loss_and_grads, train, train_and_test
+from tero.training import TrainConfig, loss_and_grads, train, train_and_test
 
 
 @contextmanager
@@ -102,14 +102,14 @@ def test_criterion_3_ranking_matches_bruteforce_oracle():
         ds = random_kg(seed=9, n_entities=50, n_relations=5, n_steps=10, n_facts=500)
         params = init_params(50, 5, 10, 8, dual=False, seed=10)
         fs = FilterSet.build(ds.all_facts, ds.binning)
-        keys = {fs.key_of(q, ds.binning) for q in ds.all_facts}
+        keys = {key_of(q, ds.binning) for q in ds.all_facts}
         report = evaluate(params, ds.all_facts, fs, ds.binning)
         assert [(qr.quad, qr.side) for qr in report.ranks] == \
             [(q, side) for q in ds.all_facts for side in ("subject", "object")]
         checked = 0
         for quad, side, rank in report.ranks:
-            scores = candidate_scores(params, [(quad, side)], ds.binning)[0]
-            fast = filtered_rank(scores, quad, side, fs, ds.binning)
+            screen = candidate_scores(params, [(quad, side)], ds.binning)
+            fast = filtered_rank(screen, 0, fs, ds.binning)
             slow = rank_oracle(params, quad, side, keys, ds.binning)
             assert fast == slow, f"{quad} {side}: {fast} != {slow}"
             assert rank == slow, f"evaluate {quad} {side}: {rank} != {slow}"

@@ -1,18 +1,22 @@
 import gc
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import tero
 from conftest import params_from
-from oracles import rank_oracle, table_scores_oracle
+from oracles import key_of, random_kg, rank_oracle, table_scores_oracle
 from tero.data import (PartialDate, Quadruple, TimeAnnotation, bin_fixed, bin_threshold,
                        time_key)
 from tero.evaluation import (FilterSet, QueryRank, candidate_scores, evaluate,
                              filtered_rank, rank_from_scores)
-from tero.model import init_params
-from tero.synthetic import random_kg
+from tero.model import init_params, screen_band
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -23,8 +27,7 @@ def day(i: int) -> TimeAnnotation:
 
 def rank_alone(params, quad, side, fs, binning) -> int:
     """Filtered rank of one query, scored on its own."""
-    return filtered_rank(candidate_scores(params, [(quad, side)], binning)[0],
-                         quad, side, fs, binning)
+    return filtered_rank(candidate_scores(params, [(quad, side)], binning), 0, fs, binning)
 
 
 def day_binning(n: int):
@@ -123,7 +126,7 @@ class TestFilterSet:
                            times[int(rng.integers(len(times)))])
                  for _ in range(int(rng.integers(0, 40)))]
         fs = FilterSet.build(facts, binning)
-        keys = {fs.key_of(q, binning) for q in facts}
+        keys = {key_of(q, binning) for q in facts}
         assert len(fs) == len(keys) and all(key in fs for key in keys)
         for e in range(-1, 6):
             for r in range(-1, 3):
@@ -165,12 +168,34 @@ class TestFilterSet:
 
         from_list = FilterSet.build(ds.all_facts, ds.binning)
         from_generator = FilterSet.build(fresh(), ds.binning)
-        keys = {from_list.key_of(q, ds.binning) for q in ds.all_facts}
+        keys = {key_of(q, ds.binning) for q in ds.all_facts}
         assert len(from_generator) == len(from_list) == len(keys)
         assert all(key in from_generator for key in keys)
         for s, r, o, tk in keys:
             assert from_generator.true_objects(s, r, tk) == from_list.true_objects(s, r, tk)
             assert from_generator.true_subjects(o, r, tk) == from_list.true_subjects(o, r, tk)
+
+
+    def test_lists_are_the_same_in_every_process(self):
+        # interval keys hold None, whose hash changes per process, so lists
+        # that followed the set order of the keys would differ between runs
+        script = (
+            "from tero.data import PartialDate, Quadruple, TimeAnnotation, bin_threshold, time_key\n"
+            "from tero.evaluation import FilterSet\n"
+            "y = [PartialDate(2000 + i) for i in range(3)]\n"
+            "times = [TimeAnnotation(y[0], None), TimeAnnotation(None, y[2]), "
+            "TimeAnnotation(y[0], y[1])]\n"
+            "facts = [Quadruple(i % 3, i % 2, 7 * i % 11, times[i % 3]) for i in range(200)]\n"
+            "binning = bin_threshold({2000: 1, 2001: 1, 2002: 1}, 1)\n"
+            "fs = FilterSet.build(facts, binning)\n"
+            "print([(fs.true_objects(q.subject, q.relation, time_key(q.time, binning)),\n"
+            "        fs.true_subjects(q.object, q.relation, time_key(q.time, binning)))\n"
+            "       for q in facts])\n")
+        src = str(Path(tero.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        runs = [subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                               text=True, check=True, timeout=60).stdout for _ in range(2)]
+        assert runs[0] == runs[1] and "[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10]" in runs[0]
 
 
 def mixed_queries(rng, n_e: int, n_r: int, n_steps: int, n: int) -> list:
@@ -197,10 +222,18 @@ class TestCandidateScores:
         binning = day_binning(n_steps)
         queries = mixed_queries(rng, n_e, n_r, n_steps, 16)
         batched = candidate_scores(params, queries, binning)
-        assert batched.shape == (len(queries), n_e)
-        for row, query in zip(batched, queries):
-            assert np.array_equal(row, candidate_scores(params, [query], binning)[0])
-            assert np.array_equal(row, table_scores_oracle(params, *query, binning))
+        assert batched.scores.shape == (len(queries), n_e)
+        assert batched.scores.dtype == np.float32
+        every = np.arange(n_e)
+        for q, query in enumerate(queries):
+            alone = candidate_scores(params, [query], binning)
+            assert np.array_equal(batched.scores[q], alone.scores[0])
+            assert batched.offsets[q] == alone.offsets[0]
+            exact = batched.exact(q, every)
+            assert np.array_equal(exact, table_scores_oracle(params, *query, binning))
+            # a gathered, shuffled subset rescores bit for bit
+            rows = np.random.default_rng(q).permutation(n_e)[:7]
+            assert np.array_equal(batched.exact(q, rows), exact[rows])
 
     def test_builds_no_rotated_table(self):
         n, k = 4096, 64
@@ -230,7 +263,9 @@ class TestRankQuery:
         binning = day_binning(2)
         quad = Quadruple(0, 0, 1, day(0))
         fs = FilterSet.build([quad], binning)
-        assert candidate_scores(params, [(quad, "object")], binning)[0, 1] < 1e-6
+        screen = candidate_scores(params, [(quad, "object")], binning)
+        assert screen.scores[0, 1] < 1e-6
+        assert screen.exact(0, np.array([1]))[0] < 1e-6
         assert rank_alone(params, quad, "object", fs, binning) == 1
 
     def test_all_other_candidates_filtered(self):
@@ -257,7 +292,7 @@ class TestRankQuery:
                            int(rng.integers(8)), day(int(rng.integers(3))))
                  for _ in range(12)]
         fs = FilterSet.build(facts, binning)
-        keys = {fs.key_of(q, binning) for q in facts}
+        keys = {key_of(q, binning) for q in facts}
         for quad in facts[:4]:
             for side in ("subject", "object"):
                 assert rank_alone(params, quad, side, fs, binning) == \
@@ -273,13 +308,102 @@ class TestRankQuery:
                  [(1, 0), (2, 1), (3, 2), (4, 3), (5, 1), (6, 2)]]
         fs = FilterSet.build(facts, binning)
         for quad in facts:
-            scores = candidate_scores(params, [(quad, "object")], binning)[0]
+            scores = candidate_scores(params, [(quad, "object")], binning).exact(0, np.arange(10))
             timewise = rank_alone(params, quad, "object", fs, binning)
             keep = np.ones(10, bool)
             keep[[q.object for q in facts]] = False  # triple-level: any time
             keep[quad.object] = True
             triple_rank = rank_from_scores(scores, quad.object, keep)
             assert timewise >= triple_rank
+
+
+class TestScreen:
+    """The float32 screen gives the ranks and top-n of a float64 pass at near-ties."""
+
+    @staticmethod
+    def planted(seed, p, dual, interval, side, constant):
+        """Params whose candidates crowd round the target's score, and the target's query.
+
+        Row 0 is the target, row 1 the anchor and rows 2-19 random. Rows 20
+        on are copies of the target (exact ties), a copy of row 5, and
+        points on the segment between the lowest- and highest-scoring
+        random rows, placed by bisection so their float64 scores sit at
+        chosen gaps from the target's: just inside and just outside the
+        screen band on both sides, and gaps within float32 rounding. Those
+        rows are far from the target's, so the rounding of their float32
+        scores does not follow the target's. A constant scorer has every
+        row equal.
+        """
+        k, n = 6, 48
+        params = init_params(n, 2, 3, k, dual=dual, seed=seed % 1000, norm_p=p)
+        y = [PartialDate(2000 + i) for i in range(3)]
+        binning = bin_threshold({2000: 1, 2001: 1, 2002: 1}, 1)
+        time = TimeAnnotation(y[0], y[2]) if interval else TimeAnnotation.point(y[1])
+        quad = Quadruple(0, 1, 1, time) if side == "subject" else Quadruple(1, 1, 0, time)
+        ent = np.stack([params.ent_re, params.ent_im])  # (2, n, k)
+
+        def exact(rows=(), values=None):
+            """Writes ``values`` into ``rows``; the screen and every float64 score."""
+            ent[:, rows] = values
+            params.ent_re[:], params.ent_im[:] = ent
+            screen = candidate_scores(params, [(quad, side)], binning)
+            return screen, screen.exact(0, np.arange(n))
+
+        if constant:
+            exact(slice(None), ent[:, :1])
+            return params, quad, binning, {}
+        _, full = exact()
+        order = 2 + np.argsort(full[2:20])
+        ent[:, [0, order[9]]] = ent[:, [order[9], 0]]  # a middling row becomes the target
+        ent[:, 20:23] = ent[:, :1]
+        screen, full = exact([23], ent[:, [5]])
+        t = screen.scores[0, 0]
+        lo, hi = screen_band(k, t, screen.offsets[0])
+        tiny = float(t) * np.geomspace(1e-8, 1e-6, 8)
+        gaps = {"in": [0.9 * (hi - t), 0.9 * (lo - t)], "out": [1.1 * (hi - t), 1.1 * (lo - t)],
+                "tiny": [*tiny, *-tiny]}
+        want = full[0] + np.array([float(g) for values in gaps.values() for g in values])
+        rows = np.arange(24, 24 + len(want))
+        a, b = ent[:, order[[0]]], ent[:, order[[-1]]]
+        lam_lo, lam_hi = np.zeros(len(want)), np.ones(len(want))
+        for _ in range(40):
+            lam = (lam_lo + lam_hi) / 2
+            _, full = exact(rows, a + lam[:, None] * (b - a))
+            below = full[rows] < want
+            lam_lo, lam_hi = np.where(below, lam, lam_lo), np.where(below, lam_hi, lam)
+        it = iter(rows.tolist())
+        return params, quad, binning, {kind: [next(it) for _ in values]
+                                       for kind, values in gaps.items()}
+
+    @given(seeds, st.sampled_from([1, 2]), st.booleans(), st.booleans(),
+           st.sampled_from(["subject", "object"]), st.booleans())
+    def test_ranks_and_top_n_equal_a_float64_pass(self, seed, p, dual, interval, side, constant):
+        params, quad, binning, planted = self.planted(seed, p, dual, interval, side, constant)
+        screen = candidate_scores(params, [(quad, side)], binning)
+        n = params.n_entities
+        # a few other true facts drop planted candidates from the ranking
+        others = [Quadruple(e, quad.relation, quad.object, quad.time) if side == "subject"
+                  else Quadruple(quad.subject, quad.relation, e, quad.time) for e in (21, 25, 31)]
+        fs = FilterSet.build([quad, *others], binning)
+        keys = {key_of(q, binning) for q in [quad, *others]}
+        assert filtered_rank(screen, 0, fs, binning) == rank_oracle(params, quad, side, keys, binning)
+        full = screen.exact(0, np.arange(n))
+        keep = np.ones(n, bool)
+        keep[[21, 25, 31]] = False
+        for tie in ("mean", "optimistic", "pessimistic"):
+            assert filtered_rank(screen, 0, fs, binning, tie) == rank_from_scores(full, 0, keep, tie)
+        order = np.argsort(full, kind="stable")
+        for top_n in {1, int((full < full[0]).sum()) + 1, 25, n, n + 3}:
+            ids, scores = screen.top(0, top_n)
+            assert np.array_equal(ids, order[:top_n])
+            assert np.array_equal(scores, full[order[:top_n]])
+        row = screen.scores[0]
+        lo, hi = screen_band(params.k, row[0], screen.offsets[0])
+        if constant:
+            assert ((lo <= row) & (row <= hi)).all()  # the band holds every row
+        else:
+            assert ((lo <= row[planted["in"]]) & (row[planted["in"]] <= hi)).all()
+            assert ((row[planted["out"]] < lo) | (row[planted["out"]] > hi)).all()
 
 
 class TestEvaluate:
@@ -348,7 +472,7 @@ class TestEvaluateMatchesOracle:
     def assert_matches_oracle(self, params, facts, all_facts, binning, score_binning=None,
                               threads=1):
         fs = FilterSet.build(all_facts, binning)
-        keys = {fs.key_of(q, binning) for q in all_facts}
+        keys = {key_of(q, binning) for q in all_facts}
         report = evaluate(params, facts, fs, binning, threads=threads,
                           score_binning=score_binning)
         assert [(qr.quad, qr.side) for qr in report.ranks] == \

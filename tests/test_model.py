@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import params_from
-from oracles import fact_score_oracle, rotate_oracle, score_one, score_oracle
+from oracles import fact_score_oracle, param_count, rotate_oracle, score_one, score_oracle
 from tero.data import PartialDate, Quadruple, TimeAnnotation, bin_threshold
 from tero.evaluation import candidate_scores
-from tero.model import (init_params, load_checkpoint, param_count, rotate,
-                        save_checkpoint, score_quads, score_step)
+from tero.model import (init_params, load_checkpoint, rotate,
+                        save_checkpoint, score_quads, score_step, screen_band)
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -122,8 +122,9 @@ class TestScorePoint:
 
 
 def fact_score(params, quad, binning) -> float:
-    """The fact's mean term score, read from its object query's candidate row."""
-    return float(candidate_scores(params, [(quad, "object")], binning)[0, quad.object])
+    """The fact's mean term score: its object query's float64 score of its own object."""
+    screen = candidate_scores(params, [(quad, "object")], binning)
+    return float(screen.exact(0, np.array([quad.object]))[0])
 
 
 class TestScoreFact:
@@ -197,13 +198,21 @@ class TestBatchScoring:
         n = 150
         params = init_params(n, 2, 3, 4, dual=False, seed=int(seed % 1000), norm_p=p)
         anchor, slot, tau = int(rng.integers(n)), int(rng.integers(2)), int(rng.integers(3))
-        obj, subj = score_step(params, tau, [anchor, anchor], [slot, slot], ["object", "subject"])
+        query = (tau, [anchor, anchor], [slot, slot], ["object", "subject"])
         every, fixed = np.arange(n), np.full(n, anchor)
+        obj, subj = score_step(params, *query, every)[0]
         slots, taus = np.full(n, slot), np.full(n, tau)
         assert np.allclose(obj, score_quads(params, fixed, slots, every, taus),
                            rtol=0, atol=1e-12)
         assert np.allclose(subj, score_quads(params, every, slots, fixed, taus),
                            rtol=0, atol=1e-12)
+        # the float32 screen lies inside its bound around every float64 score
+        screen, offsets = score_step(params, *query)
+        assert screen.dtype == np.float32
+        for row, exact, offset in zip(screen, (obj, subj), offsets):
+            # the band spans both candidates' bounds on each side, ~4 bounds in all
+            bound = [(hi - lo) / 4 for lo, hi in (screen_band(params.k, v, offset) for v in row)]
+            assert (np.abs(exact - row) < bound).all()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("norm_p,dual", [(1, False), (2, False), (1, True), (2, True)])

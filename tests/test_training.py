@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import (batch_loss, dense_grads, dense_step_oracle, fd_grads, loss_oracle,
+from oracles import (batch_loss, dense_grads, dense_step_oracle, fd_grads, loss, loss_oracle,
                      max_relative_error)
 from tero import model, training
 from tero.data import expand_for_training
 from tero.model import init_params, score_quads
 from tero.synthetic import reflexive_relation_suite, temporary_relation_suite
 from tero.training import (ADAGRAD_EPS, NumericalError, TrainConfig, _corrupt_batch,
-                           apply_adagrad, grad_step, loss, loss_and_grads, train)
+                           apply_adagrad, grad_step, loss_and_grads, train)
 
 
 def make_batch(params, n_pos, neg_ratio, seed=0):
