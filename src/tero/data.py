@@ -14,10 +14,10 @@ facts into per-endpoint training quadruples, one row of an int64 array each.
 ``time_key`` is the one function that bins a fact's annotation; the
 endpoint terms, the training rows and the evaluation filter all take their
 steps from it. Facts repeat a few hundred distinct timestamps (ICEWS14:
-90,730 facts, 365 days), so the per-timestamp work runs once per distinct
-annotation: each date text of a file is parsed once, its facts share the
-one annotation, and the training expansion and the filter bin each shared
-annotation once.
+90,730 facts, 365 days): each date text of a file is parsed once, and its
+facts share the one annotation. ``columns`` turns facts into an annotation
+table, an int64 row per fact indexing the list of distinct annotations, so
+the year counts, the training expansion and the filter take each once.
 """
 
 from __future__ import annotations
@@ -26,6 +26,8 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from datetime import date as _pydate
+from itertools import count
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -108,14 +110,6 @@ class TimeAnnotation:
     @property
     def is_interval(self) -> bool:
         return self.begin is not None and self.end is not None and self.begin != self.end
-
-    @property
-    def is_begin_only(self) -> bool:
-        return self.end is None
-
-    @property
-    def is_end_only(self) -> bool:
-        return self.begin is None
 
 
 @dataclass(frozen=True)
@@ -298,27 +292,21 @@ def parse_dataset(paths: Sequence[str | Path], fmt: str) -> tuple[Vocab, list[li
     return vocab, [to_quadruples(split, vocab) for split in raw_splits]
 
 
-def format_fact(quad: Quadruple, vocab: Vocab, fmt: str) -> str:
-    """Serialize a quadruple back to its canonical TSV line."""
-    s = vocab.id2ent[quad.subject]
-    r = vocab.id2rel[quad.relation]
-    o = vocab.id2ent[quad.object]
-    t = quad.time
-    if fmt == POINT_TSV:
-        if not t.is_point or not t.begin.is_full:
-            raise ValueError("point-tsv requires fully dated point facts")
-        return f"{s}\t{r}\t{o}\t{t.begin}"
-    begin = str(t.begin) if t.begin is not None else "####-##-##"
-    end = str(t.end) if t.end is not None else "####-##-##"
-    return f"{s}\t{r}\t{o}\t{begin}\t{end}"
+def columns(facts: Iterable[Quadruple]) -> tuple[np.ndarray, list[TimeAnnotation]]:
+    """The facts as one annotation table: ``(rows, times)``.
 
-
-def distinct_times(facts: Iterable[Quadruple]) -> list[list]:
-    """``[annotation, fact count]`` per distinct annotation object, in first-seen order."""
-    seen: dict[int, list] = {}  # each entry holds its annotation, so no id() is reused
-    for q in facts:
-        seen.setdefault(id(q.time), [q.time, 0])[1] += 1
-    return list(seen.values())
+    ``rows`` is an (N, 4) int64 array of ``(subject, relation, object, t)``,
+    where ``t`` indexes ``times``, the distinct annotation objects in
+    first-seen order. The only code that keys on ``id()``.
+    """
+    facts = list(facts)  # holds every annotation, so no id() is reused
+    seen: dict[int, int] = {}  # annotation id -> index of the first fact that has it
+    first = np.fromiter(map(seen.setdefault, map(id, map(attrgetter("time"), facts)), count()),
+                        np.int64, len(facts))
+    starts, t = np.unique(first, return_inverse=True)  # t numbers them in first-seen order
+    rows = [np.fromiter(map(attrgetter(name), facts), np.int64, len(facts))
+            for name in ("subject", "relation", "object")]
+    return np.stack(rows + [t], axis=1), [facts[i].time for i in starts]
 
 
 def year_mention_counts(facts: Iterable[Quadruple]) -> dict[int, int]:
@@ -327,8 +315,9 @@ def year_mention_counts(facts: Iterable[Quadruple]) -> dict[int, int]:
     A fact adds one mention per distinct endpoint year, so a point fact (or
     an interval within one year) counts once there.
     """
+    rows, times = columns(facts)
     counts: dict[int, int] = {}
-    for t, n in distinct_times(facts):
+    for t, n in zip(times, np.bincount(rows[:, 3]).tolist()):
         for y in {d.year for d in (t.begin, t.end) if d is not None}:
             counts[y] = counts.get(y, 0) + n
     return counts
@@ -395,9 +384,19 @@ class TimeBinning:
                 origin = parse_date(kv["origin"])
                 if origin is None or not origin.is_full:
                     raise ValueError(f"origin must be a full date, got {kv['origin']!r}")
-                return cls("fixed", param, n_tau, origin=origin, span_days=int(kv["span_days"]))
+                span_days = int(kv["span_days"])
+                if span_days < 1:
+                    raise ValueError(f"span_days must be at least 1, got {span_days}")
+                if n_tau != -(-span_days // param):
+                    raise ValueError(f"n_tau = {n_tau}, but {span_days} days in units of "
+                                     f"{param} make {-(-span_days // param)} steps")
+                return cls("fixed", param, n_tau, origin=origin, span_days=span_days)
             pairs = [tuple(int(x) for x in chunk.split(":")) for chunk in kv["bins"].split(",")]
             starts, ends = zip(*pairs)
+            if n_tau != len(pairs):
+                raise ValueError(f"n_tau = {n_tau} but {len(pairs)} bins")
+            if any(a > b for a, b in pairs) or any(b >= c for b, c in zip(ends, starts[1:])):
+                raise ValueError("bins must ascend, each start <= end < next start")
             return cls("threshold", param, n_tau, bin_starts=starts, bin_ends=ends)
         except (KeyError, ValueError) as exc:
             raise DataError(f"bad binning manifest: {exc}") from exc
@@ -464,11 +463,10 @@ def bin_threshold(year_counts: dict[int, int], threshold: int) -> TimeBinning:
 def build_binning(facts: Iterable[Quadruple], unit_days: int | None,
                   threshold: int | None) -> TimeBinning:
     """Build the binning named by exactly one granularity parameter."""
-    facts = list(facts)
     if (unit_days is None) == (threshold is None):
         raise ValueError("specify exactly one of unit_days / threshold")
     if unit_days is not None:
-        ends = (d for t, _ in distinct_times(facts) for d in (t.begin, t.end) if d is not None)
+        ends = (d for t in columns(facts)[1] for d in (t.begin, t.end) if d is not None)
         # distinct dates in first-seen order, so a partial date is named as before
         return bin_fixed(list(dict.fromkeys(ends)), unit_days)
     return bin_threshold(year_mention_counts(facts), threshold)
@@ -513,11 +511,15 @@ def expand_for_training(facts: Iterable[Quadruple], binning: TimeBinning,
     are worked out once, at relation 0, where each slot is the offset that a
     fact's relation is added to.
     """
-    facts = list(facts)  # keeps every annotation alive while terms is keyed by id()
-    terms = {id(t): endpoint_terms(Quadruple(0, 0, 0, t), binning, dual, n_relations)
-             for t, _ in distinct_times(facts)}
-    return np.array([(q.subject, q.relation + offset, q.object, tau) for q in facts
-                     for offset, tau in terms[id(q.time)]], np.int64).reshape(-1, 4)
+    rows, times = columns(facts)
+    terms = [endpoint_terms(Quadruple(0, 0, 0, t), binning, dual, n_relations) for t in times]
+    # each fact twice, with its annotation's first and its last term; a lone term's copy goes
+    pair = np.array([(ts[0], ts[-1]) for ts in terms], np.int64).reshape(-1, 2, 2)[rows[:, 3]]
+    out = np.repeat(rows[:, None], 2, axis=1)
+    out[..., 1] += pair[..., 0]
+    out[..., 3] = pair[..., 1]
+    n_terms = np.array([len(ts) for ts in terms], np.int64)[rows[:, 3]]
+    return out[np.arange(2) < n_terms[:, None]]
 
 
 @dataclass

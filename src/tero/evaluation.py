@@ -13,8 +13,8 @@ by the time steps of their endpoint terms and screens each group with one
 ``candidate_scores`` call, one blocked float32 pass over the table per
 step. Each rank then rescores in float64 only the candidates too close to
 the target for the screen to order, so it equals a float64 pass's rank.
-``FilterSet.build`` bins each distinct annotation once, since facts share
-a few hundred, and keeps its keys as sorted index arrays.
+``FilterSet.build`` bins each annotation of the facts' annotation table
+(``data.columns``) once and keeps its keys as sorted index arrays.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .data import Quadruple, TimeBinning, distinct_times, endpoint_terms, time_key
+from .data import Quadruple, TimeBinning, columns, endpoint_terms, time_key
 from .model import ModelParams, score_step, screen_band
 
 TIE_MODES = ("mean", "optimistic", "pessimistic")
@@ -45,20 +45,17 @@ class FilterSet:
     ``searchsorted`` slice; membership and length are read from them.
     """
 
-    def __init__(self, keys: set[tuple]):
-        codes = {}  # time key -> small int, in set order
-        s, r, o, c = np.array([(s, r, o, codes.setdefault(tk, len(codes))) for s, r, o, tk in keys],
-                              dtype=np.int64).reshape(len(keys), 4).T
-        # set order follows hash(None), which changes per process: renumber in key order
-        tks = sorted(codes, key=lambda tk: [-1 if t is None else t for t in tk])
-        self._tk_codes = {tk: i for i, tk in enumerate(tks)}
-        c = np.array([self._tk_codes[tk] for tk in codes], dtype=np.int64)[c]
+    def __init__(self, rows: np.ndarray, codes: dict[tuple, int]):
+        self._tk_codes = codes  # time key -> its code in column 3 of rows, (s, r, o, code)
+        s, r, o, c = rows.T
         self._n_rel = int(r.max(initial=-1)) + 1
         self._index = {}  # side -> sorted _flat codes of the anchor side, true entity of each
         for side, anchor, true in (("object", s, o), ("subject", o, s)):
-            flat, by_true = self._flat(anchor, r, c), np.argsort(true)
-            order = by_true[np.argsort(flat[by_true], kind="stable")]  # entities ascending
-            self._index[side] = flat[order], true[order]
+            flat = self._flat(anchor, r, c)
+            order = np.lexsort((true, flat))  # entities ascending within a key
+            flat, true = flat[order], true[order]
+            new = (np.diff(flat, prepend=-1) != 0) | (np.diff(true, prepend=-1) != 0)  # no repeats
+            self._index[side] = flat[new], true[new]
 
     def _flat(self, e, r, c):
         """One integer per (entity, relation, time code); ids must be in range."""
@@ -75,9 +72,11 @@ class FilterSet:
 
     @classmethod
     def build(cls, facts: Iterable[Quadruple], binning: TimeBinning) -> "FilterSet":
-        facts = list(facts)  # keeps every annotation alive while tks is keyed by id()
-        tks = {id(t): time_key(t, binning) for t, _ in distinct_times(facts)}
-        return cls({(q.subject, q.relation, q.object, tks[id(q.time)]) for q in facts})
+        rows, times = columns(facts)
+        codes: dict[tuple, int] = {}
+        rows[:, 3] = np.array([codes.setdefault(time_key(t, binning), len(codes)) for t in times],
+                              np.int64)[rows[:, 3]]
+        return cls(rows, codes)
 
     def __contains__(self, key: tuple) -> bool:
         s, r, o, tk = key
@@ -147,7 +146,7 @@ class Screen:
 
     params: ModelParams
     queries: Sequence[tuple[Quadruple, str]]
-    binning: TimeBinning
+    terms: list[list[tuple[int, int]]]  # (slot, tau) endpoint terms of each query
     scores: np.ndarray  # (Q, n_entities) float32
     offsets: np.ndarray  # (Q,) mean term offset of each row
 
@@ -155,11 +154,8 @@ class Screen:
         """Float64 scores of query q's candidates ``rows``, terms averaged in term order."""
         quad, side = self.queries[q]
         anchor = quad.subject if side == "object" else quad.object
-        terms = endpoint_terms(quad, self.binning, self.params.dual, self.params.n_relations)
-        out = 0
-        for slot, tau in terms:
-            out = out + score_step(self.params, tau, [anchor], [slot], [side], rows)[0][0]
-        return out / len(terms)
+        return sum(score_step(self.params, tau, [anchor], [slot], [side], rows)[0][0]
+                   for slot, tau in self.terms[q]) / len(self.terms[q])
 
     def top(self, q: int, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Query q's ``n`` lowest-scoring candidates and their float64 scores, ties by id."""
@@ -184,11 +180,11 @@ def candidate_scores(params: ModelParams, queries: Sequence[tuple[Quadruple, str
     """
     batches: dict[int, list[tuple[int, int, str]]] = {}  # tau -> (anchor, slot, side)
     refs: list[list[tuple[int, int]]] = []  # per query: (tau, row in its batch) per term
-    for quad, side in queries:
+    terms = [endpoint_terms(quad, binning, params.dual, params.n_relations) for quad, _ in queries]
+    for (quad, side), query_terms in zip(queries, terms):
         anchor = quad.subject if side == "object" else quad.object
-        terms = endpoint_terms(quad, binning, params.dual, params.n_relations)
         refs.append([])
-        for slot, tau in terms:
+        for slot, tau in query_terms:
             batch = batches.setdefault(tau, [])
             refs[-1].append((tau, len(batch)))
             batch.append((anchor, slot, side))
@@ -202,7 +198,7 @@ def candidate_scores(params: ModelParams, queries: Sequence[tuple[Quadruple, str
             row += dist[tau][0][i]
         row /= len(rest) + 1
         offsets[q] = np.mean([dist[tau][1][i] for tau, i in refs[q]])
-    return Screen(params, queries, binning, out, offsets)
+    return Screen(params, queries, terms, out, offsets)
 
 
 def filtered_rank(screen: Screen, q: int, filter_set: FilterSet, binning: TimeBinning,

@@ -13,9 +13,10 @@ each line with ``read_facts``'s own line parser but without its date memo,
 and ``batch_loss``, the batch loss from ``score_quads`` that ``fd_grads``
 differentiates. ``batch_loss`` shares its forward with ``loss_and_grads``,
 so the finite differences check the hand-derived backward, not the
-forward. ``key_of``, ``param_count`` and ``loss`` (on the training step's
-``_softplus``) are small helpers that only the tests use, as is the
-``random_kg`` dataset generator.
+forward. ``key_of``, ``param_count``, ``loss`` (on the training step's
+``_softplus``), ``format_fact``, ``is_begin_only`` and ``is_end_only`` are
+small helpers that only the tests use, as is the ``random_kg`` dataset
+generator.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from typing import Sequence
 
 import numpy as np
 
-from tero.data import (Dataset, Quadruple, RawFact, TimeBinning, Vocab, _parse_line,
-                       endpoint_terms, time_key)
+from tero.data import (POINT_TSV, Dataset, Quadruple, RawFact, TimeAnnotation, TimeBinning,
+                       Vocab, _parse_line, endpoint_terms, time_key)
 from tero.model import ModelParams, score_quads
 from tero.synthetic import _day, _make_dataset
 
@@ -139,6 +140,29 @@ def rank_oracle(params: ModelParams, quad: Quadruple, side: str, positive_keys: 
 
 def key_of(quad: Quadruple, binning: TimeBinning) -> tuple:
     return (quad.subject, quad.relation, quad.object, time_key(quad.time, binning))
+
+
+def format_fact(quad: Quadruple, vocab: Vocab, fmt: str) -> str:
+    """Serialize a quadruple back to its canonical TSV line."""
+    s = vocab.id2ent[quad.subject]
+    r = vocab.id2rel[quad.relation]
+    o = vocab.id2ent[quad.object]
+    t = quad.time
+    if fmt == POINT_TSV:
+        if not t.is_point or not t.begin.is_full:
+            raise ValueError("point-tsv requires fully dated point facts")
+        return f"{s}\t{r}\t{o}\t{t.begin}"
+    begin = str(t.begin) if t.begin is not None else "####-##-##"
+    end = str(t.end) if t.end is not None else "####-##-##"
+    return f"{s}\t{r}\t{o}\t{begin}\t{end}"
+
+
+def is_begin_only(t: TimeAnnotation) -> bool:
+    return t.end is None
+
+
+def is_end_only(t: TimeAnnotation) -> bool:
+    return t.begin is None
 
 
 def param_count(params: ModelParams) -> int:

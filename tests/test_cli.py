@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import params_from
+from oracles import format_fact
 from tero.cli import (COMMANDS, DEFAULTS, OPTIONS, PROFILES, build_parser, main,
                       parse_config_file, resolve_config)
-from tero.data import POINT_TSV, Vocab, bin_fixed, PartialDate, format_fact
+from tero.data import POINT_TSV, Vocab, bin_fixed, PartialDate
 from tero.model import init_params, load_checkpoint, save_checkpoint
 from tero.synthetic import temporary_relation_suite
 
@@ -437,6 +438,9 @@ class TestPredictCommand:
         "mode = fixed\nparam = 1\nn_tau = 2\norigin = ####-##-##\nspan_days = 2\n",
         "mode = fixed\nparam = 0\nn_tau = 2\norigin = 2014-01-01\nspan_days = 2\n",
         "mode = weekly\nparam = 1\nn_tau = 2\nbins = 2014:2014,2015:2015\n",
+        # n_tau matches the checkpoint's 2 steps, but not the span or the bins
+        "mode = fixed\nparam = 1\nn_tau = 2\norigin = 2014-01-01\nspan_days = 30\n",
+        "mode = threshold\nparam = 1\nn_tau = 2\nbins = 2014:2014,2015:2015,2016:2016\n",
     ])
     def test_bad_binning_manifest_is_data_error(self, tmp_path, capsys, manifest):
         ckpt = self.make_constructed_checkpoint(tmp_path)

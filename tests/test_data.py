@@ -2,12 +2,12 @@ from datetime import date, timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from oracles import expand_oracle, read_facts_oracle
+from oracles import expand_oracle, format_fact, is_begin_only, is_end_only, read_facts_oracle
 from tero.data import (DataError, PartialDate, Quadruple, TimeAnnotation, TimeBinning,
                        Vocab, INTERVAL_TSV, POINT_TSV, bin_fixed, bin_threshold,
-                       build_binning, expand_for_training, format_fact, load_dataset,
+                       build_binning, columns, expand_for_training, load_dataset,
                        parse_dataset, parse_date, read_facts, year_mention_counts)
 
 
@@ -74,13 +74,13 @@ class TestParseInterval:
     def test_begin_only(self, tmp_path):
         p = write(tmp_path, "t.txt", ["A\twasBornIn\tB\t2003-##-##\t####-##-##"])
         (fact,) = read_facts(p, INTERVAL_TSV)
-        assert fact.time.is_begin_only
+        assert is_begin_only(fact.time)
         assert fact.time.begin == PartialDate(2003)
 
     def test_end_only(self, tmp_path):
         p = write(tmp_path, "t.txt", ["A\tr\tB\t####-##-##\t2005-##-##"])
         (fact,) = read_facts(p, INTERVAL_TSV)
-        assert fact.time.is_end_only
+        assert is_end_only(fact.time)
         assert fact.time.end == PartialDate(2005)
 
     def test_interval(self, tmp_path):
@@ -440,13 +440,18 @@ class TestRoundTrip:
 
 
 class TestManifest:
-    def test_fixed_round_trip(self):
-        binning = bin_fixed(year_span_dates(2014), 2)
+    @given(st.lists(full_dates, min_size=1, max_size=8), st.integers(1, 400))
+    @example(year_span_dates(2014), 2)
+    def test_fixed_round_trip(self, dates, unit):
+        binning = bin_fixed(dates, unit)
         again = TimeBinning.from_manifest(binning.to_manifest())
         assert again == binning
 
-    def test_threshold_round_trip(self):
-        binning = bin_threshold({-453: 10, 100: 5, 2008: 7}, 12)
+    @given(st.dictionaries(st.integers(-500, 2500), st.integers(1, 50), min_size=1),
+           st.integers(1, 100))
+    @example({-453: 10, 100: 5, 2008: 7}, 12)
+    def test_threshold_round_trip(self, counts, threshold):
+        binning = bin_threshold(counts, threshold)
         again = TimeBinning.from_manifest(binning.to_manifest())
         assert again == binning
 
@@ -454,11 +459,27 @@ class TestManifest:
         with pytest.raises(DataError):
             TimeBinning.from_manifest("mode = fixed\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("mode = threshold\nparam = 5\nn_tau = 2\nbins = 2000:2001,2002:2004,2005:2005\n",
+         "n_tau = 2 but 3 bins"),
+        ("mode = threshold\nparam = 5\nn_tau = 2\nbins = 2000:2002,2002:2004\n",
+         "bins must ascend"),
+        ("mode = threshold\nparam = 5\nn_tau = 2\nbins = 2003:2002,2004:2005\n",
+         "bins must ascend"),
+        ("mode = threshold\nparam = 5\nn_tau = 2\nbins = 2004:2005,2000:2001\n",
+         "bins must ascend"),
+    ])
+    def test_inconsistent_threshold_manifest_rejected(self, text, message):
+        with pytest.raises(DataError, match=f"bad binning manifest: {message}"):
+            TimeBinning.from_manifest(text)
+
     @pytest.mark.parametrize("change, message", [
         (("origin = 2014-01-01", "origin = ####-##-##"), "origin must be a full date"),
         (("origin = 2014-01-01", "origin = 2014-##-##"), "origin must be a full date"),
         (("param = 2", "param = 0"), "param must be at least 1"),
         (("mode = fixed", "mode = weekly"), "unknown mode 'weekly'"),
+        (("n_tau = 183", "n_tau = 182"), "n_tau = 182, but 365 days in units of 2 make 183 steps"),
+        (("span_days = 365", "span_days = 0"), "span_days must be at least 1, got 0"),
     ])
     def test_invalid_values_rejected(self, change, message):
         text = bin_fixed(year_span_dates(2014), 2).to_manifest()
@@ -474,6 +495,40 @@ annotations = st.lists(
               st.integers(-500, 2500).map(lambda y: TimeAnnotation(PartialDate(y), None)),
               st.integers(-500, 2500).map(lambda y: TimeAnnotation(None, PartialDate(y)))),
     min_size=1, max_size=8)
+
+
+def fresh(times, picks):
+    """Facts built one at a time, each with its own copy of ``times[i]``.
+
+    Nothing else holds a fact once it is consumed, so CPython may hand the
+    freed annotation's address, and with it its ``id()``, to the next copy.
+    """
+    for i in picks:
+        yield Quadruple(0, 0, 1, TimeAnnotation(times[i].begin, times[i].end))
+
+
+class TestColumns:
+    def test_rows_index_annotations_in_first_seen_order(self):
+        year = TimeAnnotation(PartialDate(2003), None)
+        point = TimeAnnotation.point(PartialDate(2014, 1, 2))
+        copy = TimeAnnotation.point(PartialDate(2014, 1, 2))  # equal to point, another object
+        facts = [Quadruple(3, 1, 4, year), Quadruple(0, 2, 5, point), Quadruple(6, 0, 7, year),
+                 Quadruple(1, 1, 1, copy)]
+        rows, times = columns(iter(facts))
+        assert rows.dtype == np.int64
+        assert rows.tolist() == [[3, 1, 4, 0], [0, 2, 5, 1], [6, 0, 7, 0], [1, 1, 1, 2]]
+        assert len(times) == 3
+        assert times[0] is year and times[1] is point and times[2] is copy
+
+    def test_fresh_annotations_stay_apart(self):
+        days = [TimeAnnotation.point(PartialDate(2014, 1, 1 + i % 3)) for i in range(50)]
+        rows, times = columns(fresh(days, range(50)))
+        assert rows[:, 3].tolist() == list(range(50))
+        assert times == days
+
+    def test_empty(self):
+        rows, times = columns([])
+        assert rows.shape == (0, 4) and rows.dtype == np.int64 and times == []
 
 
 class TestBinningOverSharedAnnotations:
@@ -495,15 +550,18 @@ class TestBinningOverSharedAnnotations:
                 per_fact[y] = per_fact.get(y, 0) + 1
         assert year_mention_counts(shared) == per_fact
         assert year_mention_counts(iter(shared)) == per_fact
+        assert year_mention_counts(fresh(times, picks)) == per_fact
         assert build_binning(shared, None, threshold) == bin_threshold(per_fact, threshold)
+        assert build_binning(fresh(times, picks), None, threshold) == \
+            bin_threshold(per_fact, threshold)
 
     @given(st.lists(full_dates.map(TimeAnnotation.point), min_size=1, max_size=8),
            st.lists(st.integers(0, 7), min_size=1, max_size=60), st.integers(1, 30))
     def test_fixed_bins_unchanged(self, times, picks, unit):
         picks = [i % len(times) for i in picks]
         every_date = [times[i].begin for i in picks]
-        for shared in (True, False):
-            facts = self.facts(times, picks, shared)
+        for facts in (self.facts(times, picks, True), self.facts(times, picks, False),
+                      fresh(times, picks)):
             assert build_binning(facts, unit, None) == bin_fixed(every_date, unit)
 
 
@@ -524,6 +582,10 @@ class TestExpansionOverSharedAnnotations:
         out = expand_for_training(facts, binning, dual, 4)
         assert out.dtype == np.int64
         assert np.array_equal(out, expand_oracle(facts, binning, dual, 4))
+        # the same facts built one at a time, each freed once consumed
+        lone = (Quadruple(q.subject, q.relation, q.object,
+                          TimeAnnotation(q.time.begin, q.time.end)) for q in facts)
+        assert np.array_equal(expand_for_training(lone, binning, dual, 4), out)
 
 
 class TestBuildBinning:

@@ -19,9 +19,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import random_kg
+from oracles import format_fact, random_kg
 from tero.cli import main
-from tero.data import POINT_TSV, format_fact
+from tero.data import POINT_TSV
 
 GOLDEN = Path(__file__).parent / "golden"
 TRAIN = ["--dim", "16", "--max-epochs", "3", "--batch-size", "128", "--neg-ratio", "4",

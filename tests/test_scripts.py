@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from tero.data import POINT_TSV, format_fact
+from oracles import format_fact
+from tero.data import POINT_TSV
 from tero.synthetic import temporary_relation_suite
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
