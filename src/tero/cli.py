@@ -229,12 +229,13 @@ def cmd_preprocess(cfg: RunConfig) -> int:
 
 
 def cmd_train(cfg: RunConfig) -> int:
+    config = cfg.train_config()
     ds = _load(cfg)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_sidecar(ds, out)
     ckpt = Path(cfg.checkpoint) if cfg.checkpoint else out / "model.tero"
-    best, history = train(ds.train, ds.valid, cfg.train_config(), ds.binning, ds.vocab,
+    best, history = train(ds.train, ds.valid, config, ds.binning, ds.vocab,
                           log_path=out / "training_log.tsv", progress=True)
     save_checkpoint(best, ckpt, vocab_ref=str(out))
     if history:

@@ -11,8 +11,8 @@ All candidates of a query at step tau are scored against the same rotated
 entity table, rot(e, theta_tau). ``evaluate`` therefore groups its queries
 by the time steps of their endpoint terms and screens each group with one
 ``candidate_scores`` call, one blocked float32 pass over the table per
-step. Each rank then rescores in float64 only the candidates too close to
-the target for the screen to order, so it equals a float64 pass's rank.
+step. Each rank then rescores with ``score_quads`` only the candidates too
+close to the target for the screen to order, so it equals a full pass's rank.
 ``FilterSet.build`` bins each annotation of the facts' annotation table
 (``data.columns``) once and keeps its keys as sorted index arrays.
 """
@@ -26,7 +26,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .data import Quadruple, TimeBinning, columns, endpoint_terms, time_key
-from .model import ModelParams, score_step, screen_band
+from .model import ModelParams, score_quads, score_step, screen_band
 
 TIE_MODES = ("mean", "optimistic", "pessimistic")
 # queries per candidate_scores call in evaluate(). It bounds the call's
@@ -140,8 +140,8 @@ def rank_from_scores(scores: np.ndarray, target_idx: int, keep: np.ndarray,
 class Screen:
     """Float32 screen of queries against every entity, from ``candidate_scores``.
 
-    ``filtered_rank`` and ``top`` answer as a float64 pass would, rescoring in float64
-    only the candidates whose order the screen leaves open (``model.screen_band``).
+    ``filtered_rank`` and ``top`` answer as ``score_quads`` over all candidates would,
+    rescoring only those whose order the screen leaves open (``model.screen_band``).
     """
 
     params: ModelParams
@@ -151,11 +151,12 @@ class Screen:
     offsets: np.ndarray  # (Q,) mean term offset of each row
 
     def exact(self, q: int, rows: np.ndarray) -> np.ndarray:
-        """Float64 scores of query q's candidates ``rows``, terms averaged in term order."""
+        """``score_quads`` of query q's candidates ``rows``, the mean over its terms."""
         quad, side = self.queries[q]
-        anchor = quad.subject if side == "object" else quad.object
-        return sum(score_step(self.params, tau, [anchor], [slot], [side], rows)[0][0]
-                   for slot, tau in self.terms[q]) / len(self.terms[q])
+        quads = np.repeat([(quad.subject, slot, quad.object, tau) for slot, tau in self.terms[q]],
+                          len(rows), axis=0)  # (s, slot, o, tau): each term once per candidate
+        quads[:, 0 if side == "subject" else 2] = np.tile(rows, len(self.terms[q]))
+        return score_quads(self.params, *quads.T).reshape(len(self.terms[q]), -1).mean(axis=0)
 
     def top(self, q: int, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Query q's ``n`` lowest-scoring candidates and their float64 scores, ties by id."""
@@ -191,19 +192,15 @@ def candidate_scores(params: ModelParams, queries: Sequence[tuple[Quadruple, str
     dist = {tau: score_step(params, tau, *zip(*batch)) for tau, batch in batches.items()}
     out = np.empty((len(queries), params.n_entities), np.float32)
     offsets = np.empty(len(queries))
-    for q, ((tau, i), *rest) in enumerate(refs):
-        row = out[q]
-        row[:] = dist[tau][0][i]
-        for tau, i in rest:
-            row += dist[tau][0][i]
-        row /= len(rest) + 1
-        offsets[q] = np.mean([dist[tau][1][i] for tau, i in refs[q]])
+    for q, ref in enumerate(refs):
+        out[q] = sum(dist[tau][0][i] for tau, i in ref) / len(ref)
+        offsets[q] = np.mean([dist[tau][1][i] for tau, i in ref])
     return Screen(params, queries, terms, out, offsets)
 
 
 def filtered_rank(screen: Screen, q: int, filter_set: FilterSet, binning: TimeBinning,
                   tie: str = "mean") -> int:
-    """Time-wise filtered rank of query q of ``screen``, as a float64 pass would give it."""
+    """Time-wise filtered rank of query q of ``screen``, as ``score_quads`` would give it."""
     quad, side = screen.queries[q]
     tk = time_key(quad.time, binning)
     if side == "object":

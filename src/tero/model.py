@@ -18,9 +18,9 @@ storage dtype by the training step, so no whole-batch temporary is built.
 
 Link prediction needs every entity rotated to the query's step.
 ``score_step`` fuses that rotation with the scoring, BLOCK_ROWS rows at a
-time, in float32: a screen. ``screen_band`` bounds its error, and the same
-kernel rescores in float64 only the gathered candidates the screen cannot
-order, so ranks equal those of a float64 pass.
+time, in float32: a screen. ``screen_band`` bounds its error against
+``score_quads``, which rescores only the gathered candidates the screen
+cannot order, so ranks equal those of ``score_quads`` over every candidate.
 
 Parameter arrays are float32, matching the checkpoint wire format, so
 save/load round-trips are lossless. Models built with ``dtype=np.float64``
@@ -229,81 +229,82 @@ def _check_ids(params: ModelParams, entities, slots, tau: int) -> None:
         raise IndexError(f"time step {tau} out of range (n_tau={params.n_tau})")
 
 
-def score_step(params: ModelParams, tau: int, anchors, slots, sides,
-               rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Endpoint scores at step ``tau`` with each entity substituted, per query.
+def score_step(params: ModelParams, tau: int, anchors, slots, sides) -> tuple[np.ndarray, np.ndarray]:
+    """Float32 screen scores at step ``tau`` with each entity substituted, per query.
 
     Query q fixes entity ``anchors[q]`` and relation slot ``slots[q]`` and
     asks for the entity on ``sides[q]``. Both sides reduce to
     ``||rot(e, theta_tau) - x_q||_p`` over the 2k real coordinates, with a
     the rotated anchor: ``x = [re(a) + r_re, -(im(a) + r_im)]`` when the
-    object is asked for, ``x = [re(a) - r_re, -im(a) - r_im]`` when the
+    object is asked for, ``x = [re(a) - r_re, -(im(a) + r_im)]`` when the
     subject is.
 
     Returns float32 scores of every entity, row q for query q, and the
-    per-query offsets ``screen_band`` takes. Given ``rows``, only those
-    entities are scored, in float64 and bit for bit as in a float64 pass
-    over the whole table, since each row is summed on its own. Entities are
-    rotated BLOCK_ROWS rows at a time into one buffer, and every query is
-    scored against a block while it is in cache.
+    per-query offsets ``screen_band`` takes. Entities are rotated
+    BLOCK_ROWS rows at a time into one buffer, and every query is scored
+    against a block while it is in cache.
     """
     _check_ids(params, anchors, slots, tau)
     for side in sides:
         if side not in ("subject", "object"):
             raise ValueError(f"side must be 'subject' or 'object', got {side!r}")
-    k = params.k
+    k, n = params.k, params.n_entities
     anchors, slots = np.asarray(anchors, dtype=np.intp), np.asarray(slots, dtype=np.intp)
     a_re, a_im = rotate(params.ent_re[anchors], params.ent_im[anchors], params.phase[tau])
     r_re, r_im = params.rel_re[slots], params.rel_im[slots]
     obj = np.array([side == "object" for side in sides])[:, None]
-    x = np.empty((len(anchors), 2 * k))
-    x[:, :k] = np.where(obj, a_re + r_re, a_re - r_re)
-    x[:, k:] = np.where(obj, -(a_im + r_im), -a_im - r_im)
-    offsets = 17 * U32 * _norm(x[:, :k], x[:, k:], params.norm_p) + np.sqrt(2 * k) * 2.0 ** -68
+    x = np.hstack([np.where(obj, a_re + r_re, a_re - r_re), -(a_im + r_im)])
+    offsets = (17 * U32 * _norm(x[:, :k], x[:, k:], params.norm_p) + np.sqrt(2 * k) * 2.0 ** -68
+               + 2.0 ** -44 * (_norm(a_re, a_im, 1) + _norm(r_re, r_im, 1)))
 
     phase = params.phase[tau].astype(np.float64)
-    dtype = np.float32 if rows is None else np.float64
-    c, s, x = (a.astype(dtype, copy=False) for a in (np.cos(phase), np.sin(phase), x))
-    n = params.n_entities if rows is None else len(rows)
-    block, diff, tmp = (np.empty((min(BLOCK_ROWS, n), w), dtype) for w in (2 * k, 2 * k, k))
-    out = np.empty((len(x), n), dtype)
+    c, s, x = (a.astype(np.float32) for a in (np.cos(phase), np.sin(phase), x))
+    block, diff, tmp = (np.empty((min(BLOCK_ROWS, n), w), np.float32) for w in (2 * k, 2 * k, k))
+    out = np.empty((len(x), n), np.float32)
     for start in range(0, n, BLOCK_ROWS):
-        stop = min(start + BLOCK_ROWS, n)
-        m = stop - start
-        e = slice(start, stop) if rows is None else rows[start:stop]
-        b, d = block[:m], diff[:m]
-        _rotate_into(params.ent_re[e], params.ent_im[e], c, s, b[:, :k], b[:, k:], tmp[:m])
+        e = slice(start, min(start + BLOCK_ROWS, n))
+        b, d, t = (buf[:e.stop - start] for buf in (block, diff, tmp))
+        _rotate_into(params.ent_re[e], params.ent_im[e], c, s, b[:, :k], b[:, k:], t)
         for q in range(len(x)):
             np.subtract(b, x[q], out=d)
             if params.norm_p == 1:
                 np.abs(d, out=d)
             else:
                 np.multiply(d, d, out=d)
-            d.sum(axis=1, out=out[q, start:stop])
+            d.sum(axis=1, out=out[q, e])
     return (out if params.norm_p == 1 else np.sqrt(out, out=out)), offsets
 
 
 def screen_band(k: int, score, offset: float) -> tuple[np.float32, np.float32]:
     """Screen scores ``(lo, hi)`` outside which a candidate's order is certain.
 
-    A candidate screened below ``lo`` scores strictly below, in float64, one
-    screened at ``score``, and one above ``hi`` strictly above; ``offset``
-    is the mean of the query's term offsets from ``score_step``. The bound: a screen score S is within B(S) = a*S + offset of its
-    float64 score; a = g/(1 - g), g = gamma(2k + 12), where gamma(m) =
-    m*u/(1 - m*u) bounds m chained roundings, u = U32. Against the exact
-    norm S* of d = rot(e) - x, x the float64 query vector, the float32
-    pass errs by gamma(4)*|e_j| per rotated coordinate (casts of cos/sin
-    and of float64 entities, two products, one sum), which rotation,
-    keeping |e_j|, turns into 2*gamma(4)*(S* + ||x||_p); by u*|x_i| from
-    the cast of x and u*|d_i| from the subtraction; by gamma(2k + 1)*S*
-    from a plain sum of 2k terms, or for p=2 the squares, their sum and
-    the square root: in all gamma(2k + 9)*S* + gamma(11)*||x||_p. The
-    float64 pass (u = 2^-53) adds under gamma(1), a mean of two terms one
-    rounding per precision (halving is exact). S* in terms of S gives a
-    and the offset's 17u*||x||_p > gamma(16)*||x||_p; its sqrt(2k)*2^-68
-    covers underflow four times. Valid while (2k + 12)*u < 1/8 and scores
-    stay below 2^60, short of float32 overflow; beyond, the band is all.
-    S is surely below when S + B(S) < score - B(score), surely above when
+    A candidate screened below ``lo`` scores strictly below, by
+    ``score_quads``, one screened at ``score``, and one above ``hi``
+    strictly above; ``offset`` is the mean of the query's term offsets
+    from ``score_step``. The bound: a screen score S is within
+    B(S) = a*S + offset of its ``score_quads`` score; a = g/(1 - g),
+    g = gamma(2k + 12), where gamma(m) = m*u/(1 - m*u) bounds m chained
+    roundings, u = U32. Against the exact norm S* of d = rot(e) - x, x the
+    float64 query vector, the float32 pass errs by gamma(4)*|e_j| per
+    rotated coordinate (casts of cos/sin and of float64 entities, two
+    products, one sum), which rotation, keeping |e_j|, turns into
+    2*gamma(4)*(S* + ||x||_p); by u*|x_i| from the cast of x and u*|d_i|
+    from the subtraction; by gamma(2k + 1)*S* from a plain sum of 2k terms,
+    or for p=2 the squares, their sum and the square root: in all
+    gamma(2k + 9)*S* + gamma(11)*||x||_p. ``score_quads`` (float64,
+    u' = 2^-53) rounds rot(s) + r - conj(rot(o)) its own way, not through
+    x: with cos/sin within 4 ulp, each of its coordinates and of x errs by
+    under gamma'(12) times the terms it adds up; as |c| + |s| <= sqrt(2)
+    and ||e||_1 <= sqrt(2)*(||d||_1 + ||x||_1), that is in all under
+    gamma'(12)*(6*||rot(a)||_1 + 3*||r||_1 + 2*||d||_1). The offset's
+    2^-44*(||rot(a)||_1 + ||r||_1) covers the first two terms four times;
+    the last, as ||d||_1 <= sqrt(2k)*S*, with the norm's gamma'(2k + 3)*S*
+    and a mean of two terms (one rounding per precision; halving is exact)
+    stays under gamma(1). S* in terms of S gives a and the offset's
+    17u*||x||_p > gamma(16)*||x||_p; its sqrt(2k)*2^-68 covers underflow
+    four times. Valid while (2k + 12)*u < 1/8 and scores stay below 2^60,
+    short of float32 overflow; beyond, the band is all. S is surely below
+    when S + B(S) < score - B(score), surely above when
     S - B(S) > score + B(score); both thresholds are rounded outward to
     float32, so the float32 comparisons are exact.
     """

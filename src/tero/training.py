@@ -78,10 +78,12 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.neg_ratio < 1:
             raise ValueError("neg_ratio must be >= 1")
-        if self.margin <= 0:
-            raise ValueError("margin must be > 0")
-        if self.lr <= 0:
-            raise ValueError("lr must be > 0")
+        if not 0 < self.margin < np.inf:  # also rejects nan
+            raise ValueError("margin must be finite and > 0")
+        if not 0 < self.lr < np.inf:
+            raise ValueError("lr must be finite and > 0")
+        if self.valid_every < 1:
+            raise ValueError("valid_every must be >= 1")
         if self.norm_p not in (1, 2):
             raise ValueError("norm_p must be 1 or 2")
 

@@ -4,11 +4,10 @@ Nearly everything here works one element at a time with Python complex
 numbers and plain loops, so it shares no code with the vectorized
 implementations it is used to verify; ``score_oracle`` checks the forward
 kernel that ``score_quads`` and the training step share. The exceptions
-are ``dense_step_oracle``, the dense training step the row-sparse one
-must match bit for bit, ``table_scores_oracle``, the whole-table scoring
-path the blocked kernel must match bit for bit, ``score_one``, which
-calls ``score_quads`` on one quadruple, ``read_facts_oracle``, which checks
-each line with ``read_facts``'s own line parser but without its date memo,
+are ``dense_step_oracle``, the dense training step the row-sparse one must
+match bit for bit, ``score_one``, which calls ``score_quads`` on one
+quadruple, ``read_facts_oracle``, which checks each line with
+``read_facts``'s own line parser but without its date memo,
 ``expand_oracle``, which expands fact by fact through ``endpoint_terms``,
 and ``batch_loss``, the batch loss from ``score_quads`` that ``fd_grads``
 differentiates. ``batch_loss`` shares its forward with ``loss_and_grads``,
@@ -316,43 +315,6 @@ def dense_step_oracle(params: ModelParams, pos, neg, margin: float, neg_ratio: i
         acc += g * g
         arrays[name] -= lr * g / (np.sqrt(acc) + ADAGRAD_EPS)
     return total
-
-
-def table_scores_oracle(params: ModelParams, quad: Quadruple, side: str,
-                        binning: TimeBinning) -> np.ndarray:
-    """Candidate scores of one query through whole rotated tables.
-
-    The reference for ``tero.evaluation.candidate_scores``: every entity is
-    rotated to each term's step into one ``(n_entities, 2k)`` float64
-    ``[re | im]`` table, ``||table[e] - x||_p`` is taken for every row with
-    one vector x per term, and the term scores are averaged in term order.
-    """
-    k = params.k
-    terms = endpoint_terms(quad, binning, params.dual, params.n_relations)
-    anchor = quad.subject if side == "object" else quad.object
-    total = 0
-    for slot, tau in terms:
-        phase = params.phase[tau].astype(np.float64)
-        c, sn = np.cos(phase), np.sin(phase)
-        re, im = params.ent_re, params.ent_im
-        rot_re = re * c
-        rot_re -= im * sn
-        rot_im = re * sn
-        rot_im += im * c
-        table = np.hstack([rot_re, rot_im])
-        a_re, a_im = table[anchor, :k], table[anchor, k:]
-        r_re, r_im = params.rel_re[slot], params.rel_im[slot]
-        if side == "object":
-            x = np.concatenate([a_re + r_re, -(a_im + r_im)])
-        else:
-            x = np.concatenate([a_re - r_re, -a_im - r_im])
-        d = table - x
-        if params.norm_p == 1:
-            dist = np.abs(d).sum(axis=1)
-        else:
-            dist = np.sqrt((d * d).sum(axis=1))
-        total = total + dist
-    return total / len(terms)
 
 
 def random_kg(seed: int = 0, n_entities: int = 50, n_relations: int = 5,

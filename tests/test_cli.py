@@ -270,6 +270,23 @@ class TestTrainCommand:
         log = (out / "training_log.tsv").read_text().strip().splitlines()
         assert log[0].startswith("epoch\t") and len(log) == 3
 
+    @pytest.mark.parametrize("flag,value", [("margin", "nan"), ("margin", "inf"),
+                                            ("lr", "nan"), ("lr", "inf")])
+    def test_non_finite_margin_or_lr_is_usage_error(self, suite_files, tmp_path, capsys,
+                                                    flag, value):
+        _, paths = suite_files
+        out = tmp_path / "run"
+        assert main(self.quick(paths, out, f"--{flag}", value, "--max-epochs", "5")) == 1
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"{flag} = {value}\n", encoding="utf-8")
+        quick = self.quick(paths, out, "--max-epochs", "5")
+        at = quick.index(f"--{flag}")  # a flag would override the file
+        del quick[at:at + 2]
+        assert main([*quick, "--config", str(conf)]) == 1
+        err = capsys.readouterr().err
+        assert err.count(f"tero: error: {flag} must be finite and > 0") == 2
+        assert "Traceback" not in err and not out.exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf/nan pass-through is the point
     def test_numerical_blowup_exits_three(self, suite_files, tmp_path):
         _, paths = suite_files

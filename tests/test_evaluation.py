@@ -11,12 +11,12 @@ from hypothesis import given, strategies as st
 
 import tero
 from conftest import params_from
-from oracles import key_of, random_kg, rank_oracle, table_scores_oracle
+from oracles import key_of, random_kg, rank_oracle
 from tero.data import (PartialDate, Quadruple, TimeAnnotation, bin_fixed, bin_threshold,
-                       time_key)
-from tero.evaluation import (FilterSet, QueryRank, candidate_scores, evaluate,
+                       endpoint_terms, time_key)
+from tero.evaluation import (TIE_MODES, FilterSet, QueryRank, candidate_scores, evaluate,
                              filtered_rank, rank_from_scores)
-from tero.model import init_params, screen_band
+from tero.model import init_params, score_quads, screen_band
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -28,6 +28,18 @@ def day(i: int) -> TimeAnnotation:
 def rank_alone(params, quad, side, fs, binning) -> int:
     """Filtered rank of one query, scored on its own."""
     return filtered_rank(candidate_scores(params, [(quad, side)], binning), 0, fs, binning)
+
+
+def term_mean(params, quad, side, binning) -> np.ndarray:
+    """Scores of every candidate: ``score_quads`` of each endpoint term, averaged."""
+    n = params.n_entities
+    every, fixed = np.arange(n), np.full(n, quad.subject if side == "object" else quad.object)
+    s, o = (fixed, every) if side == "object" else (every, fixed)
+    terms = endpoint_terms(quad, binning, params.dual, params.n_relations)
+    total = np.zeros(n)
+    for slot, tau in terms:
+        total += score_quads(params, s, np.full(n, slot), o, np.full(n, tau))
+    return total / len(terms)
 
 
 def day_binning(n: int):
@@ -230,7 +242,7 @@ class TestCandidateScores:
             assert np.array_equal(batched.scores[q], alone.scores[0])
             assert batched.offsets[q] == alone.offsets[0]
             exact = batched.exact(q, every)
-            assert np.array_equal(exact, table_scores_oracle(params, *query, binning))
+            assert np.array_equal(exact, term_mean(params, *query, binning))
             # a gathered, shuffled subset rescores bit for bit
             rows = np.random.default_rng(q).permutation(n_e)[:7]
             assert np.array_equal(batched.exact(q, rows), exact[rows])
@@ -404,6 +416,40 @@ class TestScreen:
         else:
             assert ((lo <= row[planted["in"]]) & (row[planted["in"]] <= hi)).all()
             assert ((row[planted["out"]] < lo) | (row[planted["out"]] > hi)).all()
+
+    @pytest.mark.parametrize("side", ["subject", "object"])
+    def test_cancelling_query_vector(self, side):
+        # At phase 0 a relation that cancels the anchor makes the query
+        # vector x exactly 0, so the screen scores candidates of size ~1e-13
+        # to float32 accuracy, while score_quads rounds a - e to the ulps of
+        # a. The band must cover that rounding; the target's near copies
+        # sit within it, and their score_quads scores tie in places.
+        n, k = 40, 6
+        binning = day_binning(1)
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            params = init_params(n, 1, 1, k, dual=False, seed=seed)
+            params.phase[:] = 0
+            tiny = 1e-13 * rng.uniform(-1, 1, (2, n - 1, k))
+            tiny[:, 20:] = tiny[:, :1] * (1 + rng.uniform(-1e-5, 1e-5, (2, n - 21, k)))
+            params.ent_re[1:], params.ent_im[1:] = tiny
+            a_re, a_im = params.ent_re[0], params.ent_im[0]
+            # x = 0: r = -a when the object is asked for, r = conj(a) when the subject is
+            params.rel_re[0], params.rel_im[0] = (-a_re, -a_im) if side == "object" else (a_re, -a_im)
+            quad = Quadruple(0, 0, 1, day(0)) if side == "object" else Quadruple(1, 0, 0, day(0))
+            screen = candidate_scores(params, [(quad, side)], binning)
+            fs = FilterSet.build([quad], binning)
+            full = screen.exact(0, np.arange(n))
+            assert np.array_equal(full, term_mean(params, quad, side, binning))
+            keep = np.ones(n, bool)
+            for tie in TIE_MODES:
+                assert filtered_rank(screen, 0, fs, binning, tie) == \
+                    rank_from_scores(full, 1, keep, tie), (seed, tie)
+            order = np.argsort(full, kind="stable")
+            for top_n in (1, 5, 21, n):
+                ids, scores = screen.top(0, top_n)
+                assert np.array_equal(ids, order[:top_n]), (seed, top_n)
+                assert np.array_equal(scores, full[order[:top_n]])
 
 
 class TestEvaluate:

@@ -4,7 +4,9 @@ Small seeded models are trained a few epochs with ``tero train`` on point
 data (p=1, p=2 and dual) and on interval data (dual, p=1 and p=2). Their
 metrics, rank dumps and top-5 predictions must equal, byte for byte, the
 files in ``tests/golden/``, which were made by scoring every candidate in
-float64. To make them again from a tree known to be right:
+float64; ranks and printed scores come from ``tero.model.score_quads``,
+which the screen's uncertain candidates are rescored with. To make them
+again from a tree known to be right:
 
     PYTHONPATH=<that tree>/src python tests/test_golden.py
 """

@@ -198,16 +198,17 @@ class TestBatchScoring:
         n = 150
         params = init_params(n, 2, 3, 4, dual=False, seed=int(seed % 1000), norm_p=p)
         anchor, slot, tau = int(rng.integers(n)), int(rng.integers(2)), int(rng.integers(3))
-        query = (tau, [anchor, anchor], [slot, slot], ["object", "subject"])
         every, fixed = np.arange(n), np.full(n, anchor)
-        obj, subj = score_step(params, *query, every)[0]
         slots, taus = np.full(n, slot), np.full(n, tau)
-        assert np.allclose(obj, score_quads(params, fixed, slots, every, taus),
+        obj = score_quads(params, fixed, slots, every, taus)
+        subj = score_quads(params, every, slots, fixed, taus)
+        assert np.allclose(obj, [score_oracle(params, anchor, slot, e, tau) for e in every],
                            rtol=0, atol=1e-12)
-        assert np.allclose(subj, score_quads(params, every, slots, fixed, taus),
+        assert np.allclose(subj, [score_oracle(params, e, slot, anchor, tau) for e in every],
                            rtol=0, atol=1e-12)
-        # the float32 screen lies inside its bound around every float64 score
-        screen, offsets = score_step(params, *query)
+        # the float32 screen lies inside its bound around every score_quads score
+        screen, offsets = score_step(params, tau, [anchor, anchor], [slot, slot],
+                                     ["object", "subject"])
         assert screen.dtype == np.float32
         for row, exact, offset in zip(screen, (obj, subj), offsets):
             # the band spans both candidates' bounds on each side, ~4 bounds in all

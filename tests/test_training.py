@@ -309,8 +309,10 @@ class TestAdagrad:
 
 
 class TestTrainConfig:
-    @pytest.mark.parametrize("field,value", [("batch_size", 0), ("neg_ratio", 0),
-                                             ("margin", 0.0), ("lr", -0.1), ("norm_p", 3)])
+    @pytest.mark.parametrize("field,value", [
+        ("batch_size", 0), ("neg_ratio", 0), ("margin", 0.0), ("margin", np.nan),
+        ("margin", np.inf), ("lr", -0.1), ("lr", np.nan), ("lr", np.inf), ("norm_p", 3),
+        ("valid_every", 0)])
     def test_invalid_values_rejected(self, field, value):
         with pytest.raises(ValueError):
             TrainConfig(**{field: value})
