@@ -395,15 +395,14 @@ class TimeBinning:
             starts, ends = zip(*pairs)
             if n_tau != len(pairs):
                 raise ValueError(f"n_tau = {n_tau} but {len(pairs)} bins")
-            if any(a > b for a, b in pairs) or any(b >= c for b, c in zip(ends, starts[1:])):
-                raise ValueError("bins must ascend, each start <= end < next start")
+            if any(a > b for a, b in pairs) or any(c != b + 1 for b, c in zip(ends, starts[1:])):
+                raise ValueError("bins must ascend without gaps, start <= end = next start - 1")
             return cls("threshold", param, n_tau, bin_starts=starts, bin_ends=ends)
         except (KeyError, ValueError) as exc:
             raise DataError(f"bad binning manifest: {exc}") from exc
 
 
-def bin_fixed(dates: Sequence[PartialDate], unit_days: int,
-              origin: PartialDate | None = None) -> TimeBinning:
+def bin_fixed(dates: Sequence[PartialDate], unit_days: int) -> TimeBinning:
     """Build a fixed-unit binning over the full day span of ``dates``.
 
     index(d) = floor(days since origin / unit); the number of steps covers
@@ -418,11 +417,8 @@ def bin_fixed(dates: Sequence[PartialDate], unit_days: int,
             raise ValueError(f"fixed-unit binning needs full dates, got {d}")
     ordinals = sorted(d.to_pydate() for d in dates)
     first, last = ordinals[0], ordinals[-1]
-    if origin is None:
-        origin = PartialDate(first.year, first.month, first.day)
-    elif first < origin.to_pydate():
-        raise ValueError(f"date {first} precedes origin {origin}")
-    span_days = (last - origin.to_pydate()).days + 1
+    origin = PartialDate(first.year, first.month, first.day)
+    span_days = (last - first).days + 1
     n_tau = -(-span_days // unit_days)  # ceil
     return TimeBinning("fixed", unit_days, n_tau, origin=origin, span_days=span_days)
 

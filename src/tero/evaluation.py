@@ -14,7 +14,8 @@ by the time steps of their endpoint terms and screens each group with one
 step. Each rank then rescores with ``score_quads`` only the candidates too
 close to the target for the screen to order, so it equals a full pass's rank.
 ``FilterSet.build`` bins each annotation of the facts' annotation table
-(``data.columns``) once and keeps its keys as sorted index arrays.
+(``data.columns``) once, keeps its keys as sorted index arrays and bins each
+query with that same binning; the binning passed to ``evaluate`` only scores.
 """
 
 from __future__ import annotations
@@ -40,12 +41,14 @@ class FilterSet:
     """All positive quadruples keyed by (s, r, o, binned time annotation).
 
     Membership is exact on the full key, so the same triple at a different
-    time step does not match. The keys are held only as per-query indexes of
-    known-true entities, sorted arrays that give a query's entities as one
-    ``searchsorted`` slice; membership and length are read from them.
+    time step does not match. Facts and queries are binned alike, with the
+    ``binning`` it was built with. The keys are held only as per-query
+    indexes of known-true entities, sorted arrays that give a query's
+    entities as one ``searchsorted`` slice.
     """
 
-    def __init__(self, rows: np.ndarray, codes: dict[tuple, int]):
+    def __init__(self, rows: np.ndarray, codes: dict[tuple, int], binning: TimeBinning):
+        self.binning = binning
         self._tk_codes = codes  # time key -> its code in column 3 of rows, (s, r, o, code)
         s, r, o, c = rows.T
         self._n_rel = int(r.max(initial=-1)) + 1
@@ -61,35 +64,25 @@ class FilterSet:
         """One integer per (entity, relation, time code); ids must be in range."""
         return (e * self._n_rel + r) * len(self._tk_codes) + c
 
-    def _true(self, side: str, e: int, r: int, tk: tuple) -> list[int]:
-        c = self._tk_codes.get(tk)
-        if c is None or e < 0 or not 0 <= r < self._n_rel:
-            return []
-        flat, true = self._index[side]
-        key = self._flat(e, r, c)
-        lo, hi = flat.searchsorted([key, key + 1])
-        return true[lo:hi].tolist()
-
     @classmethod
     def build(cls, facts: Iterable[Quadruple], binning: TimeBinning) -> "FilterSet":
         rows, times = columns(facts)
         codes: dict[tuple, int] = {}
         rows[:, 3] = np.array([codes.setdefault(time_key(t, binning), len(codes)) for t in times],
                               np.int64)[rows[:, 3]]
-        return cls(rows, codes)
+        return cls(rows, codes, binning)
 
-    def __contains__(self, key: tuple) -> bool:
-        s, r, o, tk = key
-        return o in self.true_objects(s, r, tk)
-
-    def __len__(self) -> int:
-        return len(self._index["object"][0])
-
-    def true_objects(self, s: int, r: int, tk: tuple) -> list[int]:
-        return self._true("object", s, r, tk)
-
-    def true_subjects(self, o: int, r: int, tk: tuple) -> list[int]:
-        return self._true("subject", o, r, tk)
+    def true_entities(self, quad: Quadruple, side: str) -> list[int]:
+        """Ascending ids of the entities that, put on ``side`` of ``quad``, make a
+        true fact at the query's own binned time."""
+        anchor = quad.subject if side == "object" else quad.object
+        c = self._tk_codes.get(time_key(quad.time, self.binning))
+        if c is None or anchor < 0 or not 0 <= quad.relation < self._n_rel:
+            return []
+        flat, true = self._index[side]
+        key = self._flat(anchor, quad.relation, c)
+        lo, hi = flat.searchsorted([key, key + 1])
+        return true[lo:hi].tolist()
 
 
 class QueryRank(NamedTuple):
@@ -198,17 +191,11 @@ def candidate_scores(params: ModelParams, queries: Sequence[tuple[Quadruple, str
     return Screen(params, queries, terms, out, offsets)
 
 
-def filtered_rank(screen: Screen, q: int, filter_set: FilterSet, binning: TimeBinning,
-                  tie: str = "mean") -> int:
+def filtered_rank(screen: Screen, q: int, filter_set: FilterSet, tie: str = "mean") -> int:
     """Time-wise filtered rank of query q of ``screen``, as ``score_quads`` would give it."""
     quad, side = screen.queries[q]
-    tk = time_key(quad.time, binning)
-    if side == "object":
-        true_ids = filter_set.true_objects(quad.subject, quad.relation, tk)
-        target = quad.object
-    else:
-        true_ids = filter_set.true_subjects(quad.object, quad.relation, tk)
-        target = quad.subject
+    true_ids = filter_set.true_entities(quad, side)
+    target = quad.object if side == "object" else quad.subject
     if target not in true_ids:
         raise ValueError("test quadruple is not in the filter set")
     keep = np.ones(screen.scores.shape[1], dtype=bool)
@@ -223,10 +210,11 @@ def filtered_rank(screen: Screen, q: int, filter_set: FilterSet, binning: TimeBi
 
 
 def evaluate(params: ModelParams, test_facts: Sequence[Quadruple], filter_set: FilterSet,
-             binning: TimeBinning, tie: str = "mean", threads: int = 1,
-             score_binning: TimeBinning | None = None) -> EvalReport:
+             binning: TimeBinning, tie: str = "mean", threads: int = 1) -> EvalReport:
     """Rank both sides of every test fact and aggregate MRR / Hits@k.
 
+    ``binning`` scores the queries; the filter keys on its own binning, so
+    a model trained on another granularity is judged under the same filter.
     Queries are grouped by the time steps of their endpoint terms, and each
     group, up to QUERIES_PER_CALL queries at a time, is scored with one
     ``candidate_scores`` call. With ``threads > 1`` those calls go to the
@@ -236,18 +224,16 @@ def evaluate(params: ModelParams, test_facts: Sequence[Quadruple], filter_set: F
     if not test_facts:
         raise ValueError("empty test set")
     queries = [(q, side) for q in test_facts for side in ("subject", "object")]
-    score_binning = binning if score_binning is None else score_binning
     groups: dict[tuple[int, ...], list[int]] = {}
     for i, (quad, _) in enumerate(queries):
-        terms = endpoint_terms(quad, score_binning, params.dual, params.n_relations)
+        terms = endpoint_terms(quad, binning, params.dual, params.n_relations)
         groups.setdefault(tuple(sorted({tau for _, tau in terms})), []).append(i)
     calls = [members[j:j + QUERIES_PER_CALL] for members in groups.values()
              for j in range(0, len(members), QUERIES_PER_CALL)]
 
     def run(members: list[int]) -> list[tuple[int, int]]:
-        screen = candidate_scores(params, [queries[i] for i in members], score_binning)
-        return [(i, filtered_rank(screen, q, filter_set, binning, tie))
-                for q, i in enumerate(members)]
+        screen = candidate_scores(params, [queries[i] for i in members], binning)
+        return [(i, filtered_rank(screen, q, filter_set, tie)) for q, i in enumerate(members)]
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -22,7 +22,7 @@ from datetime import date, timedelta
 import numpy as np
 
 from .data import (Dataset, PartialDate, Quadruple, TimeAnnotation, Vocab,
-                   build_binning, time_key)
+                   build_binning, endpoint_terms)
 
 _EPOCH = date(2000, 1, 1)
 
@@ -45,7 +45,7 @@ def _split(items: list, n_valid: int, n_test: int,
 def _check_coverage(train: list[Quadruple], n_entities: int, n_steps: int,
                     binning) -> None:
     ents = {q.subject for q in train} | {q.object for q in train}
-    taus = {time_key(q.time, binning)[0] for q in train}
+    taus = {tau for q in train for _, tau in endpoint_terms(q, binning, False, 1)}
     if len(ents) != n_entities or len(taus) != n_steps:
         raise ValueError("training split does not cover every entity and time step; "
                          "pick another split seed")

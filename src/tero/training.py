@@ -344,10 +344,10 @@ def train_and_test(ds: Dataset, config: TrainConfig, train_binning: TimeBinning 
     """``train`` on ``ds``, then ``evaluate`` the best snapshot on ``ds.test``.
 
     Training and test scoring use ``train_binning`` (default ``ds.binning``);
-    the time-wise filter always keys on ``ds.binning``.
+    the time-wise filter is built on, and keeps, ``ds.binning``.
     """
     binning = ds.binning if train_binning is None else train_binning
     best, history = train(ds.train, ds.valid, config, binning, ds.vocab, progress=progress)
     filter_set = evaluation.FilterSet.build(ds.all_facts, ds.binning)
-    report = evaluation.evaluate(best, ds.test, filter_set, ds.binning, score_binning=binning)
+    report = evaluation.evaluate(best, ds.test, filter_set, binning)
     return best, history, report

@@ -12,10 +12,10 @@ quadruple, ``read_facts_oracle``, which checks each line with
 and ``batch_loss``, the batch loss from ``score_quads`` that ``fd_grads``
 differentiates. ``batch_loss`` shares its forward with ``loss_and_grads``,
 so the finite differences check the hand-derived backward, not the
-forward. ``key_of``, ``param_count``, ``loss`` (on the training step's
-``_softplus``), ``format_fact``, ``is_begin_only`` and ``is_end_only`` are
-small helpers that only the tests use, as is the ``random_kg`` dataset
-generator.
+forward. ``key_of``, ``filter_key_count``, ``param_count``, ``loss`` (on
+the training step's ``_softplus``), ``format_fact``, ``is_begin_only`` and
+``is_end_only`` are small helpers that only the tests use, as is the
+``random_kg`` dataset generator.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import numpy as np
 
 from tero.data import (POINT_TSV, Dataset, Quadruple, RawFact, TimeAnnotation, TimeBinning,
                        Vocab, _parse_line, endpoint_terms, time_key)
+from tero.evaluation import FilterSet
 from tero.model import ModelParams, score_quads
 from tero.synthetic import _day, _make_dataset
 
@@ -139,6 +140,16 @@ def rank_oracle(params: ModelParams, quad: Quadruple, side: str, positive_keys: 
 
 def key_of(quad: Quadruple, binning: TimeBinning) -> tuple:
     return (quad.subject, quad.relation, quad.object, time_key(quad.time, binning))
+
+
+def filter_key_count(fs: FilterSet, facts: Sequence[Quadruple]) -> int:
+    """Number of distinct keys ``fs`` holds for ``facts``, the facts it was built from.
+
+    Sums the true objects of each distinct (subject, relation, time key), so
+    a repeated key counts once.
+    """
+    anchors = {(q.subject, q.relation, time_key(q.time, fs.binning)): q for q in facts}
+    return sum(len(fs.true_entities(q, "object")) for q in anchors.values())
 
 
 def format_fact(quad: Quadruple, vocab: Vocab, fmt: str) -> str:

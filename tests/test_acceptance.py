@@ -109,7 +109,7 @@ def test_criterion_3_ranking_matches_bruteforce_oracle():
         checked = 0
         for quad, side, rank in report.ranks:
             screen = candidate_scores(params, [(quad, side)], ds.binning)
-            fast = filtered_rank(screen, 0, fs, ds.binning)
+            fast = filtered_rank(screen, 0, fs)
             slow = rank_oracle(params, quad, side, keys, ds.binning)
             assert fast == slow, f"{quad} {side}: {fast} != {slow}"
             assert rank == slow, f"evaluate {quad} {side}: {rank} != {slow}"

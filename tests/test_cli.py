@@ -458,6 +458,8 @@ class TestPredictCommand:
         # n_tau matches the checkpoint's 2 steps, but not the span or the bins
         "mode = fixed\nparam = 1\nn_tau = 2\norigin = 2014-01-01\nspan_days = 30\n",
         "mode = threshold\nparam = 1\nn_tau = 2\nbins = 2014:2014,2015:2015,2016:2016\n",
+        # two bins, as the checkpoint has, but 2015 falls in neither
+        "mode = threshold\nparam = 1\nn_tau = 2\nbins = 2014:2014,2016:2016\n",
     ])
     def test_bad_binning_manifest_is_data_error(self, tmp_path, capsys, manifest):
         ckpt = self.make_constructed_checkpoint(tmp_path)

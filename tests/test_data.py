@@ -468,6 +468,9 @@ class TestManifest:
          "bins must ascend"),
         ("mode = threshold\nparam = 5\nn_tau = 2\nbins = 2004:2005,2000:2001\n",
          "bins must ascend"),
+        # a gap: index_of would put 2002-2004 into bin 0
+        ("mode = threshold\nparam = 5\nn_tau = 2\nbins = 2000:2001,2005:2006\n",
+         "bins must ascend without gaps"),
     ])
     def test_inconsistent_threshold_manifest_rejected(self, text, message):
         with pytest.raises(DataError, match=f"bad binning manifest: {message}"):

@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 
 import tero
 from conftest import params_from
-from oracles import key_of, random_kg, rank_oracle
+from oracles import filter_key_count, key_of, random_kg, rank_oracle
 from tero.data import (PartialDate, Quadruple, TimeAnnotation, bin_fixed, bin_threshold,
                        endpoint_terms, time_key)
 from tero.evaluation import (TIE_MODES, FilterSet, QueryRank, candidate_scores, evaluate,
@@ -27,7 +27,7 @@ def day(i: int) -> TimeAnnotation:
 
 def rank_alone(params, quad, side, fs, binning) -> int:
     """Filtered rank of one query, scored on its own."""
-    return filtered_rank(candidate_scores(params, [(quad, side)], binning), 0, fs, binning)
+    return filtered_rank(candidate_scores(params, [(quad, side)], binning), 0, fs)
 
 
 def term_mean(params, quad, side, binning) -> np.ndarray:
@@ -106,26 +106,26 @@ class TestFilterSet:
         binning = day_binning(5)
         facts = [Quadruple(0, 0, 1, day(0)), Quadruple(0, 0, 1, day(3))]
         fs = FilterSet.build(facts, binning)
-        assert len(fs) == 2
-        assert (0, 0, 1, (0, 0)) in fs
-        assert (0, 0, 1, (3, 3)) in fs
-        assert (0, 0, 1, (1, 1)) not in fs
-        assert (0, 0, 2, (0, 0)) not in fs
+        assert filter_key_count(fs, facts) == 2
+        assert 1 in fs.true_entities(Quadruple(0, 0, 1, day(0)), "object")
+        assert 1 in fs.true_entities(Quadruple(0, 0, 1, day(3)), "object")
+        assert 1 not in fs.true_entities(Quadruple(0, 0, 1, day(1)), "object")
+        assert 2 not in fs.true_entities(Quadruple(0, 0, 2, day(0)), "object")
 
     def test_same_step_facts_merge(self):
         binning = bin_fixed([PartialDate(2014, 1, 1), PartialDate(2014, 1, 10)], 5)
         facts = [Quadruple(0, 0, 1, day(0)), Quadruple(0, 0, 1, day(3))]
         fs = FilterSet.build(facts, binning)
-        assert len(fs) == 1  # both dates fall in step 0
+        assert filter_key_count(fs, facts) == 1  # both dates fall in step 0
 
     def test_true_entity_indexes(self):
         binning = day_binning(5)
         facts = [Quadruple(0, 0, 1, day(0)), Quadruple(0, 0, 2, day(0)),
                  Quadruple(3, 0, 1, day(0))]
         fs = FilterSet.build(facts, binning)
-        assert sorted(fs.true_objects(0, 0, (0, 0))) == [1, 2]
-        assert sorted(fs.true_subjects(1, 0, (0, 0))) == [0, 3]
-        assert fs.true_objects(9, 0, (0, 0)) == []
+        assert fs.true_entities(Quadruple(0, 0, 7, day(0)), "object") == [1, 2]
+        assert fs.true_entities(Quadruple(7, 0, 1, day(0)), "subject") == [0, 3]
+        assert fs.true_entities(Quadruple(9, 0, 7, day(0)), "object") == []
 
     @given(seeds)
     def test_true_entities_match_a_scan_of_the_keys(self, seed):
@@ -139,16 +139,20 @@ class TestFilterSet:
                  for _ in range(int(rng.integers(0, 40)))]
         fs = FilterSet.build(facts, binning)
         keys = {key_of(q, binning) for q in facts}
-        assert len(fs) == len(keys) and all(key in fs for key in keys)
-        for e in range(-1, 6):
-            for r in range(-1, 3):
-                for tk in {time_key(t, binning) for t in times} | {(None, 9)}:
-                    assert sorted(fs.true_objects(e, r, tk)) == \
+        assert filter_key_count(fs, facts) == len(keys)
+        assert all(q.object in fs.true_entities(q, "object") for q in facts)
+        # a point in the last year is an annotation that no fact has
+        for time in times + [TimeAnnotation.point(y[2])]:
+            tk = time_key(time, binning)
+            for e in range(-1, 6):
+                for r in range(-1, 3):
+                    assert fs.true_entities(Quadruple(e, r, 0, time), "object") == \
                         sorted(o for s, rr, o, t in keys if (s, rr, t) == (e, r, tk))
-                    assert sorted(fs.true_subjects(e, r, tk)) == \
+                    assert fs.true_entities(Quadruple(0, r, e, time), "subject") == \
                         sorted(s for s, rr, o, t in keys if (o, rr, t) == (e, r, tk))
                     for o in range(-1, 6):
-                        assert ((e, r, o, tk) in fs) == ((e, r, o, tk) in keys)
+                        held = o in fs.true_entities(Quadruple(e, r, o, time), "object")
+                        assert held == ((e, r, o, tk) in keys)
 
     def test_keeps_little_memory_per_key(self):
         # the sorted index arrays take 32 bytes a key; a set of key tuples
@@ -165,8 +169,9 @@ class TestFilterSet:
             kept = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert len(fs) == 5000
-        assert kept / len(fs) < 64
+        n_keys = filter_key_count(fs, facts)
+        assert n_keys == 5000
+        assert kept / n_keys < 64
 
     def test_generator_of_fresh_quadruples_matches_list(self):
         # every quadruple and annotation the generator yields is freed once
@@ -181,18 +186,19 @@ class TestFilterSet:
         from_list = FilterSet.build(ds.all_facts, ds.binning)
         from_generator = FilterSet.build(fresh(), ds.binning)
         keys = {key_of(q, ds.binning) for q in ds.all_facts}
-        assert len(from_generator) == len(from_list) == len(keys)
-        assert all(key in from_generator for key in keys)
-        for s, r, o, tk in keys:
-            assert from_generator.true_objects(s, r, tk) == from_list.true_objects(s, r, tk)
-            assert from_generator.true_subjects(o, r, tk) == from_list.true_subjects(o, r, tk)
+        assert filter_key_count(from_generator, ds.all_facts) == \
+            filter_key_count(from_list, ds.all_facts) == len(keys)
+        assert all(q.object in from_generator.true_entities(q, "object") for q in ds.all_facts)
+        for q in ds.all_facts:
+            for side in ("subject", "object"):
+                assert from_generator.true_entities(q, side) == from_list.true_entities(q, side)
 
 
     def test_lists_are_the_same_in_every_process(self):
         # interval keys hold None, whose hash changes per process, so lists
         # that followed the set order of the keys would differ between runs
         script = (
-            "from tero.data import PartialDate, Quadruple, TimeAnnotation, bin_threshold, time_key\n"
+            "from tero.data import PartialDate, Quadruple, TimeAnnotation, bin_threshold\n"
             "from tero.evaluation import FilterSet\n"
             "y = [PartialDate(2000 + i) for i in range(3)]\n"
             "times = [TimeAnnotation(y[0], None), TimeAnnotation(None, y[2]), "
@@ -200,8 +206,7 @@ class TestFilterSet:
             "facts = [Quadruple(i % 3, i % 2, 7 * i % 11, times[i % 3]) for i in range(200)]\n"
             "binning = bin_threshold({2000: 1, 2001: 1, 2002: 1}, 1)\n"
             "fs = FilterSet.build(facts, binning)\n"
-            "print([(fs.true_objects(q.subject, q.relation, time_key(q.time, binning)),\n"
-            "        fs.true_subjects(q.object, q.relation, time_key(q.time, binning)))\n"
+            "print([(fs.true_entities(q, 'object'), fs.true_entities(q, 'subject'))\n"
             "       for q in facts])\n")
         src = str(Path(tero.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
@@ -398,12 +403,12 @@ class TestScreen:
                   else Quadruple(quad.subject, quad.relation, e, quad.time) for e in (21, 25, 31)]
         fs = FilterSet.build([quad, *others], binning)
         keys = {key_of(q, binning) for q in [quad, *others]}
-        assert filtered_rank(screen, 0, fs, binning) == rank_oracle(params, quad, side, keys, binning)
+        assert filtered_rank(screen, 0, fs) == rank_oracle(params, quad, side, keys, binning)
         full = screen.exact(0, np.arange(n))
         keep = np.ones(n, bool)
         keep[[21, 25, 31]] = False
         for tie in ("mean", "optimistic", "pessimistic"):
-            assert filtered_rank(screen, 0, fs, binning, tie) == rank_from_scores(full, 0, keep, tie)
+            assert filtered_rank(screen, 0, fs, tie) == rank_from_scores(full, 0, keep, tie)
         order = np.argsort(full, kind="stable")
         for top_n in {1, int((full < full[0]).sum()) + 1, 25, n, n + 3}:
             ids, scores = screen.top(0, top_n)
@@ -443,7 +448,7 @@ class TestScreen:
             assert np.array_equal(full, term_mean(params, quad, side, binning))
             keep = np.ones(n, bool)
             for tie in TIE_MODES:
-                assert filtered_rank(screen, 0, fs, binning, tie) == \
+                assert filtered_rank(screen, 0, fs, tie) == \
                     rank_from_scores(full, 1, keep, tie), (seed, tie)
             order = np.argsort(full, kind="stable")
             for top_n in (1, 5, 21, n):
@@ -517,10 +522,11 @@ class TestEvaluateMatchesOracle:
 
     def assert_matches_oracle(self, params, facts, all_facts, binning, score_binning=None,
                               threads=1):
+        """Filter keys on ``binning``; scores use ``score_binning`` when given."""
         fs = FilterSet.build(all_facts, binning)
         keys = {key_of(q, binning) for q in all_facts}
-        report = evaluate(params, facts, fs, binning, threads=threads,
-                          score_binning=score_binning)
+        report = evaluate(params, facts, fs, binning if score_binning is None else score_binning,
+                          threads=threads)
         assert [(qr.quad, qr.side) for qr in report.ranks] == \
             [(q, side) for q in facts for side in ("subject", "object")]
         for qr in report.ranks:
@@ -584,7 +590,21 @@ class TestScoreBinningSplit:
         params = init_params(ds.vocab.n_entities, ds.vocab.n_relations, flat.n_tau,
                              4, dual=False, seed=31)
         fs = FilterSet.build(ds.all_facts, ds.binning)
-        report = evaluate(params, ds.test[:4], fs, ds.binning, score_binning=flat)
+        report = evaluate(params, ds.test[:4], fs, flat)
         assert len(report.ranks) == 8
         for qr in report.ranks:
             assert 1 <= qr.rank <= ds.vocab.n_entities
+
+    def test_filter_keeps_its_own_binning(self):
+        # evaluate()'s binning only scores: the filter still removes the
+        # true facts of each query's own fine step, not those of the one
+        # collapsed step
+        from tero.synthetic import collapsed_binning, temporary_relation_suite
+        ds = temporary_relation_suite()
+        flat = collapsed_binning(ds)
+        params = init_params(ds.vocab.n_entities, ds.vocab.n_relations, flat.n_tau,
+                             4, dual=False, seed=37)
+        report = evaluate(params, ds.test, FilterSet.build(ds.all_facts, ds.binning), flat)
+        keys = {key_of(q, ds.binning) for q in ds.all_facts}
+        assert [qr.rank for qr in report.ranks] == \
+            [rank_oracle(params, qr.quad, qr.side, keys, ds.binning, flat) for qr in report.ranks]
