@@ -48,13 +48,26 @@ BLOCK_ROWS = 64
 U32 = 2.0 ** -24  # unit roundoff of float32
 
 
+class Accumulators(dict):
+    """Adagrad accumulators by table name: float64 zeros, each made on first
+    access, so a model that is only scored holds none."""
+
+    def __init__(self, shapes: dict[str, tuple[int, ...]], made=()):
+        super().__init__(made)
+        self._shapes = shapes
+
+    def __missing__(self, name: str) -> np.ndarray:
+        acc = self[name] = np.zeros(self._shapes[name], dtype=np.float64)
+        return acc
+
+
 @dataclass
 class ModelParams:
     """All trainable arrays plus their Adagrad accumulators.
 
     ``rel_re``/``rel_im`` have ``2 * n_relations`` rows when ``dual`` (begin
     block then end block), else ``n_relations``. Accumulators are float64
-    regardless of the parameter dtype.
+    regardless of the parameter dtype and made on first access.
     """
 
     ent_re: np.ndarray  # (n_entities, k)
@@ -68,10 +81,8 @@ class ModelParams:
     acc: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        if not self.acc:
-            # float64 accumulators: squared-gradient sums underflow float32
-            self.acc = {name: np.zeros(arr.shape, dtype=np.float64)
-                        for name, arr in self.arrays().items()}
+        # float64 accumulators: squared-gradient sums underflow float32
+        self.acc = Accumulators({n: a.shape for n, a in self.arrays().items()}, self.acc)
 
     def arrays(self) -> dict[str, np.ndarray]:
         return {"ent_re": self.ent_re, "ent_im": self.ent_im,

@@ -278,7 +278,20 @@ class TestInit:
         p = init_params(1, 1, 1, 1, dual=False, seed=0)
         assert p.ent_re.shape == (1, 1) and p.rel_re.shape == (1, 1)
         assert p.phase.shape == (1, 1)
-        assert all(np.array_equal(acc, np.zeros((1, 1))) for acc in p.acc.values())
+        assert all(np.array_equal(p.acc[name], np.zeros((1, 1))) for name in p.arrays())
+
+    def test_accumulators_made_on_first_access(self, tmp_path):
+        p = init_params(4, 2, 3, 5, dual=True, seed=1)
+        save_checkpoint(p, tmp_path / "m.tero")
+        loaded, _ = load_checkpoint(tmp_path / "m.tero")
+        score_quads(loaded, np.array([0, 3]), np.array([1, 2]), np.array([2, 1]), np.array([0, 2]))
+        assert not p.acc and not loaded.acc  # scoring alone makes none
+        p.acc["rel_re"] += 1.0
+        assert list(p.acc) == ["rel_re"] and p.acc["rel_re"].shape == (4, 5)
+        assert p.acc["rel_re"].dtype == np.float64 and (p.acc["rel_re"] == 1.0).all()
+        q = p.copy()
+        assert list(q.acc) == ["rel_re"] and q.acc["rel_re"] is not p.acc["rel_re"]
+        assert np.array_equal(q.acc["phase"], np.zeros((3, 5)))
 
     def test_dual_doubles_relation_rows(self):
         p = init_params(2, 3, 1, 2, dual=True, seed=0)
