@@ -71,7 +71,9 @@ OPTIONS: tuple[Option, ...] = (
     Option("object", str, None, "query", "object entity (subject-side query)", metavar="STR"),
     Option("time", str, None, "query",
            "date, 'B..E' interval, 'B..' begin only or '..E' end only", metavar="T"),
-    Option("side", str, "object", "query", "which side to predict", ("subject", "object")),
+    Option("side", str, None, "query",
+           "which side to predict (default: object if --subject is given, else subject)",
+           ("subject", "object")),
     Option("top_n", int, 10, "query", "completions to print", min=1),
 )
 _OPTION = {opt.name: opt for opt in OPTIONS}
@@ -235,6 +237,7 @@ def cmd_train(cfg: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     _write_sidecar(ds, out)
     ckpt = Path(cfg.checkpoint) if cfg.checkpoint else out / "model.tero"
+    ckpt.parent.mkdir(parents=True, exist_ok=True)
     best, history = train(ds.train, ds.valid, config, ds.binning, ds.vocab,
                           log_path=out / "training_log.tsv", progress=True)
     save_checkpoint(best, ckpt, vocab_ref=str(out))
@@ -259,8 +262,8 @@ def _load_model(cfg: RunConfig):
         raise DataError(str(exc)) from exc
     sidecar = Path(vocab_ref) if vocab_ref else Path(cfg.out_dir)
     if not sidecar.is_absolute() and not sidecar.exists():
-        alt = Path(cfg.checkpoint).parent / sidecar
-        sidecar = alt if alt.exists() else sidecar
+        # relative to where training ran; from elsewhere, look next to the checkpoint
+        sidecar = Path(cfg.checkpoint).parent
     vocab = Vocab.load(sidecar)
     if (vocab.n_entities, vocab.n_relations) != (params.n_entities, params.n_relations):
         raise DataError(f"sidecar vocab has {vocab.n_entities} entities and "
@@ -320,7 +323,8 @@ def _parse_query_time(text: str) -> TimeAnnotation:
 def cmd_predict(cfg: RunConfig) -> int:
     params, vocab, binning = _load_model(cfg)
     _require(cfg, "relation", "time")
-    anchor_name = "subject" if cfg.side == "object" else "object"
+    side = cfg.side or ("object" if cfg.subject is not None else "subject")
+    anchor_name = "subject" if side == "object" else "object"
     _require(cfg, anchor_name)
 
     def ent_id(token: str) -> int:
@@ -336,12 +340,12 @@ def cmd_predict(cfg: RunConfig) -> int:
         annotation = _parse_query_time(cfg.time)
     except ValueError as exc:
         raise DataError(str(exc)) from exc
-    if cfg.side == "object":
+    if side == "object":
         quad = Quadruple(anchor, rel, 0, annotation)
     else:
         quad = Quadruple(0, rel, anchor, annotation)
     try:
-        ids, scores = candidate_scores(params, [(quad, cfg.side)], binning).top(0, cfg.top_n)
+        ids, scores = candidate_scores(params, [(quad, side)], binning).top(0, cfg.top_n)
     except ValueError as exc:
         raise DataError(str(exc)) from exc
     for idx, score in zip(ids, scores):

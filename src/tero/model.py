@@ -32,7 +32,7 @@ from __future__ import annotations
 import contextlib
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,26 +48,12 @@ BLOCK_ROWS = 64
 U32 = 2.0 ** -24  # unit roundoff of float32
 
 
-class Accumulators(dict):
-    """Adagrad accumulators by table name: float64 zeros, each made on first
-    access, so a model that is only scored holds none."""
-
-    def __init__(self, shapes: dict[str, tuple[int, ...]], made=()):
-        super().__init__(made)
-        self._shapes = shapes
-
-    def __missing__(self, name: str) -> np.ndarray:
-        acc = self[name] = np.zeros(self._shapes[name], dtype=np.float64)
-        return acc
-
-
 @dataclass
 class ModelParams:
-    """All trainable arrays plus their Adagrad accumulators.
+    """The five trainable arrays and their shape facts.
 
     ``rel_re``/``rel_im`` have ``2 * n_relations`` rows when ``dual`` (begin
-    block then end block), else ``n_relations``. Accumulators are float64
-    regardless of the parameter dtype and made on first access.
+    block then end block), else ``n_relations``.
     """
 
     ent_re: np.ndarray  # (n_entities, k)
@@ -78,11 +64,6 @@ class ModelParams:
     n_relations: int
     dual: bool
     norm_p: int = 1
-    acc: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        # float64 accumulators: squared-gradient sums underflow float32
-        self.acc = Accumulators({n: a.shape for n, a in self.arrays().items()}, self.acc)
 
     def arrays(self) -> dict[str, np.ndarray]:
         return {"ent_re": self.ent_re, "ent_im": self.ent_im,
@@ -104,23 +85,9 @@ class ModelParams:
     def n_slots(self) -> int:
         return self.rel_re.shape[0]
 
-    @property
-    def relation_begin(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.rel_re[: self.n_relations], self.rel_im[: self.n_relations]
-
-    @property
-    def relation_end(self) -> tuple[np.ndarray, np.ndarray]:
-        # Aliases the begin block on single-slot models.
-        if not self.dual:
-            return self.rel_re, self.rel_im
-        return self.rel_re[self.n_relations:], self.rel_im[self.n_relations:]
-
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            self.ent_re.copy(), self.ent_im.copy(), self.rel_re.copy(), self.rel_im.copy(),
-            self.phase.copy(), self.n_relations, self.dual, self.norm_p,
-            acc={k: v.copy() for k, v in self.acc.items()},
-        )
+        return ModelParams(*(a.copy() for a in self.arrays().values()),
+                           self.n_relations, self.dual, self.norm_p)
 
 
 def init_params(n_entities: int, n_relations: int, n_tau: int, k: int, dual: bool,
@@ -128,8 +95,8 @@ def init_params(n_entities: int, n_relations: int, n_tau: int, k: int, dual: boo
     """Seeded uniform initialization.
 
     Entity/relation components are uniform in +-6/sqrt(2k) per real and
-    imaginary part; phases are uniform in [0, 2*pi). Accumulators start at
-    zero. Identical seeds give bit-identical parameters.
+    imaginary part; phases are uniform in [0, 2*pi). Identical seeds give
+    bit-identical parameters.
     """
     if min(n_entities, n_relations, n_tau, k) < 1:
         raise ValueError("all dimensions must be at least 1")
@@ -344,15 +311,18 @@ def save_checkpoint(params: ModelParams, path, vocab_ref: str = "") -> None:
     """
     head = struct.pack("<7I", CHECKPOINT_VERSION, params.n_entities, params.n_relations,
                        params.n_tau, params.k, int(params.dual), params.norm_p)
-    rb_re, rb_im = params.relation_begin
-    re_re, re_im = params.relation_end
+    # slot r + n_r ends relation r on dual models; single-slot models store
+    # their one block as both begin and end
+    n_r = params.n_relations
+    end = n_r if params.dual else 0
     ref = vocab_ref.encode("utf-8")
     tmp = os.fspath(path) + ".tmp"
     try:
         with open(tmp, "wb") as fh:
             fh.write(CHECKPOINT_MAGIC)
             fh.write(head)
-            for arr in (params.ent_re, params.ent_im, rb_re, rb_im, re_re, re_im, params.phase):
+            for arr in (params.ent_re, params.ent_im, params.rel_re[:n_r], params.rel_im[:n_r],
+                        params.rel_re[end:], params.rel_im[end:], params.phase):
                 fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
             fh.write(struct.pack("<I", len(ref)))
             fh.write(ref)
@@ -366,7 +336,7 @@ def save_checkpoint(params: ModelParams, path, vocab_ref: str = "") -> None:
 
 
 def load_checkpoint(path) -> tuple[ModelParams, str]:
-    """Read a checkpoint; returns fresh params (zero accumulators) + vocab ref.
+    """Read a checkpoint; returns its params and vocab sidecar reference.
 
     The file size is checked against the header before any array is read,
     and each array is read straight into its float32 array.

@@ -12,7 +12,8 @@ components, and time phases. Quadruples whose loss weight has saturated to
 zero are dropped before the backward pass. Gradients are row-sparse: each
 table gets the sorted rows that a remaining quadruple touches and a
 gradient for those rows only, and Adagrad reads and writes only those rows
-of the table and of its accumulator. A step therefore costs time in
+of the table and of its squared-gradient sums, the Adagrad state that
+``train`` keeps beside the parameters. A step therefore costs time in
 proportion to the batch, not to the tables.
 
 The step works on blocks of BLOCK_ROWS quadruples or rows, so that its
@@ -244,31 +245,35 @@ def loss_and_grads(params: ModelParams, pos: np.ndarray, neg: np.ndarray,
                    "phase": (tau_rows, g_tau)}
 
 
-def apply_adagrad(params: ModelParams, grads: dict[str, tuple[np.ndarray, np.ndarray]],
-                  lr: float) -> None:
+def apply_adagrad(params: ModelParams, acc: dict[str, np.ndarray],
+                  grads: dict[str, tuple[np.ndarray, np.ndarray]], lr: float) -> None:
     """In-place Adagrad on the given rows: G += g^2, x -= lr * g / (sqrt(G) + eps).
 
-    ``grads`` maps a table name to ``(rows, g)`` with unique ``rows``, as
-    ``loss_and_grads`` returns it; only those rows of the table and of its
-    accumulator are read or written, BLOCK_ROWS rows at a time. The float64
-    step rounds into the storage dtype on assignment.
+    ``acc`` holds G by table name, float64 (squared gradients underflow
+    float32); a table it lacks is made as zeros on first use. ``grads``
+    maps a table name to ``(rows, g)`` with unique ``rows``, as
+    ``loss_and_grads`` returns it; only those rows of the table and of G
+    are read or written, BLOCK_ROWS rows at a time. The float64 step rounds
+    into the storage dtype on assignment.
     """
     arrays = params.arrays()
     for name, (rows, g) in grads.items():
-        table, acc_table = arrays[name], params.acc[name]
+        if name not in acc:
+            acc[name] = np.zeros(arrays[name].shape)
+        table, acc_table = arrays[name], acc[name]
         for lo in range(0, len(rows), BLOCK_ROWS):
             r, g_b = rows[lo: lo + BLOCK_ROWS], g[lo: lo + BLOCK_ROWS]
-            acc = acc_table[r]
-            acc += g_b * g_b
-            acc_table[r] = acc
-            table[r] -= lr * g_b / (np.sqrt(acc) + ADAGRAD_EPS)
+            g_sum = acc_table[r]
+            g_sum += g_b * g_b
+            acc_table[r] = g_sum
+            table[r] -= lr * g_b / (np.sqrt(g_sum) + ADAGRAD_EPS)
 
 
-def grad_step(params: ModelParams, pos: np.ndarray, neg: np.ndarray,
-              config: TrainConfig) -> float:
-    """One optimization step over a batch; mutates params, returns mean loss."""
+def grad_step(params: ModelParams, acc: dict[str, np.ndarray], pos: np.ndarray,
+              neg: np.ndarray, config: TrainConfig) -> float:
+    """One optimization step over a batch; mutates params and acc, returns mean loss."""
     total, grads = loss_and_grads(params, pos, neg, config.margin, config.neg_ratio)
-    apply_adagrad(params, grads, config.lr)
+    apply_adagrad(params, acc, grads, config.lr)
     return total
 
 
@@ -290,6 +295,10 @@ def train(train_facts: Sequence[Quadruple], valid_facts: Sequence[Quadruple],
     quads = expand_for_training(train_facts, binning, config.dual, vocab.n_relations)
     params = init_params(vocab.n_entities, vocab.n_relations, binning.n_tau,
                          config.k, config.dual, config.seed, config.norm_p)
+    # Adagrad state, filled by the first step after its temporaries: made
+    # before them, it leaves the heap top free for glibc to trim after every
+    # step, and page faults per step double (ICEWS14 shape)
+    acc: dict[str, np.ndarray] = {}
     rng = np.random.default_rng([config.seed, 1])
     filter_set = None
     if valid_facts:
@@ -310,7 +319,7 @@ def train(train_facts: Sequence[Quadruple], valid_facts: Sequence[Quadruple],
             for lo in range(0, len(quads), config.batch_size):
                 pos = quads[order[lo: lo + config.batch_size]]
                 neg = _corrupt_batch(pos, config.neg_ratio, vocab.n_entities, rng)
-                epoch_loss += grad_step(params, pos, neg, config) * len(pos)
+                epoch_loss += grad_step(params, acc, pos, neg, config) * len(pos)
             epoch_loss /= len(quads)
 
             if filter_set is not None and epoch % config.valid_every == 0:

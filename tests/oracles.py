@@ -13,9 +13,9 @@ and ``batch_loss``, the batch loss from ``score_quads`` that ``fd_grads``
 differentiates. ``batch_loss`` shares its forward with ``loss_and_grads``,
 so the finite differences check the hand-derived backward, not the
 forward. ``key_of``, ``filter_key_count``, ``param_count``, ``loss`` (on
-the training step's ``_softplus``), ``format_fact``, ``is_begin_only`` and
-``is_end_only`` are small helpers that only the tests use, as is the
-``random_kg`` dataset generator.
+the training step's ``_softplus``), ``zero_acc``, ``format_fact``,
+``is_begin_only`` and ``is_end_only`` are small helpers that only the tests
+use, as is the ``random_kg`` dataset generator.
 """
 
 from __future__ import annotations
@@ -176,7 +176,7 @@ def is_end_only(t: TimeAnnotation) -> bool:
 
 
 def param_count(params: ModelParams) -> int:
-    """Trainable scalar count (accumulators excluded).
+    """Trainable scalar count.
 
     2*n_e*k entity components + 2*n_slots*k relation components + n_tau*k
     phases, where n_slots is 2*n_relations on dual models.
@@ -253,14 +253,19 @@ def dense_grads(params: ModelParams, grads: dict) -> dict:
     return out
 
 
-def dense_step_oracle(params: ModelParams, pos, neg, margin: float, neg_ratio: int,
-                      lr: float) -> float:
+def zero_acc(params: ModelParams) -> dict[str, np.ndarray]:
+    """Fresh Adagrad state for ``params``: float64 zeros per table, as the first step makes it."""
+    return {name: np.zeros(arr.shape) for name, arr in params.arrays().items()}
+
+
+def dense_step_oracle(params: ModelParams, acc: dict[str, np.ndarray], pos, neg,
+                      margin: float, neg_ratio: int, lr: float) -> float:
     """One training step with dense gradient tables and a whole-table Adagrad.
 
     The reference for ``tero.training.grad_step``: every quadruple, flushed
     or not, is scattered into an (n_rows, k) float64 table per parameter
-    table, and Adagrad sweeps every row. Mutates ``params``; returns the
-    mean batch loss.
+    table, and Adagrad sweeps every row. Mutates ``params`` and its Adagrad
+    state ``acc``; returns the mean batch loss.
     """
     from tero.training import ADAGRAD_EPS, _sigmoid, _softplus
 
@@ -322,9 +327,8 @@ def dense_step_oracle(params: ModelParams, pos, neg, margin: float, neg_ratio: i
     }
     arrays = params.arrays()
     for name, g in grads.items():
-        acc = params.acc[name]
-        acc += g * g
-        arrays[name] -= lr * g / (np.sqrt(acc) + ADAGRAD_EPS)
+        acc[name] += g * g
+        arrays[name] -= lr * g / (np.sqrt(acc[name]) + ADAGRAD_EPS)
     return total
 
 

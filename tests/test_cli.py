@@ -287,6 +287,14 @@ class TestTrainCommand:
         assert err.count(f"tero: error: {flag} must be finite and > 0") == 2
         assert "Traceback" not in err and not out.exists()
 
+    def test_checkpoint_into_a_missing_directory(self, suite_files, tmp_path, monkeypatch):
+        _, paths = suite_files
+        monkeypatch.chdir(tmp_path)
+        assert main(self.quick(paths, "run", "--max-epochs", "2",
+                               "--checkpoint", "nodir/m.tero")) == 0
+        params, ref = load_checkpoint(tmp_path / "nodir" / "m.tero")
+        assert ref == "run" and params.k == 8
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf/nan pass-through is the point
     def test_numerical_blowup_exits_three(self, suite_files, tmp_path):
         _, paths = suite_files
@@ -485,6 +493,40 @@ class TestPredictCommand:
                      "--side", "subject", "--top-n", "1"])
         assert code == 0
         assert capsys.readouterr().out.startswith("A\t")
+
+    def test_side_follows_the_given_entity_unless_set(self, tmp_path, capsys):
+        ckpt = self.make_constructed_checkpoint(tmp_path)
+        query = ["predict", "--checkpoint", str(ckpt), "--relation", "likes",
+                 "--time", "2014-01-01", "--top-n", "1"]
+        assert main([*query, "--object", "B"]) == 0
+        assert capsys.readouterr().out.startswith("A\t")
+        assert main([*query, "--subject", "A"]) == 0
+        assert capsys.readouterr().out.startswith("B\t")
+        assert main([*query, "--subject", "A", "--object", "B", "--side", "subject"]) == 0
+        assert capsys.readouterr().out.startswith("A\t")
+        assert main([*query, "--object", "B", "--side", "object"]) == 1
+        assert "missing required option(s): --subject" in capsys.readouterr().err
+
+    def test_relative_sidecar_found_from_another_directory(self, suite_files, tmp_path,
+                                                           monkeypatch, capsys):
+        ds, paths = suite_files
+        monkeypatch.chdir(tmp_path)
+        assert main(["train", *run_args(paths, "run"), "--dim", "4", "--max-epochs", "0"]) == 0
+        capsys.readouterr()
+        q = ds.test[0]
+        query = ["--subject", ds.vocab.id2ent[q.subject], "--relation",
+                 ds.vocab.id2rel[q.relation], "--time", str(q.time.begin), "--top-n", "3"]
+        assert main(["predict", "--checkpoint", "run/model.tero", *query]) == 0
+        expected = capsys.readouterr().out
+        assert len(expected.splitlines()) == 3
+        monkeypatch.chdir(tmp_path / "run")
+        assert main(["predict", "--checkpoint", "model.tero", *query]) == 0
+        assert capsys.readouterr().out == expected
+        (tmp_path / "elsewhere").mkdir()
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        assert main(["predict", "--checkpoint", str(tmp_path / "run" / "model.tero"),
+                     *query]) == 0
+        assert capsys.readouterr().out == expected
 
 
 class TestDefaultsTable:

@@ -278,26 +278,19 @@ class TestInit:
         p = init_params(1, 1, 1, 1, dual=False, seed=0)
         assert p.ent_re.shape == (1, 1) and p.rel_re.shape == (1, 1)
         assert p.phase.shape == (1, 1)
-        assert all(np.array_equal(p.acc[name], np.zeros((1, 1))) for name in p.arrays())
 
-    def test_accumulators_made_on_first_access(self, tmp_path):
-        p = init_params(4, 2, 3, 5, dual=True, seed=1)
-        save_checkpoint(p, tmp_path / "m.tero")
-        loaded, _ = load_checkpoint(tmp_path / "m.tero")
-        score_quads(loaded, np.array([0, 3]), np.array([1, 2]), np.array([2, 1]), np.array([0, 2]))
-        assert not p.acc and not loaded.acc  # scoring alone makes none
-        p.acc["rel_re"] += 1.0
-        assert list(p.acc) == ["rel_re"] and p.acc["rel_re"].shape == (4, 5)
-        assert p.acc["rel_re"].dtype == np.float64 and (p.acc["rel_re"] == 1.0).all()
-        q = p.copy()
-        assert list(q.acc) == ["rel_re"] and q.acc["rel_re"] is not p.acc["rel_re"]
-        assert np.array_equal(q.acc["phase"], np.zeros((3, 5)))
-
-    def test_dual_doubles_relation_rows(self):
-        p = init_params(2, 3, 1, 2, dual=True, seed=0)
-        assert p.rel_re.shape == (6, 2)
-        rb, re_ = p.relation_begin[0], p.relation_end[0]
-        assert rb.shape == re_.shape == (3, 2)
+    def test_dual_doubles_relation_rows(self, tmp_path):
+        for dual in (True, False):
+            p = init_params(2, 3, 1, 2, dual=dual, seed=0)
+            assert p.rel_re.shape == p.rel_im.shape == (6 if dual else 3, 2)
+            # a checkpoint stores begin re, begin im, end re, end im after the
+            # 32-byte header and the two 2x2 entity tables; single-slot models
+            # store their one block as both begin and end
+            save_checkpoint(p, tmp_path / "m.tero")
+            stored = np.frombuffer((tmp_path / "m.tero").read_bytes(), "<f4", 32, 32)
+            wanted = (p.rel_re[:3], p.rel_im[:3], p.rel_re[-3:], p.rel_im[-3:])
+            for block, want in zip(stored[8:].reshape(4, 3, 2), wanted):
+                assert np.array_equal(block, want)
 
     def test_phase_sample_mean_near_pi(self):
         p = init_params(100, 1, 1000, 100, dual=False, seed=1)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracles import (batch_loss, dense_grads, dense_step_oracle, fd_grads, loss, loss_oracle,
-                     max_relative_error)
+                     max_relative_error, zero_acc)
 from tero import model, training
 from tero.data import expand_for_training
 from tero.model import init_params, score_quads
@@ -167,15 +167,16 @@ class TestSparseStep:
         pos, neg, n_flushed = saturating_batch(params, 8, 4, cfg.margin, seed=9)
         assert 0 < n_flushed < len(neg)
         dense = params.copy()
+        acc, dense_acc = {}, zero_acc(params)  # the step makes its tables on first use
         rng = np.random.default_rng(3)
         for _ in range(6):
-            assert grad_step(params, pos, neg, cfg) == dense_step_oracle(
-                dense, pos, neg, cfg.margin, cfg.neg_ratio, cfg.lr)
+            assert grad_step(params, acc, pos, neg, cfg) == dense_step_oracle(
+                dense, dense_acc, pos, neg, cfg.margin, cfg.neg_ratio, cfg.lr)
             pos[:, 3] = rng.integers(0, params.n_tau, len(pos))
             neg[:, 3] = np.repeat(pos[:, 3], cfg.neg_ratio)
         for name, arr in params.arrays().items():
             assert np.array_equal(arr, dense.arrays()[name]), name
-            assert np.array_equal(params.acc[name], dense.acc[name]), name
+            assert np.array_equal(acc[name], dense_acc[name]), name
 
     # With 40 quadruples, 24 of them live, and 10 touched entity rows,
     # 3-row blocks leave a short last block in the forward pass and in
@@ -204,10 +205,11 @@ class TestSparseStep:
             assert rows.shape == (0,), name
             assert g.shape == (0, params.k) and g.dtype == np.float64, name
         cfg = TrainConfig(k=6, batch_size=2, neg_ratio=2, margin=100.0, lr=0.3, seed=0)
-        grad_step(params, pos, neg, cfg)
+        acc = zero_acc(params)
+        grad_step(params, acc, pos, neg, cfg)
         for name, arr in params.arrays().items():
             assert np.array_equal(arr, before.arrays()[name]), name
-            assert np.array_equal(params.acc[name], before.acc[name]), name
+            assert not acc[name].any(), name
 
     def test_rows_touched_only_by_flushed_quads_stay_put(self):
         params = init_params(12, 3, 5, 6, dual=False, seed=22)
@@ -217,10 +219,11 @@ class TestSparseStep:
         cfg = TrainConfig(k=6, batch_size=8, neg_ratio=4, margin=2.0, lr=0.3, seed=0)
         _, grads = loss_and_grads(params, pos, neg, cfg.margin, cfg.neg_ratio)
         assert 0 not in grads["ent_re"][0] and 0 not in grads["ent_im"][0]
-        grad_step(params, pos, neg, cfg)
+        acc = zero_acc(params)
+        grad_step(params, acc, pos, neg, cfg)
         for name in ("ent_re", "ent_im"):
             assert np.array_equal(params.arrays()[name][0], before.arrays()[name][0])
-            assert np.array_equal(params.acc[name][0], before.acc[name][0])
+            assert not acc[name][0].any()
 
     def test_rows_are_sorted_unique_and_match_gradient_shape(self):
         params = init_params(9, 2, 4, 5, dual=True, seed=23, norm_p=2)
@@ -236,20 +239,22 @@ class TestAdagrad:
     def test_zero_gradient_leaves_parameter(self):
         params = init_params(3, 1, 2, 2, dual=False, seed=15)
         before = params.copy()
-        apply_adagrad(params, {"ent_re": (np.array([1]), np.array([[0.5, 0.0]]))}, lr=0.1)
+        acc = zero_acc(params)
+        apply_adagrad(params, acc, {"ent_re": (np.array([1]), np.array([[0.5, 0.0]]))}, lr=0.1)
         after = params.arrays()
-        assert after["ent_re"][1, 0] != before.ent_re[1, 0]
+        assert after["ent_re"][1, 0] != before.ent_re[1, 0] and acc["ent_re"][1, 0] == 0.25
         for name in after:
             mask = np.ones_like(after[name], dtype=bool)
             if name == "ent_re":
                 mask[1, 0] = False
             assert np.array_equal(after[name][mask], before.arrays()[name][mask])
-            assert np.array_equal(params.acc[name][mask], before.acc[name][mask])
+            assert not acc[name][mask].any()
 
     def test_first_step_magnitude_is_learning_rate(self):
         params = init_params(2, 1, 1, 1, dual=False, seed=16)
         x0 = params.ent_re[0, 0]
-        apply_adagrad(params, {"ent_re": (np.array([0]), np.array([[0.37]]))}, lr=0.05)
+        apply_adagrad(params, zero_acc(params), {"ent_re": (np.array([0]), np.array([[0.37]]))},
+                      lr=0.05)
         assert abs(params.ent_re[0, 0] - (x0 - 0.05)) < 1e-6
 
     def test_sparse_update_property(self):
@@ -258,7 +263,7 @@ class TestAdagrad:
         pos = np.array([[0, 1, 2, 3]])
         neg = np.array([[5, 1, 2, 3], [0, 1, 6, 3]])
         cfg = TrainConfig(k=4, batch_size=1, neg_ratio=2, margin=2.0, lr=0.1, seed=0)
-        grad_step(params, pos, neg, cfg)
+        grad_step(params, zero_acc(params), pos, neg, cfg)
         touched_ents = {0, 2, 5, 6}
         for e in range(10):
             same = np.array_equal(params.ent_re[e], before["ent_re"][e]) and \
@@ -274,27 +279,29 @@ class TestAdagrad:
         params = init_params(20, 4, 7, 5, dual=False, seed=25)
         rng = np.random.default_rng(26)
         dense = params.copy()
+        acc, dense_acc = zero_acc(params), zero_acc(params)
         for _ in range(3):
             grads = {}
             for name, arr in params.arrays().items():
                 # 11 entity rows: three full blocks and a short one
                 rows = np.sort(rng.choice(len(arr), min(11, len(arr)), replace=False))
                 grads[name] = (rows, rng.standard_normal((len(rows), params.k)))
-            apply_adagrad(params, grads, lr=0.3)
+            apply_adagrad(params, acc, grads, lr=0.3)
             full = dense_grads(params, grads)
             for name, arr in dense.arrays().items():
-                dense.acc[name] += full[name] * full[name]
-                arr -= 0.3 * full[name] / (np.sqrt(dense.acc[name]) + ADAGRAD_EPS)
+                dense_acc[name] += full[name] * full[name]
+                arr -= 0.3 * full[name] / (np.sqrt(dense_acc[name]) + ADAGRAD_EPS)
         for name, arr in params.arrays().items():
             assert np.array_equal(arr, dense.arrays()[name]), name
-            assert np.array_equal(params.acc[name], dense.acc[name]), name
+            assert np.array_equal(acc[name], dense_acc[name]), name
 
     def test_storage_stays_float32(self):
         params = init_params(4, 2, 3, 3, dual=False, seed=18)
         pos, neg = make_batch(params, 3, 2, seed=8)
         cfg = TrainConfig(k=3, batch_size=3, neg_ratio=2, margin=2.0, lr=0.3, seed=0)
+        acc = zero_acc(params)
         for _ in range(5):
-            grad_step(params, pos, neg, cfg)
+            grad_step(params, acc, pos, neg, cfg)
         for arr in params.arrays().values():
             assert arr.dtype == np.float32
 
@@ -305,7 +312,7 @@ class TestAdagrad:
         neg = np.array([[2, 0, 1, 0]])
         cfg = TrainConfig(k=2, batch_size=1, neg_ratio=1, margin=2.0, lr=0.1, seed=0)
         with pytest.raises(NumericalError):
-            grad_step(params, pos, neg, cfg)
+            grad_step(params, zero_acc(params), pos, neg, cfg)
 
 
 class TestTrainConfig:
@@ -355,10 +362,10 @@ class TestTrainLoop:
         rng = np.random.default_rng(0)
         neg0 = _corrupt_batch(quads, cfg.neg_ratio, ds.vocab.n_entities, rng)
         initial = batch_loss(params, quads, neg0, cfg.margin, cfg.neg_ratio)
-        losses = []
+        losses, acc = [], zero_acc(params)
         for _ in range(200):
             neg = _corrupt_batch(quads, cfg.neg_ratio, ds.vocab.n_entities, rng)
-            losses.append(grad_step(params, quads, neg, cfg))
+            losses.append(grad_step(params, acc, quads, neg, cfg))
         assert losses[-1] < 0.1 * initial
 
     def test_determinism(self):
@@ -392,3 +399,17 @@ class TestTrainLoop:
         from tero.evaluation import FilterSet, evaluate
         fs = FilterSet.build(ds.train + ds.valid, ds.binning)
         assert evaluate(best, ds.valid, fs, ds.binning).mrr == pytest.approx(best_mrr)
+
+    def test_validation_is_read_only(self):
+        # the best snapshot equals an unvalidated run of exactly its epochs:
+        # no validation resets or shares the parameters or the Adagrad state
+        ds = reflexive_relation_suite()
+        cfg = self.quick_config(max_epochs=8, valid_every=1, patience=8)
+        best, history = train(ds.train, ds.valid, cfg, ds.binning, ds.vocab)
+        top = max(history, key=lambda rec: rec.mrr)
+        assert len(history) == 8 and 1 < top.epoch < 8
+        plain, none = train(ds.train, [], self.quick_config(max_epochs=top.epoch),
+                            ds.binning, ds.vocab)
+        assert none == []
+        for name, arr in best.arrays().items():
+            assert np.array_equal(arr, plain.arrays()[name]), name
