@@ -32,7 +32,9 @@ from .model import ModelParams, score_quads, score_step, screen_band
 TIE_MODES = ("mean", "optimistic", "pessimistic")
 # queries per candidate_scores call in evaluate(). It bounds the call's
 # screen and distance arrays (at most 3 x 128 x n_entities float32, 11 MB
-# at 7128 entities) when many queries share their steps, as on a
+# at 7128 entities) and score_step's chunk sums (128 queries x 64 rows x
+# 2k/w float32, w = model._sum_chunk(k): 330 KB at k=500, but 16 MB at
+# k=499, where w = 2) when many queries share their steps, as on a
 # time-collapsed model
 QUERIES_PER_CALL = 128
 

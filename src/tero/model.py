@@ -18,9 +18,12 @@ storage dtype by the training step, so no whole-batch temporary is built.
 
 Link prediction needs every entity rotated to the query's step.
 ``score_step`` fuses that rotation with the scoring, BLOCK_ROWS rows at a
-time, in float32: a screen. ``screen_band`` bounds its error against
-``score_quads``, which rescores only the gathered candidates the screen
-cannot order, so ranks equal those of ``score_quads`` over every candidate.
+time, in float32: a screen. It sums each row with BLAS products in chunks
+of at most SUM_COLS columns, which bounds the roundings any term meets.
+``screen_band`` bounds its error against ``score_quads`` by that depth,
+and ``score_quads`` rescores only the gathered candidates the screen
+cannot order (~5 per query on the ICEWS14 shape), so ranks equal those of
+``score_quads`` over every candidate.
 
 Parameter arrays are float32, matching the checkpoint wire format, so
 save/load round-trips are lossless. Models built with ``dtype=np.float64``
@@ -45,6 +48,12 @@ CHECKPOINT_VERSION = 1
 # query. The training step (ICEWS14 shape, batch 512) was also fastest at
 # 64 of 16-256, 4% ahead of 32 and 7-11% ahead of the rest.
 BLOCK_ROWS = 64
+# widest column chunk of the screen's row sum (chunks are the largest
+# divisor of 2k up to this). On a 2-core Xeon, the chunk sums of one
+# 64 x 1000 float32 block took 4.6 us at 100 columns, 6.3 at 50, 8.5 at
+# 25 and 4.2-5.2 at 125-1000, against 15.3 us for numpy's row sum; wider
+# chunks gain little and deepen the sum (screen_band)
+SUM_COLS = 100
 U32 = 2.0 ** -24  # unit roundoff of float32
 
 
@@ -220,7 +229,10 @@ def score_step(params: ModelParams, tau: int, anchors, slots, sides) -> tuple[np
     Returns float32 scores of every entity, row q for query q, and the
     per-query offsets ``screen_band`` takes. Entities are rotated
     BLOCK_ROWS rows at a time into one buffer, and every query is scored
-    against a block while it is in cache.
+    against a block while it is in cache. Each row's 2k terms are summed by
+    two BLAS products with a ones vector: one per query over chunks of
+    ``_sum_chunk(k)`` adjacent columns, then one per block over every
+    query's chunk sums, so each term meets few roundings (``screen_band``).
     """
     _check_ids(params, anchors, slots, tau)
     for side in sides:
@@ -237,11 +249,19 @@ def score_step(params: ModelParams, tau: int, anchors, slots, sides) -> tuple[np
 
     phase = params.phase[tau].astype(np.float64)
     c, s, x = (a.astype(np.float32) for a in (np.cos(phase), np.sin(phase), x))
-    block, diff, tmp = (np.empty((min(BLOCK_ROWS, n), w), np.float32) for w in (2 * k, 2 * k, k))
+    w = _sum_chunk(k)
+    m, rows = 2 * k // w, min(BLOCK_ROWS, n)
+    ones_w, ones_m = np.ones(w, np.float32), np.ones(m, np.float32)
+    block, diff, tmp = (np.empty((rows, cols), np.float32) for cols in (2 * k, 2 * k, k))
+    # flat, so that a short last block's views stay contiguous for np.dot's out
+    chunk_sums = np.empty(len(x) * rows * m, np.float32)
+    row_sums = np.empty(len(x) * rows, np.float32)
     out = np.empty((len(x), n), np.float32)
     for start in range(0, n, BLOCK_ROWS):
         e = slice(start, min(start + BLOCK_ROWS, n))
-        b, d, t = (buf[:e.stop - start] for buf in (block, diff, tmp))
+        r = e.stop - start
+        b, d, t = (buf[:r] for buf in (block, diff, tmp))
+        parts, sums = chunk_sums[:len(x) * r * m].reshape(len(x), -1), row_sums[:len(x) * r]
         _rotate_into(params.ent_re[e], params.ent_im[e], c, s, b[:, :k], b[:, k:], t)
         for q in range(len(x)):
             np.subtract(b, x[q], out=d)
@@ -249,8 +269,15 @@ def score_step(params: ModelParams, tau: int, anchors, slots, sides) -> tuple[np
                 np.abs(d, out=d)
             else:
                 np.multiply(d, d, out=d)
-            d.sum(axis=1, out=out[q, e])
+            np.dot(d.reshape(-1, w), ones_w, out=parts[q])
+        np.dot(parts.reshape(-1, m), ones_m, out=sums)
+        out[:, e] = sums.reshape(len(x), r)
     return (out if params.norm_p == 1 else np.sqrt(out, out=out)), offsets
+
+
+def _sum_chunk(k: int) -> int:
+    """Columns per chunk of the screen's row sum: the largest divisor of 2k up to SUM_COLS."""
+    return max(w for w in range(1, min(2 * k, SUM_COLS) + 1) if 2 * k % w == 0)
 
 
 def screen_band(k: int, score, offset: float) -> tuple[np.float32, np.float32]:
@@ -261,15 +288,25 @@ def screen_band(k: int, score, offset: float) -> tuple[np.float32, np.float32]:
     strictly above; ``offset`` is the mean of the query's term offsets
     from ``score_step``. The bound: a screen score S is within
     B(S) = a*S + offset of its ``score_quads`` score; a = g/(1 - g),
-    g = gamma(2k + 12), where gamma(m) = m*u/(1 - m*u) bounds m chained
-    roundings, u = U32. Against the exact norm S* of d = rot(e) - x, x the
-    float64 query vector, the float32 pass errs by gamma(4)*|e_j| per
-    rotated coordinate (casts of cos/sin and of float64 entities, two
-    products, one sum), which rotation, keeping |e_j|, turns into
-    2*gamma(4)*(S* + ||x||_p); by u*|x_i| from the cast of x and u*|d_i|
-    from the subtraction; by gamma(2k + 1)*S* from a plain sum of 2k terms,
-    or for p=2 the squares, their sum and the square root: in all
-    gamma(2k + 9)*S* + gamma(11)*||x||_p. ``score_quads`` (float64,
+    g = gamma(D + 13), where gamma(m) = m*u/(1 - m*u) bounds m chained
+    roundings, u = U32, and D = (w - 1) + (2k/w - 1), w = _sum_chunk(k),
+    is the depth of the screen's row sum. That sum adds each chunk of w
+    columns with one BLAS product and the 2k/w chunk sums with another.
+    Whatever order, blocking or SIMD lanes a product uses, it adds w
+    numbers by w - 1 additions, so no term meets more than w - 1 of their
+    roundings; its products by the ones vector and by alpha = 1 are exact
+    and beta = 0 adds nothing, so a fused multiply-add rounds only its
+    addition, as a plain sum does (a wider accumulator rounds less). Each term thus meets at most D
+    roundings, and the sum errs by at most gamma(D) times the sum of its
+    terms (Higham 2002, section 4.2); D is 108 at k=500, where one plain
+    sum of 2k terms would have 2k - 1. Against the exact norm S* of
+    d = rot(e) - x, x the float64 query vector, the float32 pass errs by
+    gamma(4)*|e_j| per rotated coordinate (casts of cos/sin and of float64
+    entities, two products, one sum), which rotation, keeping |e_j|, turns
+    into 2*gamma(4)*(S* + ||x||_p); by u*|x_i| from the cast of x and
+    u*|d_i| from the subtraction; by gamma(D + 2)*S* from the row sum, or
+    for p=2 the squares, their sum and the square root: in all
+    gamma(D + 10)*S* + gamma(11)*||x||_p. ``score_quads`` (float64,
     u' = 2^-53) rounds rot(s) + r - conj(rot(o)) its own way, not through
     x: with cos/sin within 4 ulp, each of its coordinates and of x errs by
     under gamma'(12) times the terms it adds up; as |c| + |s| <= sqrt(2)
@@ -280,16 +317,18 @@ def screen_band(k: int, score, offset: float) -> tuple[np.float32, np.float32]:
     and a mean of two terms (one rounding per precision; halving is exact)
     stays under gamma(1). S* in terms of S gives a and the offset's
     17u*||x||_p > gamma(16)*||x||_p; its sqrt(2k)*2^-68 covers underflow
-    four times. Valid while (2k + 12)*u < 1/8 and scores stay below 2^60,
+    four times. Valid while (D + 13)*u < 1/8 and scores stay below 2^60,
     short of float32 overflow; beyond, the band is all. S is surely below
     when S + B(S) < score - B(score), surely above when
     S - B(S) > score + B(score); both thresholds are rounded outward to
     float32, so the float32 comparisons are exact.
     """
     t = float(score)
-    if not t + offset < 2.0 ** 60:  # also catches nan
+    w = _sum_chunk(k)
+    du = (w + 2 * k // w + 11) * U32  # (D + 13)*u
+    if not (t + offset < 2.0 ** 60 and du < 1 / 8):  # also catches nan
         return np.float32(-np.inf), np.float32(np.inf)
-    g = (2 * k + 12) * U32 / (1 - (2 * k + 12) * U32)
+    g = du / (1 - du)
     a = g / (1 - g)
     lo = (t * (1 - a) - 2 * offset) / (1 + a)
     hi = (t * (1 + a) + 2 * offset) / (1 - a)

@@ -14,8 +14,8 @@ from conftest import params_from
 from oracles import filter_key_count, key_of, random_kg, rank_oracle
 from tero.data import (PartialDate, Quadruple, TimeAnnotation, bin_fixed, bin_threshold,
                        endpoint_terms, time_key)
-from tero.evaluation import (TIE_MODES, FilterSet, QueryRank, candidate_scores, evaluate,
-                             filtered_rank, rank_from_scores)
+from tero.evaluation import (TIE_MODES, FilterSet, QueryRank, Screen, candidate_scores,
+                             evaluate, filtered_rank, rank_from_scores)
 from tero.model import init_params, score_quads, screen_band
 
 seeds = st.integers(0, 2**32 - 1)
@@ -338,7 +338,7 @@ class TestScreen:
     """The float32 screen gives the ranks and top-n of a float64 pass at near-ties."""
 
     @staticmethod
-    def planted(seed, p, dual, interval, side, constant):
+    def planted(seed, p, dual, interval, side, constant, k=6):
         """Params whose candidates crowd round the target's score, and the target's query.
 
         Row 0 is the target, row 1 the anchor and rows 2-19 random. Rows 20
@@ -351,7 +351,7 @@ class TestScreen:
         scores does not follow the target's. A constant scorer has every
         row equal.
         """
-        k, n = 6, 48
+        n = 48
         params = init_params(n, 2, 3, k, dual=dual, seed=seed % 1000, norm_p=p)
         y = [PartialDate(2000 + i) for i in range(3)]
         binning = bin_threshold({2000: 1, 2001: 1, 2002: 1}, 1)
@@ -395,7 +395,17 @@ class TestScreen:
     @given(seeds, st.sampled_from([1, 2]), st.booleans(), st.booleans(),
            st.sampled_from(["subject", "object"]), st.booleans())
     def test_ranks_and_top_n_equal_a_float64_pass(self, seed, p, dual, interval, side, constant):
-        params, quad, binning, planted = self.planted(seed, p, dual, interval, side, constant)
+        self.check_planted(seed, p, dual, interval, side, constant)
+
+    @pytest.mark.parametrize("k", [64, 120, 499, 500])
+    @pytest.mark.parametrize("p,side", [(1, "object"), (2, "subject")])
+    def test_rows_summed_in_several_chunks(self, k, p, side):
+        # the screen sums 2k = 128, 240 and 1000 terms in 2, 3 and 10 chunks,
+        # and 998 in 499 chunks of two
+        self.check_planted(k, p, True, True, side, False, k)
+
+    def check_planted(self, seed, p, dual, interval, side, constant, k=6):
+        params, quad, binning, planted = self.planted(seed, p, dual, interval, side, constant, k)
         screen = candidate_scores(params, [(quad, side)], binning)
         n = params.n_entities
         # a few other true facts drop planted candidates from the ranking
@@ -455,6 +465,28 @@ class TestScreen:
                 ids, scores = screen.top(0, top_n)
                 assert np.array_equal(ids, order[:top_n]), (seed, top_n)
                 assert np.array_equal(scores, full[order[:top_n]])
+
+
+class TestBandTightness:
+    def test_few_rows_rescored_per_query(self, monkeypatch):
+        # A seeded random model at k=500 puts many candidates near the
+        # target's score, as ICEWS14-shaped ranking does. With the screen's
+        # row sum at depth 108, not 999, the band left 1.9-2.2 rows per query
+        # to rescore (the target included) on seeds 100-109, against 8.0-9.5
+        # for a band sized for a plain sum of 2k terms.
+        n, k, seed = 2000, 500, 0
+        params = init_params(n, 20, 4, k, dual=False, seed=seed)
+        rng = np.random.default_rng(seed)
+        facts = [Quadruple(int(s), int(r), int(o), day(int(t))) for s, r, o, t in
+                 zip(*(rng.integers(0, m, 100) for m in (n, 20, n, 4)))]
+        binning = day_binning(4)
+        rescored = []
+        exact = Screen.exact
+        monkeypatch.setattr(Screen, "exact",
+                            lambda screen, q, rows: rescored.append(len(rows)) or exact(screen, q, rows))
+        evaluate(params, facts, FilterSet.build(facts, binning), binning)
+        assert len(rescored) == 200
+        assert np.mean(rescored) < 3.0
 
 
 class TestEvaluate:

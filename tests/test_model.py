@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import params_from
 from oracles import fact_score_oracle, param_count, rotate_oracle, score_one, score_oracle
@@ -191,12 +191,15 @@ class TestScoreFact:
 
 
 class TestBatchScoring:
-    @given(seeds, st.sampled_from([1, 2]))
-    def test_all_entity_scoring_matches_pointwise(self, seed, p):
-        # 150 entities span several row blocks of the kernel, the last one short
+    @settings(deadline=None)  # the pointwise oracle takes ~0.4 s an example at k=500
+    @given(seeds, st.sampled_from([1, 2]), st.sampled_from([4, 64, 120, 499, 500]))
+    def test_all_entity_scoring_matches_pointwise(self, seed, p, k):
+        # 150 entities span several row blocks of the kernel, the last one
+        # short. The screen sums each row of 2k terms in chunks: one at k=4;
+        # two, three and ten at k=64, 120 and 500; 499 chunks of two at k=499
         rng = np.random.default_rng(seed)
         n = 150
-        params = init_params(n, 2, 3, 4, dual=False, seed=int(seed % 1000), norm_p=p)
+        params = init_params(n, 2, 3, k, dual=False, seed=int(seed % 1000), norm_p=p)
         anchor, slot, tau = int(rng.integers(n)), int(rng.integers(2)), int(rng.integers(3))
         every, fixed = np.arange(n), np.full(n, anchor)
         slots, taus = np.full(n, slot), np.full(n, tau)
@@ -240,6 +243,26 @@ class TestBatchScoring:
         finally:
             tracemalloc.stop()
         assert peak < 4096 * 64 * 8
+
+    @given(st.integers(0, 44).flatmap(lambda e: st.integers(2**e, 2**(e + 1))),
+           st.floats(0, 1e30), st.floats(0, 1.0))
+    def test_band_holds_its_own_score(self, k, score, offset):
+        # k, log-uniform up to 2^45, only sets the depth of the screen's row
+        # sum, so no arrays are built
+        lo, hi = screen_band(k, score, offset)
+        assert lo <= score <= hi
+
+    def test_band_is_everything_beyond_its_validity(self):
+        everything = (np.float32(-np.inf), np.float32(np.inf))
+        # chunks of 64 columns: a depth of 131,134 at k=2^22, ~2^35 at k=2^40
+        lo, hi = screen_band(2**22, 100.0, 0.0)
+        assert lo < 100.0 < hi < np.inf
+        assert screen_band(2**40, 100.0, 0.0) == everything
+        # at a prime k, chunks of two columns make the depth k, and the band
+        # is valid while (k + 13) * 2^-24 < 1/8, i.e. up to k = 2^21 - 14
+        lo, hi = screen_band(2_097_133, 100.0, 0.0)
+        assert lo < 100.0 < hi < np.inf
+        assert screen_band(2_097_143, 100.0, 0.0) == everything
 
     def test_table_scoring_rejects_out_of_range_ids(self, tiny_params):
         # numpy would wrap a negative id round to the last row
