@@ -62,8 +62,9 @@ OPTIONS: tuple[Option, ...] = (
     Option("checkpoint", str, None, "run", "checkpoint path (default: <out-dir>/model.tero)",
            metavar="FILE"),
     Option("out_dir", str, "runs", "run", "artifact directory", metavar="DIR"),
-    Option("threads", int, 1, "run", "evaluation worker threads, each scoring whole time "
-           "steps; ranks do not depend on it", min=1),
+    Option("threads", int, None, "run", "worker threads that split each time step's screen "
+           "of the entity table; ranks do not depend on it (default: the usable CPUs)",
+           min=1),
     Option("tie", str, "mean", "evaluation", "tie handling for equal scores", TIE_MODES),
     Option("dump_ranks", str, None, "evaluation", "write per-query ranks TSV", metavar="FILE"),
     Option("subject", str, None, "query", "subject entity (object-side query)", metavar="STR"),
@@ -239,8 +240,10 @@ def cmd_train(cfg: RunConfig) -> int:
     ckpt = Path(cfg.checkpoint) if cfg.checkpoint else out / "model.tero"
     ckpt.parent.mkdir(parents=True, exist_ok=True)
     best, history = train(ds.train, ds.valid, config, ds.binning, ds.vocab,
-                          log_path=out / "training_log.tsv", progress=True)
-    save_checkpoint(best, ckpt, vocab_ref=str(out))
+                          log_path=out / "training_log.tsv", progress=True,
+                          threads=cfg.threads)
+    # absolute, so the sidecar is found from any directory
+    save_checkpoint(best, ckpt, vocab_ref=str(out.absolute()))
     if history:
         top = max(history, key=lambda rec: rec.mrr)
         print(f"best_valid_mrr\t{top.mrr:.6f}\tepoch\t{top.epoch}")
@@ -261,8 +264,8 @@ def _load_model(cfg: RunConfig):
     except ValueError as exc:
         raise DataError(str(exc)) from exc
     sidecar = Path(vocab_ref) if vocab_ref else Path(cfg.out_dir)
-    if not sidecar.is_absolute() and not sidecar.exists():
-        # relative to where training ran; from elsewhere, look next to the checkpoint
+    if not sidecar.exists():
+        # moved, or relative to where an older tero trained: look next to the checkpoint
         sidecar = Path(cfg.checkpoint).parent
     vocab = Vocab.load(sidecar)
     if (vocab.n_entities, vocab.n_relations) != (params.n_entities, params.n_relations):
@@ -345,7 +348,8 @@ def cmd_predict(cfg: RunConfig) -> int:
     else:
         quad = Quadruple(0, rel, anchor, annotation)
     try:
-        ids, scores = candidate_scores(params, [(quad, side)], binning).top(0, cfg.top_n)
+        screen = candidate_scores(params, [(quad, side)], binning, cfg.threads)
+        ids, scores = screen.top(0, cfg.top_n)
     except ValueError as exc:
         raise DataError(str(exc)) from exc
     for idx, score in zip(ids, scores):

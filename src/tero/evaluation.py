@@ -11,8 +11,9 @@ All candidates of a query at step tau are scored against the same rotated
 entity table, rot(e, theta_tau). ``evaluate`` therefore groups its queries
 by the time steps of their endpoint terms and screens each group with one
 ``candidate_scores`` call, one blocked float32 pass over the table per
-step. Each rank then rescores with ``score_quads`` only the candidates too
-close to the target for the screen to order, so it equals a full pass's rank.
+step, split over the usable cores. The ranks then rescore with one
+``score_quads`` call only the candidates too close to each target for the
+screen to order, so each equals a full pass's rank.
 ``FilterSet.build`` bins each annotation of the facts' annotation table
 (``data.columns``) once, keeps its keys as sorted index arrays and bins each
 query with that same binning; the binning passed to ``evaluate`` only scores.
@@ -20,7 +21,6 @@ query with that same binning; the binning passed to ``evaluate`` only scores.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -30,12 +30,14 @@ from .data import Quadruple, TimeBinning, columns, endpoint_terms, time_key
 from .model import ModelParams, score_quads, score_step, screen_band
 
 TIE_MODES = ("mean", "optimistic", "pessimistic")
-# queries per candidate_scores call in evaluate(). It bounds the call's
-# screen and distance arrays (at most 3 x 128 x n_entities float32, 11 MB
-# at 7128 entities) and score_step's chunk sums (128 queries x 64 rows x
-# 2k/w float32, w = model._sum_chunk(k): 330 KB at k=500, but 16 MB at
-# k=499, where w = 2) when many queries share their steps, as on a
-# time-collapsed model
+# queries per candidate_scores call in evaluate(). It bounds, when many
+# queries share their steps, as on a time-collapsed model: the call's screen
+# and distance arrays (at most 3 x 128 x n_entities float32, 11 MB at 7128
+# entities); the chunk sums of each score_step worker (128 queries x 64 rows
+# x 2k/w float32, w = model._sum_chunk(k): 330 KB per worker at k=500, but
+# 16 MB at k=499, where w = 2), beside its ~0.9 MB of block and difference
+# buffers at k=500; and the candidates filtered_ranks rescores at once (~5
+# per query on the ICEWS14 shape, every entity for a constant scorer)
 QUERIES_PER_CALL = 128
 
 
@@ -135,7 +137,7 @@ def rank_from_scores(scores: np.ndarray, target_idx: int, keep: np.ndarray,
 class Screen:
     """Float32 screen of queries against every entity, from ``candidate_scores``.
 
-    ``filtered_rank`` and ``top`` answer as ``score_quads`` over all candidates would,
+    ``filtered_ranks`` and ``top`` answer as ``score_quads`` over all candidates would,
     rescoring only those whose order the screen leaves open (``model.screen_band``).
     """
 
@@ -145,13 +147,22 @@ class Screen:
     scores: np.ndarray  # (Q, n_entities) float32
     offsets: np.ndarray  # (Q,) mean term offset of each row
 
-    def exact(self, q: int, rows: np.ndarray) -> np.ndarray:
-        """``score_quads`` of query q's candidates ``rows``, the mean over its terms."""
-        quad, side = self.queries[q]
-        quads = np.repeat([(quad.subject, slot, quad.object, tau) for slot, tau in self.terms[q]],
-                          len(rows), axis=0)  # (s, slot, o, tau): each term once per candidate
-        quads[:, 0 if side == "subject" else 2] = np.tile(rows, len(self.terms[q]))
-        return score_quads(self.params, *quads.T).reshape(len(self.terms[q]), -1).mean(axis=0)
+    def exact(self, bands: Sequence[tuple[int, np.ndarray]]) -> list[np.ndarray]:
+        """``score_quads`` of each band ``(q, rows)``, query q's candidates ``rows``,
+        as the mean over its terms; every band is rescored in one ``score_quads`` call."""
+        quads = []
+        for q, rows in bands:
+            quad, side = self.queries[q]
+            terms = self.terms[q]
+            # (s, slot, o, tau): each term once per candidate
+            block = np.repeat([(quad.subject, slot, quad.object, tau) for slot, tau in terms],
+                              len(rows), axis=0)
+            block[:, 0 if side == "subject" else 2] = np.tile(rows, len(terms))
+            quads.append(block)
+        scores = score_quads(self.params, *np.concatenate(quads).T)
+        ends = np.cumsum([len(block) for block in quads])
+        return [part.reshape(len(self.terms[q]), -1).mean(axis=0)
+                for (q, _), part in zip(bands, np.split(scores, ends[:-1]))]
 
     def top(self, q: int, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Query q's ``n`` lowest-scoring candidates and their float64 scores, ties by id."""
@@ -159,20 +170,20 @@ class Screen:
         n = min(n, len(row))
         _, hi = screen_band(self.params.k, np.partition(row, n - 1)[n - 1], self.offsets[q])
         rows = np.flatnonzero(~(row > hi))
-        exact = self.exact(q, rows)
+        [exact] = self.exact([(q, rows)])
         best = np.argsort(exact, kind="stable")[:n]
         return rows[best], exact[best]
 
 
 def candidate_scores(params: ModelParams, queries: Sequence[tuple[Quadruple, str]],
-                     binning: TimeBinning) -> Screen:
+                     binning: TimeBinning, threads: int | None = None) -> Screen:
     """Screen of each ``(quad, side)`` query with every entity on ``side``.
 
     Row q of the float32 screen is the mean of query q's endpoint-term
     scores, summed in term order, and its offset the mean of theirs. The
     terms are gathered by time step, and each step scores all of its terms
-    in one ``score_step`` pass, so queries that share their steps share
-    the rotation.
+    in one ``score_step`` pass on ``threads`` workers, so queries that
+    share their steps share the rotation.
     """
     batches: dict[int, list[tuple[int, int, str]]] = {}  # tau -> (anchor, slot, side)
     refs: list[list[tuple[int, int]]] = []  # per query: (tau, row in its batch) per term
@@ -184,7 +195,8 @@ def candidate_scores(params: ModelParams, queries: Sequence[tuple[Quadruple, str
             batch = batches.setdefault(tau, [])
             refs[-1].append((tau, len(batch)))
             batch.append((anchor, slot, side))
-    dist = {tau: score_step(params, tau, *zip(*batch)) for tau, batch in batches.items()}
+    dist = {tau: score_step(params, tau, *zip(*batch), threads=threads)
+            for tau, batch in batches.items()}
     out = np.empty((len(queries), params.n_entities), np.float32)
     offsets = np.empty(len(queries))
     for q, ref in enumerate(refs):
@@ -193,35 +205,44 @@ def candidate_scores(params: ModelParams, queries: Sequence[tuple[Quadruple, str
     return Screen(params, queries, terms, out, offsets)
 
 
-def filtered_rank(screen: Screen, q: int, filter_set: FilterSet, tie: str = "mean") -> int:
-    """Time-wise filtered rank of query q of ``screen``, as ``score_quads`` would give it."""
-    quad, side = screen.queries[q]
-    true_ids = filter_set.true_entities(quad, side)
-    target = quad.object if side == "object" else quad.subject
-    if target not in true_ids:
-        raise ValueError("test quadruple is not in the filter set")
-    keep = np.ones(screen.scores.shape[1], dtype=bool)
-    keep[true_ids] = False
-    keep[target] = True
-    row = screen.scores[q]
-    lo, hi = screen_band(screen.params.k, row[target], screen.offsets[q])
-    below = row < lo
-    rows = np.flatnonzero(~(below | (row > hi)))  # holds the target
-    return int((below & keep).sum()) + rank_from_scores(
-        screen.exact(q, rows), int(rows.searchsorted(target)), keep[rows], tie)
+def filtered_ranks(screen: Screen, filter_set: FilterSet, tie: str = "mean") -> list[int]:
+    """Time-wise filtered rank of every query of ``screen``, as ``score_quads`` would give it.
+
+    Each rank counts the kept candidates the screen puts surely below the
+    target and ranks the rest of its band by their float64 scores; the
+    bands of all queries are rescored by one ``Screen.exact`` call.
+    """
+    bands, parts = [], []  # parts: per query, (sure below, target's place, kept) in its band
+    for q, (quad, side) in enumerate(screen.queries):
+        true_ids = filter_set.true_entities(quad, side)
+        target = quad.object if side == "object" else quad.subject
+        if target not in true_ids:
+            raise ValueError("test quadruple is not in the filter set")
+        keep = np.ones(screen.scores.shape[1], dtype=bool)
+        keep[true_ids] = False
+        keep[target] = True
+        row = screen.scores[q]
+        lo, hi = screen_band(screen.params.k, row[target], screen.offsets[q])
+        below = row < lo
+        rows = np.flatnonzero(~(below | (row > hi)))  # holds the target
+        bands.append((q, rows))
+        parts.append((int((below & keep).sum()), int(rows.searchsorted(target)), keep[rows]))
+    return [n_below + rank_from_scores(scores, at, kept, tie)
+            for (n_below, at, kept), scores in zip(parts, screen.exact(bands))]
 
 
 def evaluate(params: ModelParams, test_facts: Sequence[Quadruple], filter_set: FilterSet,
-             binning: TimeBinning, tie: str = "mean", threads: int = 1) -> EvalReport:
+             binning: TimeBinning, tie: str = "mean", threads: int | None = None) -> EvalReport:
     """Rank both sides of every test fact and aggregate MRR / Hits@k.
 
     ``binning`` scores the queries; the filter keys on its own binning, so
     a model trained on another granularity is judged under the same filter.
     Queries are grouped by the time steps of their endpoint terms, and each
-    group, up to QUERIES_PER_CALL queries at a time, is scored with one
-    ``candidate_scores`` call. With ``threads > 1`` those calls go to the
-    worker threads; ranks come back in query order and do not depend on
-    the thread count.
+    group, up to QUERIES_PER_CALL queries at a time, is screened with one
+    ``candidate_scores`` call and ranked with one ``filtered_ranks`` call.
+    Each step's screen splits the entity table over ``threads`` workers
+    (default: the usable CPUs, ``model.usable_cpus``); ranks do not depend
+    on the thread count.
     """
     if not test_facts:
         raise ValueError("empty test set")
@@ -230,19 +251,12 @@ def evaluate(params: ModelParams, test_facts: Sequence[Quadruple], filter_set: F
     for i, (quad, _) in enumerate(queries):
         terms = endpoint_terms(quad, binning, params.dual, params.n_relations)
         groups.setdefault(tuple(sorted({tau for _, tau in terms})), []).append(i)
-    calls = [members[j:j + QUERIES_PER_CALL] for members in groups.values()
-             for j in range(0, len(members), QUERIES_PER_CALL)]
-
-    def run(members: list[int]) -> list[tuple[int, int]]:
-        screen = candidate_scores(params, [queries[i] for i in members], binning)
-        return [(i, filtered_rank(screen, q, filter_set, tie)) for q, i in enumerate(members)]
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            done = list(pool.map(run, calls))
-    else:
-        done = map(run, calls)  # lazy: one call's scores at a time
-    rank_of = dict(pair for ranked in done for pair in ranked)
+    rank_of = {}
+    for members in groups.values():
+        for j in range(0, len(members), QUERIES_PER_CALL):
+            call = members[j:j + QUERIES_PER_CALL]
+            screen = candidate_scores(params, [queries[i] for i in call], binning, threads)
+            rank_of.update(zip(call, filtered_ranks(screen, filter_set, tie)))
     ranks = [QueryRank(quad, side, rank_of[i]) for i, (quad, side) in enumerate(queries)]
 
     r = np.array([qr.rank for qr in ranks], dtype=float)

@@ -20,6 +20,8 @@ Link prediction needs every entity rotated to the query's step.
 ``score_step`` fuses that rotation with the scoring, BLOCK_ROWS rows at a
 time, in float32: a screen. It sums each row with BLAS products in chunks
 of at most SUM_COLS columns, which bounds the roundings any term meets.
+Worker threads, by default one per usable CPU, each take a contiguous run
+of whole blocks, so the screen's values do not depend on their number.
 ``screen_band`` bounds its error against ``score_quads`` by that depth,
 and ``score_quads`` rescores only the gathered candidates the screen
 cannot order (~5 per query on the ICEWS14 shape), so ranks equal those of
@@ -33,8 +35,10 @@ save/load round-trips are lossless. Models built with ``dtype=np.float64``
 from __future__ import annotations
 
 import contextlib
+import functools
 import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +58,15 @@ BLOCK_ROWS = 64
 # 25 and 4.2-5.2 at 125-1000, against 15.3 us for numpy's row sum; wider
 # chunks gain little and deepen the sum (screen_band)
 SUM_COLS = 100
+# queries the screen subtracts from a block and chunk-sums per numpy call.
+# One query's call on a 64 x 1000 float32 block lasts only ~10-30 us, so
+# workers hand the GIL over often, and pairs halve the hand-overs. Over 434
+# queries of 10 ICEWS14-shaped steps (k=500, 2-core Xeon, numpy 2.4.6), six
+# alternated rounds in one process gave median ms per query: 2 workers 4.17
+# at 1 query per call, 3.38 at 2 and 3.86 at 4; 1 worker 5.28 at 1 and 5.04
+# at 2. Each worker's difference buffer holds this many blocks (512 KB at
+# k=500), which stay in L2 beside its rotated block
+QUERIES_PER_OP = 2
 U32 = 2.0 ** -24  # unit roundoff of float32
 
 
@@ -216,7 +229,8 @@ def _check_ids(params: ModelParams, entities, slots, tau: int) -> None:
         raise IndexError(f"time step {tau} out of range (n_tau={params.n_tau})")
 
 
-def score_step(params: ModelParams, tau: int, anchors, slots, sides) -> tuple[np.ndarray, np.ndarray]:
+def score_step(params: ModelParams, tau: int, anchors, slots, sides,
+               threads: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Float32 screen scores at step ``tau`` with each entity substituted, per query.
 
     Query q fixes entity ``anchors[q]`` and relation slot ``slots[q]`` and
@@ -229,10 +243,17 @@ def score_step(params: ModelParams, tau: int, anchors, slots, sides) -> tuple[np
     Returns float32 scores of every entity, row q for query q, and the
     per-query offsets ``screen_band`` takes. Entities are rotated
     BLOCK_ROWS rows at a time into one buffer, and every query is scored
-    against a block while it is in cache. Each row's 2k terms are summed by
-    two BLAS products with a ones vector: one per query over chunks of
-    ``_sum_chunk(k)`` adjacent columns, then one per block over every
-    query's chunk sums, so each term meets few roundings (``screen_band``).
+    against a block while it is in cache, QUERIES_PER_OP queries per numpy
+    call. Each row's 2k terms are summed by two BLAS products with a ones
+    vector: one per QUERIES_PER_OP queries over chunks of ``_sum_chunk(k)``
+    adjacent columns, then one per block over every query's chunk sums, so
+    each term meets few roundings (``screen_band``).
+
+    The blocks are split into ``min(threads, blocks)`` contiguous runs, one
+    per worker thread with its own buffers; ``None`` takes ``usable_cpus()``.
+    Every block keeps its rows and arithmetic, so the result is bit-identical
+    for every thread count. One worker runs on the calling thread, and the
+    workers of a call have ended when it returns.
     """
     _check_ids(params, anchors, slots, tau)
     for side in sides:
@@ -249,30 +270,61 @@ def score_step(params: ModelParams, tau: int, anchors, slots, sides) -> tuple[np
 
     phase = params.phase[tau].astype(np.float64)
     c, s, x = (a.astype(np.float32) for a in (np.cos(phase), np.sin(phase), x))
-    w = _sum_chunk(k)
-    m, rows = 2 * k // w, min(BLOCK_ROWS, n)
-    ones_w, ones_m = np.ones(w, np.float32), np.ones(m, np.float32)
-    block, diff, tmp = (np.empty((rows, cols), np.float32) for cols in (2 * k, 2 * k, k))
-    # flat, so that a short last block's views stay contiguous for np.dot's out
-    chunk_sums = np.empty(len(x) * rows * m, np.float32)
-    row_sums = np.empty(len(x) * rows, np.float32)
     out = np.empty((len(x), n), np.float32)
-    for start in range(0, n, BLOCK_ROWS):
-        e = slice(start, min(start + BLOCK_ROWS, n))
+    n_blocks = -(-n // BLOCK_ROWS)
+    workers = min(usable_cpus() if threads is None else threads, n_blocks)
+    if workers < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
+    # contiguous runs of whole blocks, so every block has the rows it has alone
+    cuts = [min(BLOCK_ROWS * (i * n_blocks // workers), n) for i in range(workers + 1)]
+    screen = functools.partial(_screen_rows, params, c, s, x, out)
+    if workers == 1:
+        screen(0, n)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(screen, cuts[:-1], cuts[1:]))  # re-raises a worker's error
+    return (out if params.norm_p == 1 else np.sqrt(out, out=out)), offsets
+
+
+def _screen_rows(params: ModelParams, c, s, x, out, lo: int, hi: int) -> None:
+    """Screen sums of entities ``lo:hi`` (whole blocks from ``lo``) into ``out[:, lo:hi]``.
+
+    Holds its own buffers and writes only its own columns of ``out``, so
+    calls on disjoint ranges can run side by side.
+    """
+    k, nq = params.k, len(x)
+    w = _sum_chunk(k)
+    m, rows = 2 * k // w, min(BLOCK_ROWS, hi - lo)
+    ones_w, ones_m = np.ones(w, np.float32), np.ones(m, np.float32)
+    block, tmp = np.empty((rows, 2 * k), np.float32), np.empty((rows, k), np.float32)
+    # flat, so that a short last block's views stay contiguous for reshape and np.dot's out
+    diff = np.empty(QUERIES_PER_OP * rows * 2 * k, np.float32)
+    chunk_sums = np.empty(nq * rows * m, np.float32)
+    row_sums = np.empty(nq * rows, np.float32)
+    for start in range(lo, hi, BLOCK_ROWS):
+        e = slice(start, min(start + BLOCK_ROWS, hi))
         r = e.stop - start
-        b, d, t = (buf[:r] for buf in (block, diff, tmp))
-        parts, sums = chunk_sums[:len(x) * r * m].reshape(len(x), -1), row_sums[:len(x) * r]
+        b, t = block[:r], tmp[:r]
+        parts, sums = chunk_sums[:nq * r * m], row_sums[:nq * r]
         _rotate_into(params.ent_re[e], params.ent_im[e], c, s, b[:, :k], b[:, k:], t)
-        for q in range(len(x)):
-            np.subtract(b, x[q], out=d)
+        for q in range(0, nq, QUERIES_PER_OP):
+            xq = x[q:q + QUERIES_PER_OP, None]
+            d = diff[:len(xq) * r * 2 * k].reshape(len(xq), r, 2 * k)
+            np.subtract(b, xq, out=d)
             if params.norm_p == 1:
                 np.abs(d, out=d)
             else:
                 np.multiply(d, d, out=d)
-            np.dot(d.reshape(-1, w), ones_w, out=parts[q])
+            np.dot(d.reshape(-1, w), ones_w, out=parts[q * r * m:(q + len(xq)) * r * m])
         np.dot(parts.reshape(-1, m), ones_m, out=sums)
-        out[:, e] = sums.reshape(len(x), r)
-    return (out if params.norm_p == 1 else np.sqrt(out, out=out)), offsets
+        out[:, e] = sums.reshape(nq, r)
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where there is one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _sum_chunk(k: int) -> int:

@@ -279,7 +279,7 @@ def grad_step(params: ModelParams, acc: dict[str, np.ndarray], pos: np.ndarray,
 
 def train(train_facts: Sequence[Quadruple], valid_facts: Sequence[Quadruple],
           config: TrainConfig, binning: TimeBinning, vocab: Vocab,
-          log_path=None, progress: bool = False,
+          log_path=None, progress: bool = False, threads: int | None = None,
           ) -> tuple[ModelParams, list[ValidationRecord]]:
     """Full training run with early stopping on validation MRR.
 
@@ -288,7 +288,8 @@ def train(train_facts: Sequence[Quadruple], valid_facts: Sequence[Quadruple],
     and keeps the best-MRR snapshot. Stops at ``max_epochs`` or after
     ``patience`` consecutive validations without improvement. Returns the
     best snapshot (the final params if validation never ran) and the
-    per-validation history.
+    per-validation history. Validation screens on ``threads`` workers
+    (``evaluation.evaluate``).
     """
     if not train_facts:
         raise ValueError("empty training set")
@@ -323,7 +324,8 @@ def train(train_facts: Sequence[Quadruple], valid_facts: Sequence[Quadruple],
             epoch_loss /= len(quads)
 
             if filter_set is not None and epoch % config.valid_every == 0:
-                report = evaluation.evaluate(params, valid_facts, filter_set, binning)
+                report = evaluation.evaluate(params, valid_facts, filter_set, binning,
+                                             threads=threads)
                 rec = ValidationRecord(epoch, epoch_loss, report.mrr, report.hits1,
                                        report.hits3, report.hits10,
                                        time.perf_counter() - start)

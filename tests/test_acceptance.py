@@ -18,7 +18,7 @@ import pytest
 from oracles import dense_grads, fd_grads, key_of, loss, random_kg, rank_oracle
 from tero.data import (PartialDate, POINT_TSV, bin_fixed, bin_threshold,
                        load_dataset, year_mention_counts)
-from tero.evaluation import FilterSet, candidate_scores, evaluate, filtered_rank
+from tero.evaluation import FilterSet, candidate_scores, evaluate, filtered_ranks
 from tero.model import init_params, load_checkpoint, rotate, save_checkpoint
 from tero.synthetic import (asymmetric_relation_suite, collapsed_binning,
                             reflexive_relation_suite, subsample_dataset,
@@ -109,7 +109,7 @@ def test_criterion_3_ranking_matches_bruteforce_oracle():
         checked = 0
         for quad, side, rank in report.ranks:
             screen = candidate_scores(params, [(quad, side)], ds.binning)
-            fast = filtered_rank(screen, 0, fs)
+            [fast] = filtered_ranks(screen, fs)
             slow = rank_oracle(params, quad, side, keys, ds.binning)
             assert fast == slow, f"{quad} {side}: {fast} != {slow}"
             assert rank == slow, f"evaluate {quad} {side}: {rank} != {slow}"

@@ -1,8 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import params_from
 from oracles import format_fact
+from tero import evaluation
 from tero.cli import (COMMANDS, DEFAULTS, OPTIONS, PROFILES, build_parser, main,
                       parse_config_file, resolve_config)
 from tero.data import POINT_TSV, Vocab, bin_fixed, PartialDate
@@ -20,6 +23,19 @@ def suite_files(tmp_path):
         p.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
         paths[split] = str(p)
     return ds, paths
+
+
+def spy_threads(monkeypatch) -> list:
+    """The ``threads`` of every ``score_step`` call the screen makes, as it arrives."""
+    seen = []
+    score_step = evaluation.score_step
+
+    def spy(*args, threads=None):
+        seen.append(threads)
+        return score_step(*args, threads=threads)
+
+    monkeypatch.setattr(evaluation, "score_step", spy)
+    return seen
 
 
 def run_args(paths, out_dir, *extra):
@@ -293,7 +309,21 @@ class TestTrainCommand:
         assert main(self.quick(paths, "run", "--max-epochs", "2",
                                "--checkpoint", "nodir/m.tero")) == 0
         params, ref = load_checkpoint(tmp_path / "nodir" / "m.tero")
-        assert ref == "run" and params.k == 8
+        assert Path(ref).is_absolute() and Path(ref).samefile(tmp_path / "run")
+        assert params.k == 8
+
+    def test_threads_reach_validation_and_eval(self, suite_files, tmp_path, monkeypatch):
+        _, paths = suite_files
+        seen = spy_threads(monkeypatch)
+        out = tmp_path / "run"
+        assert main(self.quick(paths, out, "--max-epochs", "10", "--threads", "3")) == 0
+        assert seen and set(seen) == {3}
+        seen.clear()
+        assert main(["eval", *run_args(paths, out), "--threads", "2"]) == 0
+        assert seen and set(seen) == {2}
+        seen.clear()
+        assert main(["eval", *run_args(paths, out)]) == 0
+        assert seen and set(seen) == {None}  # score_step takes the usable CPUs
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf/nan pass-through is the point
     def test_numerical_blowup_exits_three(self, suite_files, tmp_path):
@@ -526,6 +556,64 @@ class TestPredictCommand:
         monkeypatch.chdir(tmp_path / "elsewhere")
         assert main(["predict", "--checkpoint", str(tmp_path / "run" / "model.tero"),
                      *query]) == 0
+        assert capsys.readouterr().out == expected
+
+
+    def test_threads_do_not_change_the_output(self, tmp_path, capsys, monkeypatch):
+        # 200 entities are four row blocks, so 3 threads split them three ways
+        params = init_params(200, 2, 3, 8, dual=False, seed=41)
+        side = tmp_path / "side"
+        Vocab([f"e{i:03d}" for i in range(200)], ["r0", "r1"]).save(side)
+        binning = bin_fixed([PartialDate(2014, 1, 1), PartialDate(2014, 1, 3)], 1)
+        (side / "binning.txt").write_text(binning.to_manifest(), encoding="utf-8")
+        save_checkpoint(params, tmp_path / "m.tero", vocab_ref=str(side))
+        seen = spy_threads(monkeypatch)
+        outputs = []
+        for threads in (["--threads", "1"], ["--threads", "3"], []):
+            for query in (["--subject", "e007"], ["--object", "e150"]):
+                assert main(["predict", "--checkpoint", str(tmp_path / "m.tero"), *query,
+                             "--relation", "r1", "--time", "2014-01-02", "--top-n", "12",
+                             *threads]) == 0
+                outputs.append(capsys.readouterr().out)
+        assert seen == [1, 1, 3, 3, None, None]
+        assert len(outputs[0].splitlines()) == 12
+        assert outputs[0:2] == outputs[2:4] == outputs[4:6]
+
+    @pytest.mark.parametrize("where", ["checkpoint directory", "elsewhere"])
+    def test_sidecar_of_a_checkpoint_outside_the_out_dir(self, suite_files, tmp_path,
+                                                         monkeypatch, capsys, where):
+        # trained with a relative --out-dir and a --checkpoint outside it,
+        # the run is found from the checkpoint's directory and from anywhere
+        ds, paths = suite_files
+        monkeypatch.chdir(tmp_path)
+        assert main(["train", *run_args(paths, "run"), "--dim", "4", "--max-epochs", "0",
+                     "--checkpoint", "ckpts/m.tero"]) == 0
+        capsys.readouterr()
+        q = ds.test[0]
+        query = ["--subject", ds.vocab.id2ent[q.subject], "--relation",
+                 ds.vocab.id2rel[q.relation], "--time", str(q.time.begin), "--top-n", "3"]
+        assert main(["predict", "--checkpoint", "ckpts/m.tero", *query]) == 0
+        expected = capsys.readouterr().out
+        if where == "elsewhere":
+            (tmp_path / "elsewhere").mkdir()
+            monkeypatch.chdir(tmp_path / "elsewhere")
+            ckpt = str(tmp_path / "ckpts" / "m.tero")
+        else:
+            monkeypatch.chdir(tmp_path / "ckpts")
+            ckpt = "m.tero"
+        assert main(["predict", "--checkpoint", ckpt, *query]) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_moved_sidecar_found_next_to_the_checkpoint(self, tmp_path, capsys):
+        ckpt = self.make_constructed_checkpoint(tmp_path)
+        query = ["predict", "--subject", "A", "--relation", "likes", "--time", "2014-01-01",
+                 "--top-n", "4"]
+        assert main([*query, "--checkpoint", str(ckpt)]) == 0
+        expected = capsys.readouterr().out
+        moved = tmp_path / "moved"
+        (tmp_path / "side").rename(moved)
+        ckpt.rename(moved / ckpt.name)
+        assert main([*query, "--checkpoint", str(moved / ckpt.name)]) == 0
         assert capsys.readouterr().out == expected
 
 

@@ -15,7 +15,7 @@ from oracles import filter_key_count, key_of, random_kg, rank_oracle
 from tero.data import (PartialDate, Quadruple, TimeAnnotation, bin_fixed, bin_threshold,
                        endpoint_terms, time_key)
 from tero.evaluation import (TIE_MODES, FilterSet, QueryRank, Screen, candidate_scores,
-                             evaluate, filtered_rank, rank_from_scores)
+                             evaluate, filtered_ranks, rank_from_scores)
 from tero.model import init_params, score_quads, screen_band
 
 seeds = st.integers(0, 2**32 - 1)
@@ -27,7 +27,8 @@ def day(i: int) -> TimeAnnotation:
 
 def rank_alone(params, quad, side, fs, binning) -> int:
     """Filtered rank of one query, scored on its own."""
-    return filtered_rank(candidate_scores(params, [(quad, side)], binning), 0, fs)
+    [rank] = filtered_ranks(candidate_scores(params, [(quad, side)], binning), fs)
+    return rank
 
 
 def term_mean(params, quad, side, binning) -> np.ndarray:
@@ -246,11 +247,15 @@ class TestCandidateScores:
             alone = candidate_scores(params, [query], binning)
             assert np.array_equal(batched.scores[q], alone.scores[0])
             assert batched.offsets[q] == alone.offsets[0]
-            exact = batched.exact(q, every)
+            [exact] = batched.exact([(q, every)])
             assert np.array_equal(exact, term_mean(params, *query, binning))
             # a gathered, shuffled subset rescores bit for bit
             rows = np.random.default_rng(q).permutation(n_e)[:7]
-            assert np.array_equal(batched.exact(q, rows), exact[rows])
+            assert np.array_equal(batched.exact([(q, rows)])[0], exact[rows])
+        # every query's band rescored in one call, as each alone
+        bands = [(q, np.random.default_rng(q).permutation(n_e)[:q + 1]) for q in range(len(queries))]
+        for (q, rows), together in zip(bands, batched.exact(bands)):
+            assert np.array_equal(together, batched.exact([(q, rows)])[0])
 
     def test_builds_no_rotated_table(self):
         n, k = 4096, 64
@@ -282,7 +287,7 @@ class TestRankQuery:
         fs = FilterSet.build([quad], binning)
         screen = candidate_scores(params, [(quad, "object")], binning)
         assert screen.scores[0, 1] < 1e-6
-        assert screen.exact(0, np.array([1]))[0] < 1e-6
+        assert screen.exact([(0, np.array([1]))])[0][0] < 1e-6
         assert rank_alone(params, quad, "object", fs, binning) == 1
 
     def test_all_other_candidates_filtered(self):
@@ -325,7 +330,8 @@ class TestRankQuery:
                  [(1, 0), (2, 1), (3, 2), (4, 3), (5, 1), (6, 2)]]
         fs = FilterSet.build(facts, binning)
         for quad in facts:
-            scores = candidate_scores(params, [(quad, "object")], binning).exact(0, np.arange(10))
+            [scores] = candidate_scores(params, [(quad, "object")], binning).exact(
+                [(0, np.arange(10))])
             timewise = rank_alone(params, quad, "object", fs, binning)
             keep = np.ones(10, bool)
             keep[[q.object for q in facts]] = False  # triple-level: any time
@@ -364,7 +370,7 @@ class TestScreen:
             ent[:, rows] = values
             params.ent_re[:], params.ent_im[:] = ent
             screen = candidate_scores(params, [(quad, side)], binning)
-            return screen, screen.exact(0, np.arange(n))
+            return screen, screen.exact([(0, np.arange(n))])[0]
 
         if constant:
             exact(slice(None), ent[:, :1])
@@ -413,12 +419,12 @@ class TestScreen:
                   else Quadruple(quad.subject, quad.relation, e, quad.time) for e in (21, 25, 31)]
         fs = FilterSet.build([quad, *others], binning)
         keys = {key_of(q, binning) for q in [quad, *others]}
-        assert filtered_rank(screen, 0, fs) == rank_oracle(params, quad, side, keys, binning)
-        full = screen.exact(0, np.arange(n))
+        assert filtered_ranks(screen, fs) == [rank_oracle(params, quad, side, keys, binning)]
+        [full] = screen.exact([(0, np.arange(n))])
         keep = np.ones(n, bool)
         keep[[21, 25, 31]] = False
         for tie in ("mean", "optimistic", "pessimistic"):
-            assert filtered_rank(screen, 0, fs, tie) == rank_from_scores(full, 0, keep, tie)
+            assert filtered_ranks(screen, fs, tie) == [rank_from_scores(full, 0, keep, tie)]
         order = np.argsort(full, kind="stable")
         for top_n in {1, int((full < full[0]).sum()) + 1, 25, n, n + 3}:
             ids, scores = screen.top(0, top_n)
@@ -454,12 +460,12 @@ class TestScreen:
             quad = Quadruple(0, 0, 1, day(0)) if side == "object" else Quadruple(1, 0, 0, day(0))
             screen = candidate_scores(params, [(quad, side)], binning)
             fs = FilterSet.build([quad], binning)
-            full = screen.exact(0, np.arange(n))
+            [full] = screen.exact([(0, np.arange(n))])
             assert np.array_equal(full, term_mean(params, quad, side, binning))
             keep = np.ones(n, bool)
             for tie in TIE_MODES:
-                assert filtered_rank(screen, 0, fs, tie) == \
-                    rank_from_scores(full, 1, keep, tie), (seed, tie)
+                assert filtered_ranks(screen, fs, tie) == \
+                    [rank_from_scores(full, 1, keep, tie)], (seed, tie)
             order = np.argsort(full, kind="stable")
             for top_n in (1, 5, 21, n):
                 ids, scores = screen.top(0, top_n)
@@ -482,8 +488,8 @@ class TestBandTightness:
         binning = day_binning(4)
         rescored = []
         exact = Screen.exact
-        monkeypatch.setattr(Screen, "exact",
-                            lambda screen, q, rows: rescored.append(len(rows)) or exact(screen, q, rows))
+        monkeypatch.setattr(Screen, "exact", lambda screen, bands: rescored.extend(
+            len(rows) for _, rows in bands) or exact(screen, bands))
         evaluate(params, facts, FilterSet.build(facts, binning), binning)
         assert len(rescored) == 200
         assert np.mean(rescored) < 3.0
@@ -492,8 +498,8 @@ class TestBandTightness:
 class TestEvaluate:
     def test_aggregation_arithmetic(self, monkeypatch):
         canned = iter([2, 4, 10, 2, 4, 10])
-        monkeypatch.setattr("tero.evaluation.filtered_rank",
-                            lambda *a, **k: next(canned))
+        monkeypatch.setattr("tero.evaluation.filtered_ranks",
+                            lambda screen, *a, **k: [next(canned) for _ in screen.queries])
         params = init_params(4, 1, 2, 2, dual=False, seed=25)
         binning = day_binning(2)
         facts = [Quadruple(0, 0, 1, day(0)), Quadruple(1, 0, 2, day(0)),

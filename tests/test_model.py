@@ -1,4 +1,6 @@
 import cmath
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -8,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import params_from
 from oracles import fact_score_oracle, param_count, rotate_oracle, score_one, score_oracle
 from tero.data import PartialDate, Quadruple, TimeAnnotation, bin_threshold
+from tero import model
 from tero.evaluation import candidate_scores
 from tero.model import (init_params, load_checkpoint, rotate,
                         save_checkpoint, score_quads, score_step, screen_band)
@@ -124,7 +127,7 @@ class TestScorePoint:
 def fact_score(params, quad, binning) -> float:
     """The fact's mean term score: its object query's float64 score of its own object."""
     screen = candidate_scores(params, [(quad, "object")], binning)
-    return float(screen.exact(0, np.array([quad.object]))[0])
+    return float(screen.exact([(0, np.array([quad.object]))])[0][0])
 
 
 class TestScoreFact:
@@ -263,6 +266,56 @@ class TestBatchScoring:
         lo, hi = screen_band(2_097_133, 100.0, 0.0)
         assert lo < 100.0 < hi < np.inf
         assert screen_band(2_097_143, 100.0, 0.0) == everything
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+    @pytest.mark.parametrize("n_queries", [1, 2, 3, 5])
+    def test_worker_count_does_not_change_the_screen(self, n, n_queries, monkeypatch):
+        # 1 to 4 row blocks, the last one short at 63, 65 and 200 entities,
+        # split over up to 7 workers; an odd query count leaves the last
+        # query without a partner in its subtraction
+        made = []
+        executor = model.ThreadPoolExecutor
+        monkeypatch.setattr(model, "ThreadPoolExecutor",
+                            lambda **kw: made.append(kw["max_workers"]) or executor(**kw))
+        n_blocks = -(-n // model.BLOCK_ROWS)
+        rng = np.random.default_rng(n_queries)
+        anchors, slots = rng.integers(n, size=n_queries), rng.integers(3, size=n_queries)
+        for p in (1, 2):
+            params = init_params(n, 3, 2, 60, dual=False, seed=n + p, norm_p=p)
+            for first in ("object", "subject"):
+                sides = [(first, "object" if first == "subject" else "subject")[q % 2]
+                         for q in range(n_queries)]
+                before = threading.active_count()
+                made.clear()
+                scores, offsets = score_step(params, 1, anchors, slots, sides, threads=1)
+                assert made == []
+                for threads in (2, 3, 7, None):
+                    got_scores, got_offsets = score_step(params, 1, anchors, slots, sides,
+                                                         threads=threads)
+                    assert np.array_equal(got_scores, scores), (p, first, threads)
+                    assert np.array_equal(got_offsets, offsets), (p, first, threads)
+                    assert threading.active_count() == before
+                workers = [min(t, n_blocks) for t in (2, 3, 7, model.usable_cpus())]
+                assert made == [w for w in workers if w > 1]
+
+    def test_many_workers_under_fast_switching(self):
+        # 8 workers, more than the cores, share the output array and hand the
+        # interpreter over every microsecond; a lost or misplaced column write
+        # would change the screen
+        params = init_params(20 * model.BLOCK_ROWS - 5, 2, 2, 8, dual=False, seed=7)
+        args = (params, 1, [3, 700, 1200], [0, 1, 1], ["object", "subject", "object"])
+        scores, _ = score_step(*args, threads=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                assert np.array_equal(score_step(*args, threads=8)[0], scores)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_worker_count_below_one_rejected(self, tiny_params):
+        with pytest.raises(ValueError, match="threads"):
+            score_step(tiny_params, 0, [0], [0], ["object"], threads=0)
 
     def test_table_scoring_rejects_out_of_range_ids(self, tiny_params):
         # numpy would wrap a negative id round to the last row
