@@ -62,9 +62,6 @@ OPTIONS: tuple[Option, ...] = (
     Option("checkpoint", str, None, "run", "checkpoint path (default: <out-dir>/model.tero)",
            metavar="FILE"),
     Option("out_dir", str, "runs", "run", "artifact directory", metavar="DIR"),
-    Option("threads", int, None, "run", "worker threads that split each time step's screen "
-           "of the entity table; ranks do not depend on it (default: the usable CPUs)",
-           min=1),
     Option("tie", str, "mean", "evaluation", "tie handling for equal scores", TIE_MODES),
     Option("dump_ranks", str, None, "evaluation", "write per-query ranks TSV", metavar="FILE"),
     Option("subject", str, None, "query", "subject entity (object-side query)", metavar="STR"),
@@ -240,8 +237,7 @@ def cmd_train(cfg: RunConfig) -> int:
     ckpt = Path(cfg.checkpoint) if cfg.checkpoint else out / "model.tero"
     ckpt.parent.mkdir(parents=True, exist_ok=True)
     best, history = train(ds.train, ds.valid, config, ds.binning, ds.vocab,
-                          log_path=out / "training_log.tsv", progress=True,
-                          threads=cfg.threads)
+                          log_path=out / "training_log.tsv", progress=True)
     # absolute, so the sidecar is found from any directory
     save_checkpoint(best, ckpt, vocab_ref=str(out.absolute()))
     if history:
@@ -291,8 +287,7 @@ def cmd_eval(cfg: RunConfig) -> int:
         raise DataError("dataset vocabulary does not match the checkpoint sidecar")
     try:
         filter_set = FilterSet.build([q for split in splits for q in split], binning)
-        report = evaluate(params, splits[2], filter_set, binning, tie=cfg.tie,
-                          threads=cfg.threads)
+        report = evaluate(params, splits[2], filter_set, binning, tie=cfg.tie)
     except ValueError as exc:
         raise DataError(str(exc)) from exc
     sys.stdout.write(report.to_tsv())
@@ -348,7 +343,7 @@ def cmd_predict(cfg: RunConfig) -> int:
     else:
         quad = Quadruple(0, rel, anchor, annotation)
     try:
-        screen = candidate_scores(params, [(quad, side)], binning, cfg.threads)
+        screen = candidate_scores(params, [(quad, side)], binning)
         ids, scores = screen.top(0, cfg.top_n)
     except ValueError as exc:
         raise DataError(str(exc)) from exc

@@ -34,10 +34,11 @@ TIE_MODES = ("mean", "optimistic", "pessimistic")
 # queries share their steps, as on a time-collapsed model: the call's screen
 # and distance arrays (at most 3 x 128 x n_entities float32, 11 MB at 7128
 # entities); the chunk sums of each score_step worker (128 queries x 64 rows
-# x 2k/w float32, w = model._sum_chunk(k): 330 KB per worker at k=500, but
-# 16 MB at k=499, where w = 2), beside its ~0.9 MB of block and difference
-# buffers at k=500; and the candidates filtered_ranks rescores at once (~5
-# per query on the ICEWS14 shape, every entity for a constant scorer)
+# x 2k/w float32, w the largest divisor of 2k up to model.SUM_COLS: 330 KB
+# per worker at k=500, but 16 MB at k=499, where w = 2), beside its ~0.9 MB
+# of block and difference buffers at k=500; and the candidates
+# filtered_ranks rescores at once (~5 per query on the ICEWS14 shape, every
+# entity for a constant scorer)
 QUERIES_PER_CALL = 128
 
 
@@ -176,14 +177,14 @@ class Screen:
 
 
 def candidate_scores(params: ModelParams, queries: Sequence[tuple[Quadruple, str]],
-                     binning: TimeBinning, threads: int | None = None) -> Screen:
+                     binning: TimeBinning) -> Screen:
     """Screen of each ``(quad, side)`` query with every entity on ``side``.
 
     Row q of the float32 screen is the mean of query q's endpoint-term
     scores, summed in term order, and its offset the mean of theirs. The
     terms are gathered by time step, and each step scores all of its terms
-    in one ``score_step`` pass on ``threads`` workers, so queries that
-    share their steps share the rotation.
+    in one ``score_step`` pass, split over the CPUs of the process's
+    affinity set, so queries that share their steps share the rotation.
     """
     batches: dict[int, list[tuple[int, int, str]]] = {}  # tau -> (anchor, slot, side)
     refs: list[list[tuple[int, int]]] = []  # per query: (tau, row in its batch) per term
@@ -195,8 +196,7 @@ def candidate_scores(params: ModelParams, queries: Sequence[tuple[Quadruple, str
             batch = batches.setdefault(tau, [])
             refs[-1].append((tau, len(batch)))
             batch.append((anchor, slot, side))
-    dist = {tau: score_step(params, tau, *zip(*batch), threads=threads)
-            for tau, batch in batches.items()}
+    dist = {tau: score_step(params, tau, *zip(*batch)) for tau, batch in batches.items()}
     out = np.empty((len(queries), params.n_entities), np.float32)
     offsets = np.empty(len(queries))
     for q, ref in enumerate(refs):
@@ -232,30 +232,30 @@ def filtered_ranks(screen: Screen, filter_set: FilterSet, tie: str = "mean") -> 
 
 
 def evaluate(params: ModelParams, test_facts: Sequence[Quadruple], filter_set: FilterSet,
-             binning: TimeBinning, tie: str = "mean", threads: int | None = None) -> EvalReport:
+             binning: TimeBinning, tie: str = "mean") -> EvalReport:
     """Rank both sides of every test fact and aggregate MRR / Hits@k.
 
     ``binning`` scores the queries; the filter keys on its own binning, so
     a model trained on another granularity is judged under the same filter.
-    Queries are grouped by the time steps of their endpoint terms, and each
-    group, up to QUERIES_PER_CALL queries at a time, is screened with one
-    ``candidate_scores`` call and ranked with one ``filtered_ranks`` call.
-    Each step's screen splits the entity table over ``threads`` workers
-    (default: the usable CPUs, ``model.usable_cpus``); ranks do not depend
-    on the thread count.
+    Both queries of a fact are grouped by the time steps of the fact's
+    endpoint terms, and each group, up to QUERIES_PER_CALL queries at a
+    time, is screened with one ``candidate_scores`` call and ranked with
+    one ``filtered_ranks`` call. Each step's screen splits the entity table
+    over one worker per CPU in the process's affinity set
+    (``model.usable_cpus``); ranks do not depend on the count.
     """
     if not test_facts:
         raise ValueError("empty test set")
     queries = [(q, side) for q in test_facts for side in ("subject", "object")]
     groups: dict[tuple[int, ...], list[int]] = {}
-    for i, (quad, _) in enumerate(queries):
+    for j, quad in enumerate(test_facts):  # queries 2j and 2j + 1
         terms = endpoint_terms(quad, binning, params.dual, params.n_relations)
-        groups.setdefault(tuple(sorted({tau for _, tau in terms})), []).append(i)
+        groups.setdefault(tuple(sorted({tau for _, tau in terms})), []).extend((2 * j, 2 * j + 1))
     rank_of = {}
     for members in groups.values():
         for j in range(0, len(members), QUERIES_PER_CALL):
             call = members[j:j + QUERIES_PER_CALL]
-            screen = candidate_scores(params, [queries[i] for i in call], binning, threads)
+            screen = candidate_scores(params, [queries[i] for i in call], binning)
             rank_of.update(zip(call, filtered_ranks(screen, filter_set, tie)))
     ranks = [QueryRank(quad, side, rank_of[i]) for i, (quad, side) in enumerate(queries)]
 

@@ -20,8 +20,8 @@ Link prediction needs every entity rotated to the query's step.
 ``score_step`` fuses that rotation with the scoring, BLOCK_ROWS rows at a
 time, in float32: a screen. It sums each row with BLAS products in chunks
 of at most SUM_COLS columns, which bounds the roundings any term meets.
-Worker threads, by default one per usable CPU, each take a contiguous run
-of whole blocks, so the screen's values do not depend on their number.
+One worker thread per CPU in the process's affinity set takes a contiguous
+run of whole blocks, so the screen's values do not depend on their number.
 ``screen_band`` bounds its error against ``score_quads`` by that depth,
 and ``score_quads`` rescores only the gathered candidates the screen
 cannot order (~5 per query on the ICEWS14 shape), so ranks equal those of
@@ -230,7 +230,7 @@ def _check_ids(params: ModelParams, entities, slots, tau: int) -> None:
 
 
 def score_step(params: ModelParams, tau: int, anchors, slots, sides,
-               threads: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+               ) -> tuple[np.ndarray, np.ndarray]:
     """Float32 screen scores at step ``tau`` with each entity substituted, per query.
 
     Query q fixes entity ``anchors[q]`` and relation slot ``slots[q]`` and
@@ -245,15 +245,17 @@ def score_step(params: ModelParams, tau: int, anchors, slots, sides,
     BLOCK_ROWS rows at a time into one buffer, and every query is scored
     against a block while it is in cache, QUERIES_PER_OP queries per numpy
     call. Each row's 2k terms are summed by two BLAS products with a ones
-    vector: one per QUERIES_PER_OP queries over chunks of ``_sum_chunk(k)``
-    adjacent columns, then one per block over every query's chunk sums, so
-    each term meets few roundings (``screen_band``).
+    vector: one per QUERIES_PER_OP queries over chunks of
+    ``largest_divisor(2k, SUM_COLS)`` adjacent columns, then one per block
+    over every query's chunk sums, so each term meets few roundings
+    (``screen_band``).
 
-    The blocks are split into ``min(threads, blocks)`` contiguous runs, one
-    per worker thread with its own buffers; ``None`` takes ``usable_cpus()``.
-    Every block keeps its rows and arithmetic, so the result is bit-identical
-    for every thread count. One worker runs on the calling thread, and the
-    workers of a call have ended when it returns.
+    The blocks are split into ``min(usable_cpus(), blocks)`` contiguous
+    runs, one per worker thread with its own buffers; ``taskset`` narrows
+    the affinity set and so the count. Every block keeps its rows and
+    arithmetic, so the result is bit-identical for every worker count. One
+    worker runs on the calling thread, and the workers of a call have ended
+    when it returns.
     """
     _check_ids(params, anchors, slots, tau)
     for side in sides:
@@ -272,9 +274,7 @@ def score_step(params: ModelParams, tau: int, anchors, slots, sides,
     c, s, x = (a.astype(np.float32) for a in (np.cos(phase), np.sin(phase), x))
     out = np.empty((len(x), n), np.float32)
     n_blocks = -(-n // BLOCK_ROWS)
-    workers = min(usable_cpus() if threads is None else threads, n_blocks)
-    if workers < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
+    workers = min(usable_cpus(), n_blocks)
     # contiguous runs of whole blocks, so every block has the rows it has alone
     cuts = [min(BLOCK_ROWS * (i * n_blocks // workers), n) for i in range(workers + 1)]
     screen = functools.partial(_screen_rows, params, c, s, x, out)
@@ -293,7 +293,7 @@ def _screen_rows(params: ModelParams, c, s, x, out, lo: int, hi: int) -> None:
     calls on disjoint ranges can run side by side.
     """
     k, nq = params.k, len(x)
-    w = _sum_chunk(k)
+    w = largest_divisor(2 * k, SUM_COLS)
     m, rows = 2 * k // w, min(BLOCK_ROWS, hi - lo)
     ones_w, ones_m = np.ones(w, np.float32), np.ones(m, np.float32)
     block, tmp = np.empty((rows, 2 * k), np.float32), np.empty((rows, k), np.float32)
@@ -327,9 +327,10 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _sum_chunk(k: int) -> int:
-    """Columns per chunk of the screen's row sum: the largest divisor of 2k up to SUM_COLS."""
-    return max(w for w in range(1, min(2 * k, SUM_COLS) + 1) if 2 * k % w == 0)
+@functools.cache
+def largest_divisor(n: int, cap: int) -> int:
+    """The largest divisor of ``n`` up to ``cap``: the widest equal chunks of n columns."""
+    return max(d for d in range(1, min(n, cap) + 1) if n % d == 0)
 
 
 def screen_band(k: int, score, offset: float) -> tuple[np.float32, np.float32]:
@@ -341,9 +342,10 @@ def screen_band(k: int, score, offset: float) -> tuple[np.float32, np.float32]:
     from ``score_step``. The bound: a screen score S is within
     B(S) = a*S + offset of its ``score_quads`` score; a = g/(1 - g),
     g = gamma(D + 13), where gamma(m) = m*u/(1 - m*u) bounds m chained
-    roundings, u = U32, and D = (w - 1) + (2k/w - 1), w = _sum_chunk(k),
-    is the depth of the screen's row sum. That sum adds each chunk of w
-    columns with one BLAS product and the 2k/w chunk sums with another.
+    roundings, u = U32, and D = (w - 1) + (2k/w - 1), with
+    w = largest_divisor(2k, SUM_COLS), is the depth of the screen's row
+    sum. That sum adds each chunk of w columns with one BLAS product and
+    the 2k/w chunk sums with another.
     Whatever order, blocking or SIMD lanes a product uses, it adds w
     numbers by w - 1 additions, so no term meets more than w - 1 of their
     roundings; its products by the ones vector and by alpha = 1 are exact
@@ -376,7 +378,7 @@ def screen_band(k: int, score, offset: float) -> tuple[np.float32, np.float32]:
     float32, so the float32 comparisons are exact.
     """
     t = float(score)
-    w = _sum_chunk(k)
+    w = largest_divisor(2 * k, SUM_COLS)
     du = (w + 2 * k // w + 11) * U32  # (D + 13)*u
     if not (t + offset < 2.0 ** 60 and du < 1 / 8):  # also catches nan
         return np.float32(-np.inf), np.float32(np.inf)

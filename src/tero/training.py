@@ -34,7 +34,7 @@ import numpy as np
 
 from . import evaluation
 from .data import Dataset, Quadruple, TimeBinning, Vocab, expand_for_training
-from .model import BLOCK_ROWS, ModelParams, _forward, _scores, init_params
+from .model import BLOCK_ROWS, ModelParams, _forward, _scores, init_params, largest_divisor
 
 ADAGRAD_EPS = 1e-10
 # loss weights below this carry no representable update
@@ -202,7 +202,7 @@ def loss_and_grads(params: ModelParams, pos: np.ndarray, neg: np.ndarray,
     n = len(live)
     # per-quadruple gradients as (rows, k // w, w) views of slab-major
     # storage, so that each slab of w columns is contiguous for the scatter
-    w_slab = max(d for d in range(1, min(k, SCATTER_COLS) + 1) if k % d == 0)
+    w_slab = largest_divisor(k, SCATTER_COLS)
     g_ent_re, g_ent_im, g_rel_re, g_rel_im, g_phase = (
         np.empty((k // w_slab, rows, w_slab), dtype).transpose(1, 0, 2)
         for rows in (2 * n, 2 * n, n, n, n))
@@ -279,8 +279,7 @@ def grad_step(params: ModelParams, acc: dict[str, np.ndarray], pos: np.ndarray,
 
 def train(train_facts: Sequence[Quadruple], valid_facts: Sequence[Quadruple],
           config: TrainConfig, binning: TimeBinning, vocab: Vocab,
-          log_path=None, progress: bool = False, threads: int | None = None,
-          ) -> tuple[ModelParams, list[ValidationRecord]]:
+          log_path=None, progress: bool = False) -> tuple[ModelParams, list[ValidationRecord]]:
     """Full training run with early stopping on validation MRR.
 
     Expands facts into endpoint quadruples, shuffles each epoch (seeded),
@@ -288,8 +287,8 @@ def train(train_facts: Sequence[Quadruple], valid_facts: Sequence[Quadruple],
     and keeps the best-MRR snapshot. Stops at ``max_epochs`` or after
     ``patience`` consecutive validations without improvement. Returns the
     best snapshot (the final params if validation never ran) and the
-    per-validation history. Validation screens on ``threads`` workers
-    (``evaluation.evaluate``).
+    per-validation history. Validation screens on one worker per CPU in
+    the process's affinity set (``evaluation.evaluate``).
     """
     if not train_facts:
         raise ValueError("empty training set")
@@ -324,8 +323,7 @@ def train(train_facts: Sequence[Quadruple], valid_facts: Sequence[Quadruple],
             epoch_loss /= len(quads)
 
             if filter_set is not None and epoch % config.valid_every == 0:
-                report = evaluation.evaluate(params, valid_facts, filter_set, binning,
-                                             threads=threads)
+                report = evaluation.evaluate(params, valid_facts, filter_set, binning)
                 rec = ValidationRecord(epoch, epoch_loss, report.mrr, report.hits1,
                                        report.hits3, report.hits10,
                                        time.perf_counter() - start)

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import params_from
 from oracles import format_fact
-from tero import evaluation
+from tero import model
 from tero.cli import (COMMANDS, DEFAULTS, OPTIONS, PROFILES, build_parser, main,
                       parse_config_file, resolve_config)
 from tero.data import POINT_TSV, Vocab, bin_fixed, PartialDate
@@ -23,19 +23,6 @@ def suite_files(tmp_path):
         p.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
         paths[split] = str(p)
     return ds, paths
-
-
-def spy_threads(monkeypatch) -> list:
-    """The ``threads`` of every ``score_step`` call the screen makes, as it arrives."""
-    seen = []
-    score_step = evaluation.score_step
-
-    def spy(*args, threads=None):
-        seen.append(threads)
-        return score_step(*args, threads=threads)
-
-    monkeypatch.setattr(evaluation, "score_step", spy)
-    return seen
 
 
 def run_args(paths, out_dir, *extra):
@@ -69,12 +56,16 @@ class TestConfigResolution:
         assert cfg.margin == 60.0  # config file over profile
         assert cfg.lr == 0.5  # flag over config file
 
-    def test_config_file_errors(self, tmp_path):
+    def test_config_file_errors(self, tmp_path, capsys):
         bad = tmp_path / "bad.conf"
         bad.write_text("what even\n", encoding="utf-8")
         assert main(["train", "--config", str(bad)]) == 1
         bad.write_text("nonsense = 3\n", encoding="utf-8")
         assert main(["train", "--config", str(bad)]) == 1
+        bad.write_text("# tuned\nthreads = 2\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["train", "--config", str(bad)]) == 1
+        assert f"{bad}:2: unknown option 'threads'" in capsys.readouterr().err
 
     def test_threshold_clears_default_unit(self):
         cfg = resolve_config(self.parse("train", "--time-threshold", "300"))
@@ -89,16 +80,17 @@ class TestConfigResolution:
                      "--lr", "--neg-ratio", "--batch-size", "--time-unit",
                      "--time-threshold", "--norm", "--dual", "--seed", "--max-epochs",
                      "--valid-every", "--patience", "--checkpoint", "--out-dir",
-                     "--threads", "--profile"):
+                     "--profile"):
             assert flag in text
         for shown_default in ("default: 512", "default: 110.0", "default: 0.1",
                               "default: 5000", "default: 500"):
             assert shown_default in text
 
     def test_usage_error_exits_one(self):
-        with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args(["train", "--no-such-flag"])
-        assert exc.value.code == 1
+        for flag in (["--no-such-flag"], ["--threads", "2"]):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(["train", *flag])
+            assert exc.value.code == 1
 
     def test_missing_paths_is_usage_error(self):
         assert main(["preprocess"]) == 1
@@ -311,19 +303,6 @@ class TestTrainCommand:
         params, ref = load_checkpoint(tmp_path / "nodir" / "m.tero")
         assert Path(ref).is_absolute() and Path(ref).samefile(tmp_path / "run")
         assert params.k == 8
-
-    def test_threads_reach_validation_and_eval(self, suite_files, tmp_path, monkeypatch):
-        _, paths = suite_files
-        seen = spy_threads(monkeypatch)
-        out = tmp_path / "run"
-        assert main(self.quick(paths, out, "--max-epochs", "10", "--threads", "3")) == 0
-        assert seen and set(seen) == {3}
-        seen.clear()
-        assert main(["eval", *run_args(paths, out), "--threads", "2"]) == 0
-        assert seen and set(seen) == {2}
-        seen.clear()
-        assert main(["eval", *run_args(paths, out)]) == 0
-        assert seen and set(seen) == {None}  # score_step takes the usable CPUs
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf/nan pass-through is the point
     def test_numerical_blowup_exits_three(self, suite_files, tmp_path):
@@ -560,24 +539,29 @@ class TestPredictCommand:
 
 
     def test_threads_do_not_change_the_output(self, tmp_path, capsys, monkeypatch):
-        # 200 entities are four row blocks, so 3 threads split them three ways
+        # 200 entities are four row blocks, so 3 CPUs split them three ways
+        # and 7 or 8 four ways
         params = init_params(200, 2, 3, 8, dual=False, seed=41)
         side = tmp_path / "side"
         Vocab([f"e{i:03d}" for i in range(200)], ["r0", "r1"]).save(side)
         binning = bin_fixed([PartialDate(2014, 1, 1), PartialDate(2014, 1, 3)], 1)
         (side / "binning.txt").write_text(binning.to_manifest(), encoding="utf-8")
         save_checkpoint(params, tmp_path / "m.tero", vocab_ref=str(side))
-        seen = spy_threads(monkeypatch)
+        made = []
+        executor = model.ThreadPoolExecutor
+        monkeypatch.setattr(model, "ThreadPoolExecutor",
+                            lambda **kw: made.append(kw["max_workers"]) or executor(**kw))
+        cpus = (1, 2, 3, 7, 8, model.usable_cpus())
         outputs = []
-        for threads in (["--threads", "1"], ["--threads", "3"], []):
+        for count in cpus:
+            monkeypatch.setattr(model, "usable_cpus", lambda: count)
             for query in (["--subject", "e007"], ["--object", "e150"]):
                 assert main(["predict", "--checkpoint", str(tmp_path / "m.tero"), *query,
-                             "--relation", "r1", "--time", "2014-01-02", "--top-n", "12",
-                             *threads]) == 0
+                             "--relation", "r1", "--time", "2014-01-02", "--top-n", "12"]) == 0
                 outputs.append(capsys.readouterr().out)
-        assert seen == [1, 1, 3, 3, None, None]
+        assert made == [w for count in cpus for w in 2 * [min(count, 4)] if w > 1]
         assert len(outputs[0].splitlines()) == 12
-        assert outputs[0:2] == outputs[2:4] == outputs[4:6]
+        assert all(outputs[i:i + 2] == outputs[0:2] for i in range(0, len(outputs), 2))
 
     @pytest.mark.parametrize("where", ["checkpoint directory", "elsewhere"])
     def test_sidecar_of_a_checkpoint_outside_the_out_dir(self, suite_files, tmp_path,

@@ -16,6 +16,7 @@ from tero.data import (PartialDate, Quadruple, TimeAnnotation, bin_fixed, bin_th
                        endpoint_terms, time_key)
 from tero.evaluation import (TIE_MODES, FilterSet, QueryRank, Screen, candidate_scores,
                              evaluate, filtered_ranks, rank_from_scores)
+from tero import model
 from tero.model import init_params, score_quads, screen_band
 
 seeds = st.integers(0, 2**32 - 1)
@@ -530,14 +531,18 @@ class TestEvaluate:
         assert 0.0 < report.mrr <= 1.0
         assert len(report.ranks) == 2 * len(ds.test)
 
-    def test_threads_agree_with_reference(self):
+    def test_threads_agree_with_reference(self, monkeypatch):
         ds = random_kg(seed=4, n_entities=15, n_relations=2, n_steps=4, n_facts=60)
         params = init_params(15, 2, 4, 4, dual=False, seed=28)
         fs = FilterSet.build(ds.all_facts, ds.binning)
-        single = evaluate(params, ds.test, fs, ds.binning, threads=1)
-        multi = evaluate(params, ds.test, fs, ds.binning, threads=4)
-        assert [q.rank for q in single.ranks] == [q.rank for q in multi.ranks]
-        assert single.mrr == multi.mrr
+        cpus = (2, 3, 7, 8, model.usable_cpus())
+        monkeypatch.setattr(model, "usable_cpus", lambda: 1)
+        single = evaluate(params, ds.test, fs, ds.binning)
+        for count in cpus:
+            monkeypatch.setattr(model, "usable_cpus", lambda: count)
+            multi = evaluate(params, ds.test, fs, ds.binning)
+            assert [q.rank for q in single.ranks] == [q.rank for q in multi.ranks]
+            assert single.mrr == multi.mrr
 
     def test_empty_test_set_rejected(self):
         params = init_params(4, 1, 2, 2, dual=False, seed=29)
@@ -559,12 +564,15 @@ class TestEvaluateMatchesOracle:
     """``evaluate`` itself, with its per-step tables, against the oracle."""
 
     def assert_matches_oracle(self, params, facts, all_facts, binning, score_binning=None,
-                              threads=1):
-        """Filter keys on ``binning``; scores use ``score_binning`` when given."""
+                              cpus=1):
+        """Filter keys on ``binning``; scores use ``score_binning`` when given, and
+        the screen sees ``cpus`` usable CPUs."""
         fs = FilterSet.build(all_facts, binning)
         keys = {key_of(q, binning) for q in all_facts}
-        report = evaluate(params, facts, fs, binning if score_binning is None else score_binning,
-                          threads=threads)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(model, "usable_cpus", lambda: cpus)
+            report = evaluate(params, facts, fs,
+                              binning if score_binning is None else score_binning)
         assert [(qr.quad, qr.side) for qr in report.ranks] == \
             [(q, side) for q in facts for side in ("subject", "object")]
         for qr in report.ranks:
@@ -577,7 +585,7 @@ class TestEvaluateMatchesOracle:
         self.assert_matches_oracle(params, ds.test, ds.all_facts, ds.binning)
 
     @given(seeds, st.sampled_from([1, 2]))
-    def test_interval_dual_graph(self, seed, threads):
+    def test_interval_dual_graph(self, seed, cpus):
         # intervals over two steps need two tables per query; half-open
         # facts and points one
         rng = np.random.default_rng(seed)
@@ -593,7 +601,7 @@ class TestEvaluateMatchesOracle:
             facts.add(Quadruple(int(rng.integers(n_e)), int(rng.integers(n_r)),
                                 int(rng.integers(n_e)), time))
         facts = sorted(facts, key=repr)
-        self.assert_matches_oracle(params, facts[:8], facts, binning, threads=threads)
+        self.assert_matches_oracle(params, facts[:8], facts, binning, cpus=cpus)
 
     def test_score_binning_split(self):
         from tero.synthetic import collapsed_binning, temporary_relation_suite
@@ -615,7 +623,7 @@ class TestEvaluateMatchesOracle:
         params = init_params(ds.vocab.n_entities, ds.vocab.n_relations, flat.n_tau,
                              4, dual=False, seed=36)
         self.assert_matches_oracle(params, ds.test[:6], ds.all_facts, ds.binning,
-                                   score_binning=flat, threads=2)
+                                   score_binning=flat, cpus=2)
 
 
 class TestScoreBinningSplit:

@@ -271,12 +271,13 @@ class TestBatchScoring:
     @pytest.mark.parametrize("n_queries", [1, 2, 3, 5])
     def test_worker_count_does_not_change_the_screen(self, n, n_queries, monkeypatch):
         # 1 to 4 row blocks, the last one short at 63, 65 and 200 entities,
-        # split over up to 7 workers; an odd query count leaves the last
+        # split over up to 8 workers; an odd query count leaves the last
         # query without a partner in its subtraction
         made = []
         executor = model.ThreadPoolExecutor
         monkeypatch.setattr(model, "ThreadPoolExecutor",
                             lambda **kw: made.append(kw["max_workers"]) or executor(**kw))
+        cpus = (2, 3, 7, 8, model.usable_cpus())
         n_blocks = -(-n // model.BLOCK_ROWS)
         rng = np.random.default_rng(n_queries)
         anchors, slots = rng.integers(n, size=n_queries), rng.integers(3, size=n_queries)
@@ -287,35 +288,43 @@ class TestBatchScoring:
                          for q in range(n_queries)]
                 before = threading.active_count()
                 made.clear()
-                scores, offsets = score_step(params, 1, anchors, slots, sides, threads=1)
+                monkeypatch.setattr(model, "usable_cpus", lambda: 1)
+                scores, offsets = score_step(params, 1, anchors, slots, sides)
                 assert made == []
-                for threads in (2, 3, 7, None):
-                    got_scores, got_offsets = score_step(params, 1, anchors, slots, sides,
-                                                         threads=threads)
-                    assert np.array_equal(got_scores, scores), (p, first, threads)
-                    assert np.array_equal(got_offsets, offsets), (p, first, threads)
+                for count in cpus:
+                    monkeypatch.setattr(model, "usable_cpus", lambda: count)
+                    got_scores, got_offsets = score_step(params, 1, anchors, slots, sides)
+                    assert np.array_equal(got_scores, scores), (p, first, count)
+                    assert np.array_equal(got_offsets, offsets), (p, first, count)
                     assert threading.active_count() == before
-                workers = [min(t, n_blocks) for t in (2, 3, 7, model.usable_cpus())]
+                workers = [min(count, n_blocks) for count in cpus]
                 assert made == [w for w in workers if w > 1]
 
-    def test_many_workers_under_fast_switching(self):
+    def test_many_workers_under_fast_switching(self, monkeypatch):
         # 8 workers, more than the cores, share the output array and hand the
         # interpreter over every microsecond; a lost or misplaced column write
         # would change the screen
         params = init_params(20 * model.BLOCK_ROWS - 5, 2, 2, 8, dual=False, seed=7)
         args = (params, 1, [3, 700, 1200], [0, 1, 1], ["object", "subject", "object"])
-        scores, _ = score_step(*args, threads=1)
+        monkeypatch.setattr(model, "usable_cpus", lambda: 1)
+        scores, _ = score_step(*args)
+        monkeypatch.setattr(model, "usable_cpus", lambda: 8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(10):
-                assert np.array_equal(score_step(*args, threads=8)[0], scores)
+                assert np.array_equal(score_step(*args)[0], scores)
         finally:
             sys.setswitchinterval(interval)
 
-    def test_worker_count_below_one_rejected(self, tiny_params):
-        with pytest.raises(ValueError, match="threads"):
-            score_step(tiny_params, 0, [0], [0], ["object"], threads=0)
+    def test_usable_cpus_reads_the_affinity_set(self, monkeypatch):
+        monkeypatch.setattr(model.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        assert model.usable_cpus() == 3
+        monkeypatch.delattr(model.os, "sched_getaffinity")
+        monkeypatch.setattr(model.os, "cpu_count", lambda: 6)
+        assert model.usable_cpus() == 6
+        monkeypatch.setattr(model.os, "cpu_count", lambda: None)
+        assert model.usable_cpus() == 1
 
     def test_table_scoring_rejects_out_of_range_ids(self, tiny_params):
         # numpy would wrap a negative id round to the last row
