@@ -34,11 +34,12 @@ TIE_MODES = ("mean", "optimistic", "pessimistic")
 # queries share their steps, as on a time-collapsed model: the call's screen
 # and distance arrays (at most 3 x 128 x n_entities float32, 11 MB at 7128
 # entities); the chunk sums of each score_step worker (128 queries x 64 rows
-# x 2k/w float32, w the largest divisor of 2k up to model.SUM_COLS: 330 KB
-# per worker at k=500, but 16 MB at k=499, where w = 2), beside its ~0.9 MB
-# of block and difference buffers at k=500; and the candidates
-# filtered_ranks rescores at once (~5 per query on the ICEWS14 shape, every
-# entity for a constant scorer)
+# x 2k/w float32, w the largest divisor of 2k up to model.SUM_COLS, and
+# their float64 copy for the second stage: 820 KB + 1.6 MB per worker at
+# k=500, where w = 40, but 16 + 33 MB at k=499, where w = 2), beside its
+# 256 KB complex64 block and 512 KB buffer of maxima or differences at
+# k=500; and the candidates filtered_ranks rescores at once (~5-6 per query
+# on the ICEWS14 shape, every entity for a constant scorer)
 QUERIES_PER_CALL = 128
 
 
@@ -169,7 +170,8 @@ class Screen:
         """Query q's ``n`` lowest-scoring candidates and their float64 scores, ties by id."""
         row = self.scores[q]
         n = min(n, len(row))
-        _, hi = screen_band(self.params.k, np.partition(row, n - 1)[n - 1], self.offsets[q])
+        _, hi = screen_band(self.params.k, self.params.norm_p, np.partition(row, n - 1)[n - 1],
+                            self.offsets[q])
         rows = np.flatnonzero(~(row > hi))
         [exact] = self.exact([(q, rows)])
         best = np.argsort(exact, kind="stable")[:n]
@@ -222,7 +224,7 @@ def filtered_ranks(screen: Screen, filter_set: FilterSet, tie: str = "mean") -> 
         keep[true_ids] = False
         keep[target] = True
         row = screen.scores[q]
-        lo, hi = screen_band(screen.params.k, row[target], screen.offsets[q])
+        lo, hi = screen_band(screen.params.k, screen.params.norm_p, row[target], screen.offsets[q])
         below = row < lo
         rows = np.flatnonzero(~(below | (row > hi)))  # holds the target
         bands.append((q, rows))

@@ -18,14 +18,17 @@ storage dtype by the training step, so no whole-batch temporary is built.
 
 Link prediction needs every entity rotated to the query's step.
 ``score_step`` fuses that rotation with the scoring, BLOCK_ROWS rows at a
-time, in float32: a screen. It sums each row with BLAS products in chunks
-of at most SUM_COLS columns, which bounds the roundings any term meets.
-One worker thread per CPU in the process's affinity set takes a contiguous
-run of whole blocks, so the screen's values do not depend on their number.
-``screen_band`` bounds its error against ``score_quads`` by that depth,
-and ``score_quads`` rescores only the gathered candidates the screen
-cannot order (~5 per query on the ICEWS14 shape), so ranks equal those of
-``score_quads`` over every candidate.
+time, in float32: a screen. Each block is rotated by one complex64
+multiply. At p=1 a row scores as 2*sum(max(rot(e), x)) - sum(rot(e)) -
+sum(x), one ``np.maximum`` pass per query and no subtraction; at p=2 it
+subtracts and squares. Rows are summed by BLAS products over chunks of at
+most SUM_COLS columns, then in float64, which bounds the float32 roundings
+any term meets. One worker thread per CPU in the process's affinity set
+takes a contiguous run of whole blocks, so the screen's values do not
+depend on their number. ``screen_band`` bounds the screen's error against
+``score_quads``, and ``score_quads`` rescores only the gathered candidates
+the screen cannot order (~5-6 per query on the ICEWS14 shape), so ranks
+equal those of ``score_quads`` over every candidate.
 
 Parameter arrays are float32, matching the checkpoint wire format, so
 save/load round-trips are lossless. Models built with ``dtype=np.float64``
@@ -46,26 +49,33 @@ import numpy as np
 CHECKPOINT_MAGIC = b"TERO"
 CHECKPOINT_VERSION = 1
 # rows per block of the fused rotate-and-score kernel and of the training
-# step. At k=500 a block is 512 KB of rotated rows plus a 512 KB difference
-# buffer, which stay in L2 together: on a Xeon with 2 MB of L2 per core, 32
-# and 64 rows were the fastest of 16-256 and 256 rows ~25% slower per
-# query. The training step (ICEWS14 shape, batch 512) was also fastest at
-# 64 of 16-256, 4% ahead of 32 and 7-11% ahead of the rest.
+# step. At k=500 a screen worker holds a 256 KB complex64 block of rotated
+# rows, a 512 KB buffer of one query pair's maxima (p=1) or differences and
+# a float64 buffer of at least 512 KB for the row sums, which stay in L2
+# together (2 MB per core on the 2-core Xeon measured). There, evaluate over
+# 20 ICEWS14-shaped valid steps took 2.85, 2.24 and 2.40 ms per query at
+# 32, 64 and 128 rows (medians of 4 alternated rounds). The training step
+# (ICEWS14 shape, batch 512) was also fastest at 64 of 16-256, 4% ahead of
+# 32 and 7-11% ahead of the rest.
 BLOCK_ROWS = 64
-# widest column chunk of the screen's row sum (chunks are the largest
-# divisor of 2k up to this). On a 2-core Xeon, the chunk sums of one
-# 64 x 1000 float32 block took 4.6 us at 100 columns, 6.3 at 50, 8.5 at
-# 25 and 4.2-5.2 at 125-1000, against 15.3 us for numpy's row sum; wider
-# chunks gain little and deepen the sum (screen_band)
-SUM_COLS = 100
-# queries the screen subtracts from a block and chunk-sums per numpy call.
-# One query's call on a 64 x 1000 float32 block lasts only ~10-30 us, so
-# workers hand the GIL over often, and pairs halve the hand-overs. Over 434
-# queries of 10 ICEWS14-shaped steps (k=500, 2-core Xeon, numpy 2.4.6), six
-# alternated rounds in one process gave median ms per query: 2 workers 4.17
-# at 1 query per call, 3.38 at 2 and 3.86 at 4; 1 worker 5.28 at 1 and 5.04
-# at 2. Each worker's difference buffer holds this many blocks (512 KB at
-# k=500), which stay in L2 beside its rotated block
+# widest column chunk of the screen's float32 row sum (chunks are the
+# largest divisor of 2k up to this). The band grows with the chunk's depth
+# w - 1 (screen_band), the chunk sums' cost falls with w. On a 2-core Xeon
+# (numpy 2.4.6) the chunk sums of one query pair's 2 x 64 x 1000 block took
+# 16.4 us at 25 columns, 9.4 at 40 and 7.1 at 100. Over 20 ICEWS14-shaped
+# valid steps (926 queries, k=500, seeded random model) evaluate rescored
+# 4.1, 5.5 and 11.2 rows per query (7, 10 and 18 at the 90th percentile)
+# and took 2.66, 2.44 and 2.44 ms per query (medians of 4 alternated rounds)
+SUM_COLS = 40
+# queries the screen takes through a block per numpy call: one maximum (or
+# subtraction and square) and one chunk-sum product. One query's call on a
+# 64 x 1000 float32 block lasts only ~10-30 us, so workers hand the GIL over
+# often, and pairs halve the hand-overs. Over 20 ICEWS14-shaped valid steps
+# (926 queries, k=500, 2 workers on a 2-core Xeon, numpy 2.4.6) evaluate
+# took 2.81, 2.24 and 2.27 ms per query at 1, 2 and 4 queries per call
+# (medians of 4 alternated rounds). Each worker's buffer of maxima or
+# differences holds this many blocks (512 KB at k=500), which stay in L2
+# beside its rotated block
 QUERIES_PER_OP = 2
 U32 = 2.0 ** -24  # unit roundoff of float32
 
@@ -138,29 +148,22 @@ def init_params(n_entities: int, n_relations: int, n_tau: int, k: int, dual: boo
 
 def rotate(re: np.ndarray, im: np.ndarray,
            phase: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Elementwise complex rotation (re + i*im) * e^{i*phase}.
+    """Elementwise complex rotation (re + i*im) * e^{i*phase}, in float64.
 
-    Preserves the modulus of every coordinate exactly up to float rounding.
+    One complex multiply by ``_phasor(phase)``, as the screen rotates its
+    blocks. Preserves the modulus of every coordinate exactly up to float
+    rounding.
     """
     re, im, phase = np.asarray(re), np.asarray(im), np.asarray(phase, float)
     if re.shape != im.shape or re.shape[-1] != phase.shape[-1]:
         raise ValueError(f"shape mismatch: re {re.shape}, im {im.shape}, phase {phase.shape}")
-    out_re = np.empty(np.broadcast_shapes(re.shape, phase.shape))
-    out_im = np.empty_like(out_re)
-    _rotate_into(re, im, np.cos(phase), np.sin(phase), out_re, out_im, np.empty_like(out_re))
-    return out_re, out_im
+    z = (re.astype(float) + 1j * im.astype(float)) * _phasor(phase)
+    return z.real, z.imag
 
 
-def _rotate_into(re, im, c, s, out_re, out_im, tmp) -> None:
-    """(re + i*im) * (c + i*s) written into ``out_re``/``out_im``, in their dtype.
-
-    ``tmp`` is scratch of the output shape. float64 ``c``/``s`` promote
-    float32 coordinates without a float64 copy of them.
-    """
-    np.multiply(re, c, out=out_re)
-    out_re -= np.multiply(im, s, out=tmp)
-    np.multiply(re, s, out=out_im)
-    out_im += np.multiply(im, c, out=tmp)
+def _phasor(phase: np.ndarray) -> np.ndarray:
+    """cos(phase) + i*sin(phase) in complex128, from float64 ``phase``."""
+    return np.cos(phase) + 1j * np.sin(phase)
 
 
 def _norm(d_re: np.ndarray, d_im: np.ndarray, p: int) -> np.ndarray:
@@ -242,13 +245,18 @@ def score_step(params: ModelParams, tau: int, anchors, slots, sides,
 
     Returns float32 scores of every entity, row q for query q, and the
     per-query offsets ``screen_band`` takes. Entities are rotated
-    BLOCK_ROWS rows at a time into one buffer, and every query is scored
-    against a block while it is in cache, QUERIES_PER_OP queries per numpy
-    call. Each row's 2k terms are summed by two BLAS products with a ones
-    vector: one per QUERIES_PER_OP queries over chunks of
-    ``largest_divisor(2k, SUM_COLS)`` adjacent columns, then one per block
-    over every query's chunk sums, so each term meets few roundings
-    (``screen_band``).
+    BLOCK_ROWS rows at a time by one multiply of a complex64 buffer by
+    cos(theta) + i*sin(theta); viewed as float32, each row holds its 2k
+    coordinates with re and im interleaved, as x does. Every query is
+    scored against a block while it is in cache, QUERIES_PER_OP queries per
+    numpy call. At p=1 that call is ``np.maximum(b, x)``, since
+    ``||b - x||_1 = 2*sum(max(b, x)) - sum(b) - sum(x)``, with sum(b) taken in
+    float64 once per block and sum(x) once per query; at p=2 it subtracts
+    and squares. Each row's 2k terms are summed by two BLAS products with a
+    ones vector: one per QUERIES_PER_OP queries over chunks of
+    ``largest_divisor(2k, SUM_COLS)`` adjacent columns, in float32, then one
+    per block over every query's chunk sums, in float64, so each term meets
+    few float32 roundings (``screen_band``).
 
     The blocks are split into ``min(usable_cpus(), blocks)`` contiguous
     runs, one per worker thread with its own buffers; ``taskset`` narrows
@@ -261,63 +269,78 @@ def score_step(params: ModelParams, tau: int, anchors, slots, sides,
     for side in sides:
         if side not in ("subject", "object"):
             raise ValueError(f"side must be 'subject' or 'object', got {side!r}")
-    k, n = params.k, params.n_entities
+    k, n, p = params.k, params.n_entities, params.norm_p
     anchors, slots = np.asarray(anchors, dtype=np.intp), np.asarray(slots, dtype=np.intp)
     a_re, a_im = rotate(params.ent_re[anchors], params.ent_im[anchors], params.phase[tau])
     r_re, r_im = params.rel_re[slots], params.rel_im[slots]
     obj = np.array([side == "object" for side in sides])[:, None]
-    x = np.hstack([np.where(obj, a_re + r_re, a_re - r_re), -(a_im + r_im)])
-    offsets = (17 * U32 * _norm(x[:, :k], x[:, k:], params.norm_p) + np.sqrt(2 * k) * 2.0 ** -68
+    x = np.empty(a_re.shape, np.complex128)
+    x.real, x.imag = np.where(obj, a_re + r_re, a_re - r_re), -(a_im + r_im)
+    offsets = ((_screen_slope(k, 1) if p == 1 else 17 * U32) * _norm(x.real, x.imag, p)
+               + np.sqrt(2 * k) * 2.0 ** -68
                + 2.0 ** -44 * (_norm(a_re, a_im, 1) + _norm(r_re, r_im, 1)))
 
-    phase = params.phase[tau].astype(np.float64)
-    c, s, x = (a.astype(np.float32) for a in (np.cos(phase), np.sin(phase), x))
+    z = _phasor(params.phase[tau].astype(np.float64)).astype(np.complex64)
+    x = x.view(np.float64).astype(np.float32)  # (Q, 2k), re and im interleaved as in a block
+    x_sums = x.sum(axis=1, dtype=np.float64)
     out = np.empty((len(x), n), np.float32)
     n_blocks = -(-n // BLOCK_ROWS)
     workers = min(usable_cpus(), n_blocks)
     # contiguous runs of whole blocks, so every block has the rows it has alone
     cuts = [min(BLOCK_ROWS * (i * n_blocks // workers), n) for i in range(workers + 1)]
-    screen = functools.partial(_screen_rows, params, c, s, x, out)
+    screen = functools.partial(_screen_rows, params, z, x, x_sums, out)
     if workers == 1:
         screen(0, n)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(screen, cuts[:-1], cuts[1:]))  # re-raises a worker's error
-    return (out if params.norm_p == 1 else np.sqrt(out, out=out)), offsets
+    return (out if p == 1 else np.sqrt(out, out=out)), offsets
 
 
-def _screen_rows(params: ModelParams, c, s, x, out, lo: int, hi: int) -> None:
-    """Screen sums of entities ``lo:hi`` (whole blocks from ``lo``) into ``out[:, lo:hi]``.
+def _screen_rows(params: ModelParams, z, x, x_sums, out, lo: int, hi: int) -> None:
+    """Screen scores of entities ``lo:hi`` (whole blocks from ``lo``) into ``out[:, lo:hi]``.
 
     Holds its own buffers and writes only its own columns of ``out``, so
     calls on disjoint ranges can run side by side.
     """
-    k, nq = params.k, len(x)
+    k, nq, p = params.k, len(x), params.norm_p
     w = largest_divisor(2 * k, SUM_COLS)
     m, rows = 2 * k // w, min(BLOCK_ROWS, hi - lo)
-    ones_w, ones_m = np.ones(w, np.float32), np.ones(m, np.float32)
-    block, tmp = np.empty((rows, 2 * k), np.float32), np.empty((rows, k), np.float32)
+    ones_w, ones_m, ones_2k = np.ones(w, np.float32), np.ones(m), np.ones(2 * k)
+    block = np.empty((rows, k), np.complex64)
     # flat, so that a short last block's views stay contiguous for reshape and np.dot's out
     diff = np.empty(QUERIES_PER_OP * rows * 2 * k, np.float32)
     chunk_sums = np.empty(nq * rows * m, np.float32)
-    row_sums = np.empty(nq * rows, np.float32)
+    wide = np.empty(max(nq * m, 2 * k) * rows)  # float64 chunk sums, then the block for its sums
+    row_sums, block_sums = np.empty(nq * rows), np.empty(rows)
     for start in range(lo, hi, BLOCK_ROWS):
         e = slice(start, min(start + BLOCK_ROWS, hi))
         r = e.stop - start
-        b, t = block[:r], tmp[:r]
-        parts, sums = chunk_sums[:nq * r * m], row_sums[:nq * r]
-        _rotate_into(params.ent_re[e], params.ent_im[e], c, s, b[:, :k], b[:, k:], t)
+        rotated = block[:r]
+        rotated.real, rotated.imag = params.ent_re[e], params.ent_im[e]
+        rotated *= z
+        b = rotated.view(np.float32)  # (r, 2k), re and im interleaved
+        parts, sums = chunk_sums[:nq * r * m], row_sums[:nq * r].reshape(nq, r)
         for q in range(0, nq, QUERIES_PER_OP):
             xq = x[q:q + QUERIES_PER_OP, None]
             d = diff[:len(xq) * r * 2 * k].reshape(len(xq), r, 2 * k)
-            np.subtract(b, xq, out=d)
-            if params.norm_p == 1:
-                np.abs(d, out=d)
+            if p == 1:
+                np.maximum(b, xq, out=d)
             else:
+                np.subtract(b, xq, out=d)
                 np.multiply(d, d, out=d)
             np.dot(d.reshape(-1, w), ones_w, out=parts[q * r * m:(q + len(xq)) * r * m])
-        np.dot(parts.reshape(-1, m), ones_m, out=sums)
-        out[:, e] = sums.reshape(nq, r)
+        wide_parts = wide[:nq * r * m].reshape(-1, m)
+        np.copyto(wide_parts, parts.reshape(-1, m))
+        np.dot(wide_parts, ones_m, out=sums.reshape(-1))
+        if p == 1:  # |b - x| summed as 2*max(b, x) - b - x
+            wide_block = wide[:r * 2 * k].reshape(r, 2 * k)
+            np.copyto(wide_block, b)
+            np.dot(wide_block, ones_2k, out=block_sums[:r])
+            sums *= 2
+            sums -= block_sums[:r]
+            sums -= x_sums[:, None]
+        out[:, e] = sums
 
 
 def usable_cpus() -> int:
@@ -333,57 +356,104 @@ def largest_divisor(n: int, cap: int) -> int:
     return max(d for d in range(1, min(n, cap) + 1) if n % d == 0)
 
 
-def screen_band(k: int, score, offset: float) -> tuple[np.float32, np.float32]:
+def _screen_slope(k: int, p: int) -> float:
+    """The slope a of the screen's error bound B(S) = a*S + offset (``screen_band``)."""
+    w = largest_divisor(2 * k, SUM_COLS)
+    g = 2 * _gamma(w + 6) if p == 1 else _gamma(w + 14)
+    return g / (1 - g)
+
+
+def _gamma(m: int) -> float:
+    """gamma(m) = m*u/(1 - m*u), the bound on m chained float32 roundings."""
+    return m * U32 / (1 - m * U32)
+
+
+def screen_band(k: int, p: int, score, offset: float) -> tuple[np.float32, np.float32]:
     """Screen scores ``(lo, hi)`` outside which a candidate's order is certain.
 
     A candidate screened below ``lo`` scores strictly below, by
     ``score_quads``, one screened at ``score``, and one above ``hi``
-    strictly above; ``offset`` is the mean of the query's term offsets
-    from ``score_step``. The bound: a screen score S is within
-    B(S) = a*S + offset of its ``score_quads`` score; a = g/(1 - g),
-    g = gamma(D + 13), where gamma(m) = m*u/(1 - m*u) bounds m chained
-    roundings, u = U32, and D = (w - 1) + (2k/w - 1), with
-    w = largest_divisor(2k, SUM_COLS), is the depth of the screen's row
-    sum. That sum adds each chunk of w columns with one BLAS product and
-    the 2k/w chunk sums with another.
-    Whatever order, blocking or SIMD lanes a product uses, it adds w
-    numbers by w - 1 additions, so no term meets more than w - 1 of their
-    roundings; its products by the ones vector and by alpha = 1 are exact
-    and beta = 0 adds nothing, so a fused multiply-add rounds only its
-    addition, as a plain sum does (a wider accumulator rounds less). Each term thus meets at most D
-    roundings, and the sum errs by at most gamma(D) times the sum of its
-    terms (Higham 2002, section 4.2); D is 108 at k=500, where one plain
-    sum of 2k terms would have 2k - 1. Against the exact norm S* of
-    d = rot(e) - x, x the float64 query vector, the float32 pass errs by
-    gamma(4)*|e_j| per rotated coordinate (casts of cos/sin and of float64
-    entities, two products, one sum), which rotation, keeping |e_j|, turns
-    into 2*gamma(4)*(S* + ||x||_p); by u*|x_i| from the cast of x and
-    u*|d_i| from the subtraction; by gamma(D + 2)*S* from the row sum, or
-    for p=2 the squares, their sum and the square root: in all
-    gamma(D + 10)*S* + gamma(11)*||x||_p. ``score_quads`` (float64,
-    u' = 2^-53) rounds rot(s) + r - conj(rot(o)) its own way, not through
-    x: with cos/sin within 4 ulp, each of its coordinates and of x errs by
-    under gamma'(12) times the terms it adds up; as |c| + |s| <= sqrt(2)
-    and ||e||_1 <= sqrt(2)*(||d||_1 + ||x||_1), that is in all under
-    gamma'(12)*(6*||rot(a)||_1 + 3*||r||_1 + 2*||d||_1). The offset's
-    2^-44*(||rot(a)||_1 + ||r||_1) covers the first two terms four times;
-    the last, as ||d||_1 <= sqrt(2k)*S*, with the norm's gamma'(2k + 3)*S*
-    and a mean of two terms (one rounding per precision; halving is exact)
-    stays under gamma(1). S* in terms of S gives a and the offset's
-    17u*||x||_p > gamma(16)*||x||_p; its sqrt(2k)*2^-68 covers underflow
-    four times. Valid while (D + 13)*u < 1/8 and scores stay below 2^60,
-    short of float32 overflow; beyond, the band is all. S is surely below
-    when S + B(S) < score - B(score), surely above when
-    S - B(S) > score + B(score); both thresholds are rounded outward to
-    float32, so the float32 comparisons are exact.
+    strictly above; ``p`` is the norm and ``offset`` the mean of the
+    query's term offsets from ``score_step``. The bound: a screen score S
+    is within B(S) = a*S + offset of its ``score_quads`` score, where
+    a = g/(1 - g), g = 2*gamma(w + 6) at p=1 and gamma(w + 14) at p=2.
+    gamma(m) = m*u/(1 - m*u) bounds m chained roundings, u = U32, and
+    gamma' likewise with u' = 2^-53; w = largest_divisor(2k, SUM_COLS) and
+    m = 2k/w. Derivation (Higham 2002, section 4.2):
+
+    Sums. The screen adds each chunk of w columns with one float32 BLAS
+    product and a row's m chunk sums with one float64 product. Whatever
+    order, blocking or SIMD lanes a product uses, it adds w numbers by
+    w - 1 additions, so no term meets more than w - 1 of their roundings;
+    its products by the ones vector and by alpha = 1 are exact and
+    beta = 0 adds nothing, so a fused multiply-add rounds only its
+    addition, as a plain sum does (a wider accumulator rounds less). A
+    chunk sum of terms t_j thus errs by at most gamma(w - 1)*sum|t_j|, and
+    a float64 sum of n terms by gamma'(n - 1) times the sum of their
+    moduli. Let N = 4k + 3m + 4; while N <= 2^28, gamma'(N) < 0.51u.
+
+    Rotation. Against the exact norm S* of d = rot(e) - x, x the float64
+    query vector, the float32 rotation (casts of cos/sin and of float64
+    entities, then a complex64 multiply: two products and a sum per
+    component) errs by gamma(4)*|e_l| per real coordinate, which rotation,
+    keeping |e_l|, turns into 2*gamma(4)*(S* + ||x||_p) over the row; the
+    cast of x errs by u*|x_j|.
+
+    p=1. max is exact and |b - y| = 2*max(b, y) - b - y, so with b and y
+    the float32 rotated row and query vector the screen computes
+    S_f = ||b - y||_1 as 2*M - B - Y: M the sum of max(b_j, y_j) by the two
+    stages, B and Y the float64 sums of b_j and y_j, combined in float64
+    and rounded once to float32. |max(b_j, y_j)| and |b_j| are at most
+    |b_j - y_j| + |y_j|, so with T = S_f + ||y||_1 the chunk sums err by
+    gamma(w - 1)*T, twice that in 2*M, and the float64 stages (M's second
+    stage, B, Y and the two subtractions, with |2M| + |B| + |Y| < 4.4*T)
+    by under gamma'(N)*T. T is at most (1 + 11u)*(S* + ||x||_1), so one
+    term's screen is within (2*gamma(w - 1) + 10.51u)*(S* + ||x||_1) of S*
+    to first order: the rotation 8u, the cast of x u, the final rounding u
+    and the float64 stages 0.51u. The mean of two terms adds u, and
+    ``score_quads`` gamma(1) (below); 2*gamma(w + 6) leaves 1.49u for the
+    products of these terms, under 0.75u while g < 1/16. Both S* and
+    ||x||_1 take that coefficient, so in terms of S the offset's ||x||_1
+    term is a*||x||_1.
+
+    p=2. The subtraction rounds u*|d_j|, the square u, the two stages and
+    the final cast to float32 count as D = w + 1 roundings (the float64
+    one as under one) and the square root as one: in all
+    gamma(D + 10)*S* + gamma(11)*||x||_2, and g = gamma(D + 13).
+
+    ``score_quads`` (float64) rounds rot(s) + r - conj(rot(o)) its own way,
+    not through x: with cos/sin within 4 ulp, each of its coordinates and
+    of x errs by under gamma'(12) times the terms it adds up; as
+    |c| + |s| <= sqrt(2) and ||e||_1 <= sqrt(2)*(||d||_1 + ||x||_1), that is
+    in all under gamma'(12)*(6*||rot(a)||_1 + 3*||r||_1 + 2*||d||_1). The
+    offset's 2^-44*(||rot(a)||_1 + ||r||_1) covers the first two terms
+    four times; the last, as ||d||_1 <= sqrt(2k)*S*, with the norm's
+    gamma'(2k + 3)*S* < gamma'(N)*S* and a mean of two terms (one rounding
+    per precision; halving is exact) stays under gamma(1). At p=2, S* in
+    terms of S gives a and the offset's 17u*||x||_2 > gamma(16)*||x||_2;
+    at both norms its sqrt(2k)*2^-68 covers underflow four times.
+
+    Inf and NaN. ``np.maximum`` propagates NaN, so a NaN coordinate screens
+    as NaN. At p=1 a rotated coordinate of +inf makes M = B = inf and the
+    screen NaN, one of -inf leaves M finite and makes the screen +inf, and
+    a sum past float32's range screens as +inf; p=2 screens either
+    infinity as +inf. No comparison holds for NaN, so it falls inside
+    every band and ``score_quads`` rescores it; +inf lies above every
+    finite band, and its ``score_quads`` score, inf or NaN, never ranks
+    below the target either.
+
+    Valid while N <= 2^28 (at a prime k, where w = 2, up to k = 38,347,921),
+    g < 1/16, and scores stay below 2^60, short of float32 overflow; beyond,
+    the band is all. S is surely below when S + B(S) < score - B(score),
+    surely above when S - B(S) > score + B(score); both thresholds are
+    rounded outward to float32, so the float32 comparisons are exact.
     """
     t = float(score)
-    w = largest_divisor(2 * k, SUM_COLS)
-    du = (w + 2 * k // w + 11) * U32  # (D + 13)*u
-    if not (t + offset < 2.0 ** 60 and du < 1 / 8):  # also catches nan
+    a = _screen_slope(k, p)
+    m = 2 * k // largest_divisor(2 * k, SUM_COLS)
+    # a < 1/15 is g < 1/16
+    if not (t + offset < 2.0 ** 60 and a < 1 / 15 and 4 * k + 3 * m + 4 <= 2 ** 28):  # and nan
         return np.float32(-np.inf), np.float32(np.inf)
-    g = du / (1 - du)
-    a = g / (1 - g)
     lo = (t * (1 - a) - 2 * offset) / (1 + a)
     hi = (t * (1 + a) + 2 * offset) / (1 - a)
     return (np.nextafter(np.float32(lo), np.float32(-np.inf)),

@@ -345,7 +345,7 @@ class TestScreen:
     """The float32 screen gives the ranks and top-n of a float64 pass at near-ties."""
 
     @staticmethod
-    def planted(seed, p, dual, interval, side, constant, k=6):
+    def planted(seed, p, dual, interval, side, constant, k=6, far=0.0):
         """Params whose candidates crowd round the target's score, and the target's query.
 
         Row 0 is the target, row 1 the anchor and rows 2-19 random. Rows 20
@@ -356,7 +356,10 @@ class TestScreen:
         screen band on both sides, and gaps within float32 rounding. Those
         rows are far from the target's, so the rounding of their float32
         scores does not follow the target's. A constant scorer has every
-        row equal.
+        row equal. A point fact with ``far`` moves every entity by a vector
+        C of modulus ``far`` per coordinate, and the relation so that scores
+        stay the same size: rot(e) and the query vector x then sit ~``far``
+        per coordinate from the origin and near each other.
         """
         n = 48
         params = init_params(n, 2, 3, k, dual=dual, seed=seed % 1000, norm_p=p)
@@ -365,6 +368,13 @@ class TestScreen:
         time = TimeAnnotation(y[0], y[2]) if interval else TimeAnnotation.point(y[1])
         quad = Quadruple(0, 1, 1, time) if side == "subject" else Quadruple(1, 1, 0, time)
         ent = np.stack([params.ent_re, params.ent_im])  # (2, n, k)
+        if far:
+            # conj(rot(e + C)) - rot(a + C) gains conj(rot(C)) - rot(C), which
+            # the relation takes back
+            [(slot, tau)] = endpoint_terms(quad, binning, dual, 2)
+            shift = far * np.exp(1j * np.random.default_rng(seed).uniform(0, 2 * np.pi, k))
+            ent += np.stack([shift.real, shift.imag])[:, None]
+            params.rel_im[slot] -= 2 * (shift * np.exp(1j * params.phase[tau])).imag
 
         def exact(rows=(), values=None):
             """Writes ``values`` into ``rows``; the screen and every float64 score."""
@@ -382,7 +392,7 @@ class TestScreen:
         ent[:, 20:23] = ent[:, :1]
         screen, full = exact([23], ent[:, [5]])
         t = screen.scores[0, 0]
-        lo, hi = screen_band(k, t, screen.offsets[0])
+        lo, hi = screen_band(k, p, t, screen.offsets[0])
         tiny = float(t) * np.geomspace(1e-8, 1e-6, 8)
         gaps = {"in": [0.9 * (hi - t), 0.9 * (lo - t)], "out": [1.1 * (hi - t), 1.1 * (lo - t)],
                 "tiny": [*tiny, *-tiny]}
@@ -411,8 +421,20 @@ class TestScreen:
         # and 998 in 499 chunks of two
         self.check_planted(k, p, True, True, side, False, k)
 
-    def check_planted(self, seed, p, dual, interval, side, constant, k=6):
-        params, quad, binning, planted = self.planted(seed, p, dual, interval, side, constant, k)
+    @pytest.mark.parametrize("k", [120, 500])
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("side", ["subject", "object"])
+    def test_query_vector_far_from_the_origin(self, k, p, side):
+        # rot(e) and x sit 100 per coordinate from the origin and ~0.2 from
+        # each other, so ||x||_1 is 200-400 times the p=1 scores. The screen,
+        # 2*sum(max(rot(e), x)) - sum(rot(e)) - sum(x), rounds on the scale of
+        # ||x||_1, which its band must cover; 2k = 240 and 1000 are summed in
+        # 6 and 25 chunks
+        self.check_planted(k, p, False, False, side, False, k, far=100.0)
+
+    def check_planted(self, seed, p, dual, interval, side, constant, k=6, far=0.0):
+        params, quad, binning, planted = self.planted(seed, p, dual, interval, side, constant, k,
+                                                      far)
         screen = candidate_scores(params, [(quad, side)], binning)
         n = params.n_entities
         # a few other true facts drop planted candidates from the ranking
@@ -432,7 +454,7 @@ class TestScreen:
             assert np.array_equal(ids, order[:top_n])
             assert np.array_equal(scores, full[order[:top_n]])
         row = screen.scores[0]
-        lo, hi = screen_band(params.k, row[0], screen.offsets[0])
+        lo, hi = screen_band(params.k, params.norm_p, row[0], screen.offsets[0])
         if constant:
             assert ((lo <= row) & (row <= hi)).all()  # the band holds every row
         else:
@@ -478,9 +500,8 @@ class TestBandTightness:
     def test_few_rows_rescored_per_query(self, monkeypatch):
         # A seeded random model at k=500 puts many candidates near the
         # target's score, as ICEWS14-shaped ranking does. With the screen's
-        # row sum at depth 108, not 999, the band left 1.9-2.2 rows per query
-        # to rescore (the target included) on seeds 100-109, against 8.0-9.5
-        # for a band sized for a plain sum of 2k terms.
+        # float32 row sum at depth 39, not 999, the band left 2.2-2.4 rows per
+        # query to rescore (the target included) on seeds 100-109.
         n, k, seed = 2000, 500, 0
         params = init_params(n, 20, 4, k, dual=False, seed=seed)
         rng = np.random.default_rng(seed)

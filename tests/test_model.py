@@ -218,7 +218,7 @@ class TestBatchScoring:
         assert screen.dtype == np.float32
         for row, exact, offset in zip(screen, (obj, subj), offsets):
             # the band spans both candidates' bounds on each side, ~4 bounds in all
-            bound = [(hi - lo) / 4 for lo, hi in (screen_band(params.k, v, offset) for v in row)]
+            bound = [(hi - lo) / 4 for lo, hi in (screen_band(params.k, p, v, offset) for v in row)]
             assert (np.abs(exact - row) < bound).all()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -248,24 +248,29 @@ class TestBatchScoring:
         assert peak < 4096 * 64 * 8
 
     @given(st.integers(0, 44).flatmap(lambda e: st.integers(2**e, 2**(e + 1))),
-           st.floats(0, 1e30), st.floats(0, 1.0))
-    def test_band_holds_its_own_score(self, k, score, offset):
+           st.sampled_from([1, 2]), st.floats(0, 1e30), st.floats(0, 1.0))
+    def test_band_holds_its_own_score(self, k, p, score, offset):
         # k, log-uniform up to 2^45, only sets the depth of the screen's row
         # sum, so no arrays are built
-        lo, hi = screen_band(k, score, offset)
+        lo, hi = screen_band(k, p, score, offset)
         assert lo <= score <= hi
 
     def test_band_is_everything_beyond_its_validity(self):
         everything = (np.float32(-np.inf), np.float32(np.inf))
-        # chunks of 64 columns: a depth of 131,134 at k=2^22, ~2^35 at k=2^40
-        lo, hi = screen_band(2**22, 100.0, 0.0)
-        assert lo < 100.0 < hi < np.inf
-        assert screen_band(2**40, 100.0, 0.0) == everything
-        # at a prime k, chunks of two columns make the depth k, and the band
-        # is valid while (k + 13) * 2^-24 < 1/8, i.e. up to k = 2^21 - 14
-        lo, hi = screen_band(2_097_133, 100.0, 0.0)
-        assert lo < 100.0 < hi < np.inf
-        assert screen_band(2_097_143, 100.0, 0.0) == everything
+        for p in (1, 2):
+            # the band is valid while the screen's float64 sums of 2k terms and
+            # of 2k/w chunk sums stay within u: 4k + 3 * 2k/w + 4 <= 2^28, with
+            # chunks of w = 32 columns at k=2^22
+            lo, hi = screen_band(2**22, p, 100.0, 0.0)
+            assert lo < 100.0 < hi < np.inf
+            assert screen_band(2**40, p, 100.0, 0.0) == everything
+            # at a prime k, chunks of two columns make 2k/w = k, and the limit
+            # 7k + 4 <= 2^28 falls at k = 38,347,921
+            lo, hi = screen_band(38_347_913, p, 100.0, 0.0)
+            assert lo < 100.0 < hi < np.inf
+            assert screen_band(38_347_931, p, 100.0, 0.0) == everything
+            # and while scores stay below 2^60
+            assert screen_band(500, p, 2.0**60, 0.0) == everything
 
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
     @pytest.mark.parametrize("n_queries", [1, 2, 3, 5])
