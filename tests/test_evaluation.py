@@ -461,6 +461,44 @@ class TestScreen:
             assert ((lo <= row[planted["in"]]) & (row[planted["in"]] <= hi)).all()
             assert ((row[planted["out"]] < lo) | (row[planted["out"]] > hi)).all()
 
+    def test_band_holds_in_any_summation_order(self, monkeypatch):
+        # The band must hold in any order the chunk-sum product adds in. Here
+        # it adds each row left to right, and the maxima max(b, x) make every
+        # partial sum round the same way. x is (1, 0, ..., 0), so
+        # ||x||_1 = 1 is ~10^5 times the scores. The target's maxima are 1,
+        # then 39 of just over half an ulp of 1, and every addition rounds
+        # up. A candidate's are 39 of just under half an ulp, and every one
+        # rounds down; its first coordinate sits 32u below x's. So the
+        # candidate scores ~32u above the target but screens ~124u below
+        # it. The band (~2 x 92u here) must still leave it to score_quads.
+        k, u = 20, 2.0 ** -24  # 2k = 40 columns: one chunk of 40
+        params = init_params(3, 1, 1, k, dual=False, seed=0)
+        for table in (params.phase, params.ent_re, params.ent_im, params.rel_re, params.rel_im):
+            table[:] = 0  # phase 0, the anchor (row 0) at the origin
+        params.rel_re[0, 0] = 1.0
+        for row, first, rest in ((1, 1.0, u * (1 + 2**-10)), (2, 1 - 32 * u, u * (1 - 2**-10))):
+            params.ent_re[row], params.ent_im[row] = rest, rest
+            params.ent_re[row, 0] = first
+        dot = np.dot
+
+        def left_to_right(a, b, out=None):
+            if a.dtype != np.float32:
+                return dot(a, b, out=out)
+            assert (b == 1).all()
+            out[...] = np.add.accumulate(a, axis=1)[:, -1]
+            return out
+
+        monkeypatch.setattr(np, "dot", left_to_right)
+        binning = day_binning(1)
+        quad = Quadruple(0, 0, 1, day(0))
+        screen = candidate_scores(params, [(quad, "object")], binning)
+        full = term_mean(params, quad, "object", binning)
+        assert full[1] < full[2] and screen.scores[0, 2] < screen.scores[0, 1]
+        fs = FilterSet.build([quad], binning)
+        keys = {key_of(quad, binning)}
+        assert filtered_ranks(screen, fs) == [rank_oracle(params, quad, "object", keys, binning)]
+        assert filtered_ranks(screen, fs) == [1]
+
     @pytest.mark.parametrize("side", ["subject", "object"])
     def test_cancelling_query_vector(self, side):
         # At phase 0 a relation that cancels the anchor makes the query
