@@ -7,7 +7,8 @@ built-in default. Config files are plain ``key = value`` lines with ``#``
 comments; keys match the long flag names with dashes or underscores, and
 values are checked against the option's type, choices and lower bound as
 flags are.
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
+Exit codes: 0 success, 1 usage error (a model too large to allocate among
+them), 2 data error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -401,7 +402,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = resolve_config(args)
         return args.func(cfg)
-    except UsageError as exc:
+    except (UsageError, MemoryError) as exc:
         print(f"tero: error: {exc}", file=sys.stderr)
         return 1
     except DataError as exc:

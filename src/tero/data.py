@@ -112,8 +112,7 @@ class TimeAnnotation:
         return self.begin is not None and self.end is not None and self.begin != self.end
 
 
-@dataclass(frozen=True)
-class Quadruple:
+class Quadruple(NamedTuple):
     """A fact (subject, relation, object, time) with dense integer ids."""
 
     subject: int

@@ -9,11 +9,11 @@ time-wise from the triple-level filter.
 
 All candidates of a query at step tau are scored against the same rotated
 entity table, rot(e, theta_tau). ``evaluate`` therefore groups its queries
-by the time steps of their endpoint terms and screens each group with one
-``candidate_scores`` call, one blocked float32 pass over the table per
-step, split over the usable cores. The ranks then rescore with one
-``score_quads`` call only the candidates too close to each target for the
-screen to order, so each equals a full pass's rank.
+by the first time step of their endpoint terms and screens each group with
+one ``candidate_scores`` call, one blocked float32 pass over the table per
+step its terms fall on, split over the usable cores. The ranks then
+rescore with one ``score_quads`` call only the candidates too close to
+each target for the screen to order, so each equals a full pass's rank.
 ``FilterSet.build`` bins each annotation of the facts' annotation table
 (``data.columns``) once, keeps its keys as sorted index arrays and bins each
 query with that same binning; the binning passed to ``evaluate`` only scores.
@@ -30,16 +30,16 @@ from .data import Quadruple, TimeBinning, columns, endpoint_terms, time_key
 from .model import ModelParams, score_quads, score_step, screen_band
 
 TIE_MODES = ("mean", "optimistic", "pessimistic")
-# queries per candidate_scores call in evaluate(). It bounds, when many
-# queries share their steps, as on a time-collapsed model: the call's screen
-# and distance arrays (at most 3 x 128 x n_entities float32, 11 MB at 7128
-# entities); the chunk sums of each score_step worker (128 queries x 64 rows
-# x 2k/w float32, w the largest divisor of 2k up to model.SUM_COLS, and
-# their float64 copy for the second stage: 820 KB + 1.6 MB per worker at
-# k=500, where w = 40, but 16 + 33 MB at k=499, where w = 2), beside its
-# 256 KB complex64 block and 512 KB buffer of maxima or differences at
-# k=500; and the candidates filtered_ranks rescores at once (~5-6 per query
-# on the ICEWS14 shape, every entity for a constant scorer)
+# queries per candidate_scores call in evaluate(). With up to 2 terms per
+# query it bounds, when many queries share their first step: the call's term
+# rows, one step's rows before they are copied in and the screen rows (at
+# most 4 x 128 x n_entities float32, 15 MB at 7128 entities); the chunk sums
+# of each score_step worker (per 128 terms: 128 x 64 rows x 2k/w float32, w
+# the largest divisor of 2k up to model.SUM_COLS, and their float64 copy:
+# 820 KB + 1.6 MB per worker at k=500, where w = 40, but 16 + 33 MB at
+# k=499, where w = 2), beside its 256 KB complex64 block and 512 KB buffer
+# of maxima or differences at k=500; and the candidates filtered_ranks
+# rescores at once (~5-6 per query on ICEWS14, all for a constant scorer)
 QUERIES_PER_CALL = 128
 
 
@@ -182,28 +182,27 @@ def candidate_scores(params: ModelParams, queries: Sequence[tuple[Quadruple, str
                      binning: TimeBinning) -> Screen:
     """Screen of each ``(quad, side)`` query with every entity on ``side``.
 
-    Row q of the float32 screen is the mean of query q's endpoint-term
-    scores, summed in term order, and its offset the mean of theirs. The
-    terms are gathered by time step, and each step scores all of its terms
-    in one ``score_step`` pass, split over the CPUs of the process's
-    affinity set, so queries that share their steps share the rotation.
+    Each distinct step scores all of its endpoint terms in one
+    ``score_step`` pass, split over the CPUs of the process's affinity set,
+    into one float32 row per term. Row q of the screen is the sum of query
+    q's rows, in term order, divided by their count in float32, and its
+    offset the mean of theirs.
     """
-    batches: dict[int, list[tuple[int, int, str]]] = {}  # tau -> (anchor, slot, side)
-    refs: list[list[tuple[int, int]]] = []  # per query: (tau, row in its batch) per term
     terms = [endpoint_terms(quad, binning, params.dual, params.n_relations) for quad, _ in queries]
-    for (quad, side), query_terms in zip(queries, terms):
-        anchor = quad.subject if side == "object" else quad.object
-        refs.append([])
-        for slot, tau in query_terms:
-            batch = batches.setdefault(tau, [])
-            refs[-1].append((tau, len(batch)))
-            batch.append((anchor, slot, side))
-    dist = {tau: score_step(params, tau, *zip(*batch)) for tau, batch in batches.items()}
-    out = np.empty((len(queries), params.n_entities), np.float32)
-    offsets = np.empty(len(queries))
-    for q, ref in enumerate(refs):
-        out[q] = sum(dist[tau][0][i] for tau, i in ref) / len(ref)
-        offsets[q] = np.mean([dist[tau][1][i] for tau, i in ref])
+    # one row per term: (anchor, slot, tau, side), each query's terms adjacent
+    anchors, slots, taus, sides = map(np.array, zip(*(
+        (quad.subject if side == "object" else quad.object, slot, tau, side)
+        for (quad, side), query_terms in zip(queries, terms) for slot, tau in query_terms)))
+    dist = np.empty((len(taus), params.n_entities), np.float32)
+    term_offsets = np.empty(len(taus))
+    for tau in np.unique(taus):
+        at = np.flatnonzero(taus == tau)
+        dist[at], term_offsets[at] = score_step(params, int(tau), anchors[at], slots[at], sides[at])
+    counts = np.array([len(query_terms) for query_terms in terms])
+    starts = np.cumsum(counts) - counts
+    out = np.add.reduceat(dist, starts)
+    out /= counts[:, None].astype(np.float32)
+    offsets = np.add.reduceat(term_offsets, starts) / counts
     return Screen(params, queries, terms, out, offsets)
 
 
@@ -239,20 +238,21 @@ def evaluate(params: ModelParams, test_facts: Sequence[Quadruple], filter_set: F
 
     ``binning`` scores the queries; the filter keys on its own binning, so
     a model trained on another granularity is judged under the same filter.
-    Both queries of a fact are grouped by the time steps of the fact's
-    endpoint terms, and each group, up to QUERIES_PER_CALL queries at a
-    time, is screened with one ``candidate_scores`` call and ranked with
-    one ``filtered_ranks`` call. Each step's screen splits the entity table
-    over one worker per CPU in the process's affinity set
-    (``model.usable_cpus``); ranks do not depend on the count.
+    Both queries of a fact are grouped by the first time step of the
+    fact's endpoint terms, and each group, up to QUERIES_PER_CALL queries
+    at a time, is screened with one ``candidate_scores`` call, one pass per
+    step of its terms, and ranked with one ``filtered_ranks`` call. Each
+    step's screen splits the entity table over one worker per CPU in the
+    process's affinity set (``model.usable_cpus``); ranks do not depend on
+    the count.
     """
     if not test_facts:
         raise ValueError("empty test set")
     queries = [(q, side) for q in test_facts for side in ("subject", "object")]
-    groups: dict[tuple[int, ...], list[int]] = {}
+    groups: dict[int, list[int]] = {}  # first step -> queries
     for j, quad in enumerate(test_facts):  # queries 2j and 2j + 1
         terms = endpoint_terms(quad, binning, params.dual, params.n_relations)
-        groups.setdefault(tuple(sorted({tau for _, tau in terms})), []).extend((2 * j, 2 * j + 1))
+        groups.setdefault(min(tau for _, tau in terms), []).extend((2 * j, 2 * j + 1))
     rank_of = {}
     for members in groups.values():
         for j in range(0, len(members), QUERIES_PER_CALL):

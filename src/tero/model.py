@@ -128,7 +128,8 @@ def init_params(n_entities: int, n_relations: int, n_tau: int, k: int, dual: boo
 
     Entity/relation components are uniform in +-6/sqrt(2k) per real and
     imaginary part; phases are uniform in [0, 2*pi). Identical seeds give
-    bit-identical parameters.
+    bit-identical parameters. Tables too large to allocate raise
+    ``MemoryError`` naming their size.
     """
     if min(n_entities, n_relations, n_tau, k) < 1:
         raise ValueError("all dimensions must be at least 1")
@@ -137,13 +138,15 @@ def init_params(n_entities: int, n_relations: int, n_tau: int, k: int, dual: boo
     rng = np.random.default_rng(seed)
     bound = 6.0 / np.sqrt(2 * k)
     n_slots = 2 * n_relations if dual else n_relations
-    ent_re = rng.uniform(-bound, bound, (n_entities, k))
-    ent_im = rng.uniform(-bound, bound, (n_entities, k))
-    rel_re = rng.uniform(-bound, bound, (n_slots, k))
-    rel_im = rng.uniform(-bound, bound, (n_slots, k))
-    phase = rng.uniform(0.0, 2.0 * np.pi, (n_tau, k))
-    return ModelParams(*(a.astype(dtype) for a in (ent_re, ent_im, rel_re, rel_im, phase)),
-                       n_relations=n_relations, dual=dual, norm_p=norm_p)
+    try:  # ent_re, ent_im, rel_re, rel_im, phase
+        arrays = [rng.uniform(-bound, bound, (rows, k)).astype(dtype)
+                  for rows in (n_entities, n_entities, n_slots, n_slots)]
+        arrays.append(rng.uniform(0.0, 2.0 * np.pi, (n_tau, k)).astype(dtype))
+    except (MemoryError, ValueError) as exc:  # ValueError: past what numpy can address
+        rows = 2 * n_entities + 2 * n_slots + n_tau
+        raise MemoryError(f"cannot allocate {rows} x {k} float64 parameter values "
+                          f"({8 * rows * k:,} bytes)") from exc
+    return ModelParams(*arrays, n_relations=n_relations, dual=dual, norm_p=norm_p)
 
 
 def rotate(re: np.ndarray, im: np.ndarray,
@@ -460,13 +463,22 @@ def screen_band(k: int, p: int, score, offset: float) -> tuple[np.float32, np.fl
             np.nextafter(np.float32(hi), np.float32(np.inf)))
 
 
+def _checkpoint_blocks(n_e: int, n_r: int, n_tau: int) -> list[tuple[str, int]]:
+    """A checkpoint's float32 blocks in file order, as (name, rows of k). Slot
+    r + n_r ends relation r on dual models; single-slot models store their
+    one relation block as both begin and end."""
+    return [("ent_re", n_e), ("ent_im", n_e), ("rel_re", n_r), ("rel_im", n_r),
+            ("rel_re_end", n_r), ("rel_im_end", n_r), ("phase", n_tau)]
+
+
 def save_checkpoint(params: ModelParams, path, vocab_ref: str = "") -> None:
     """Write the binary checkpoint.
 
     Layout: magic ``TERO``, then little-endian u32 header (version, n_e, n_r,
-    n_tau, k, dual, p), then float32 little-endian arrays in fixed order
-    (entity re, entity im, begin-relation re/im, end-relation re/im, phases),
-    then a u32-length-prefixed UTF-8 vocab sidecar reference.
+    n_tau, k, dual, p), then the float32 little-endian blocks of
+    ``_checkpoint_blocks`` (entity re, entity im, begin-relation re/im,
+    end-relation re/im, phases), then a u32-length-prefixed UTF-8 vocab
+    sidecar reference.
 
     The bytes go to ``<path>.tmp``, which is synced and then renamed over
     ``path``, so a write that fails partway leaves any previous checkpoint
@@ -474,19 +486,18 @@ def save_checkpoint(params: ModelParams, path, vocab_ref: str = "") -> None:
     """
     head = struct.pack("<7I", CHECKPOINT_VERSION, params.n_entities, params.n_relations,
                        params.n_tau, params.k, int(params.dual), params.norm_p)
-    # slot r + n_r ends relation r on dual models; single-slot models store
-    # their one block as both begin and end
     n_r = params.n_relations
     end = n_r if params.dual else 0
+    arrays = dict(params.arrays(), rel_re=params.rel_re[:n_r], rel_im=params.rel_im[:n_r],
+                  rel_re_end=params.rel_re[end:], rel_im_end=params.rel_im[end:])
     ref = vocab_ref.encode("utf-8")
     tmp = os.fspath(path) + ".tmp"
     try:
         with open(tmp, "wb") as fh:
             fh.write(CHECKPOINT_MAGIC)
             fh.write(head)
-            for arr in (params.ent_re, params.ent_im, params.rel_re[:n_r], params.rel_im[:n_r],
-                        params.rel_re[end:], params.rel_im[end:], params.phase):
-                fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+            for name, _ in _checkpoint_blocks(params.n_entities, n_r, params.n_tau):
+                fh.write(np.ascontiguousarray(arrays[name], dtype="<f4").tobytes())
             fh.write(struct.pack("<I", len(ref)))
             fh.write(ref)
             fh.flush()
@@ -501,8 +512,10 @@ def save_checkpoint(params: ModelParams, path, vocab_ref: str = "") -> None:
 def load_checkpoint(path) -> tuple[ModelParams, str]:
     """Read a checkpoint; returns its params and vocab sidecar reference.
 
-    The file size is checked against the header before any array is read,
-    and each array is read straight into its float32 array.
+    The file size is checked against the header before any array is read.
+    Every block is read by one ``readinto`` into a single float32 array, of
+    which the params are views; a single-slot model's stored end blocks stay
+    in it unused, and a dual model's begin and end blocks are joined.
     """
     off = 4 + 7 * 4
     with open(path, "rb") as fh:
@@ -515,9 +528,8 @@ def load_checkpoint(path) -> tuple[ModelParams, str]:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
         if dual_flag not in (0, 1) or p not in (1, 2):
             raise ValueError(f"{path}: bad checkpoint header (dual={dual_flag}, p={p})")
-        dual = bool(dual_flag)
-        # the four relation blocks are stored on single-slot models too
-        ref_at = off + 4 * k * (2 * n_e + 4 * n_r + n_tau)
+        names, rows = zip(*_checkpoint_blocks(n_e, n_r, n_tau))
+        ref_at = off + 4 * k * sum(rows)
         if size < ref_at + 4:
             raise ValueError(f"{path}: truncated checkpoint ({size} bytes, "
                              f"its header needs {ref_at + 4})")
@@ -528,31 +540,13 @@ def load_checkpoint(path) -> tuple[ModelParams, str]:
                              f"describes {ref_at + 4 + ref_len}")
         ref = fh.read(ref_len).decode("utf-8")
         fh.seek(off)
-
-        def read_into(arr: np.ndarray) -> None:
-            if fh.readinto(arr) != arr.nbytes:
-                raise ValueError(f"{path}: checkpoint changed while it was read")
-
-        def take(rows: int) -> np.ndarray:
-            arr = np.empty((rows, k), dtype="<f4")
-            read_into(arr)
-            return arr
-
-        ent_re, ent_im = take(n_e), take(n_e)
-        # slot r + n_r is the end of relation r on dual models; single-slot
-        # models skip the stored end blocks
-        n_slots = 2 * n_r if dual else n_r
-        rel_re = np.empty((n_slots, k), dtype="<f4")
-        rel_im = np.empty((n_slots, k), dtype="<f4")
-        read_into(rel_re[:n_r])
-        read_into(rel_im[:n_r])
-        if dual:
-            read_into(rel_re[n_r:])
-            read_into(rel_im[n_r:])
-        else:
-            fh.seek(2 * n_r * k * 4, os.SEEK_CUR)
-        phase = take(n_tau)
-    params = ModelParams(*(a.astype(np.float32, copy=False)
-                           for a in (ent_re, ent_im, rel_re, rel_im, phase)),
-                         n_relations=n_r, dual=dual, norm_p=p)
+        data = np.empty((sum(rows), k), dtype="<f4")
+        if fh.readinto(data) != data.nbytes:
+            raise ValueError(f"{path}: checkpoint changed while it was read")
+    a = dict(zip(names, np.split(data, np.cumsum(rows)[:-1])))
+    for name in ("rel_re", "rel_im") if dual_flag else ():
+        a[name] = np.concatenate((a[name], a[name + "_end"]))
+    params = ModelParams(*(a[name].astype(np.float32, copy=False)
+                           for name in ("ent_re", "ent_im", "rel_re", "rel_im", "phase")),
+                         n_relations=n_r, dual=bool(dual_flag), norm_p=p)
     return params, ref

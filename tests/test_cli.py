@@ -304,6 +304,16 @@ class TestTrainCommand:
         assert Path(ref).is_absolute() and Path(ref).samefile(tmp_path / "run")
         assert params.k == 8
 
+    # both tables lie past a 47-bit address space, so no allocation can begin;
+    # numpy raises MemoryError for the first and ValueError for the second
+    @pytest.mark.parametrize("dim", ["1000000000000000", "1000000000000000000"])
+    def test_model_too_large_to_allocate_is_usage_error(self, suite_files, tmp_path, capsys,
+                                                        dim):
+        _, paths = suite_files
+        assert main(["train", *run_args(paths, tmp_path / "run"), "--dim", dim]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("tero: error: cannot allocate ") and f" x {dim} float64" in line
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf/nan pass-through is the point
     def test_numerical_blowup_exits_three(self, suite_files, tmp_path):
         _, paths = suite_files

@@ -684,6 +684,24 @@ class TestEvaluateMatchesOracle:
         self.assert_matches_oracle(params, ds.test[:6], ds.all_facts, ds.binning,
                                    score_binning=flat, cpus=2)
 
+    def test_facts_grouped_by_first_step(self, monkeypatch):
+        # facts at steps (0, 1), (0, 2) and (0,) share their first step, so one
+        # candidate_scores call screens all six queries, a pass per step
+        calls = []
+
+        def counted(params, queries, binning):
+            calls.append(len(queries))
+            return candidate_scores(params, queries, binning)
+
+        monkeypatch.setattr("tero.evaluation.candidate_scores", counted)
+        d = [PartialDate(2014, 1, 1 + i) for i in range(3)]
+        facts = [Quadruple(0, 0, 1, TimeAnnotation(d[0], d[1])),
+                 Quadruple(2, 1, 3, TimeAnnotation(d[0], d[2])),
+                 Quadruple(4, 0, 5, TimeAnnotation.point(d[0]))]
+        params = init_params(6, 2, 3, 3, dual=True, seed=38)
+        self.assert_matches_oracle(params, facts, facts, day_binning(3))
+        assert calls == [6]
+
 
 class TestScoreBinningSplit:
     def test_collapsed_model_fine_protocol(self):
