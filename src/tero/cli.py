@@ -55,7 +55,7 @@ OPTIONS: tuple[Option, ...] = (
     Option("neg_ratio", int, 10, "training", "negatives per positive", min=1),
     Option("batch_size", int, 512, "training", "minibatch size", min=1),
     Option("norm", int, 1, "training", "score p-norm", (1, 2)),
-    Option("seed", int, 0, "training", "RNG seed"),
+    Option("seed", int, 0, "training", "RNG seed", min=0),
     # 0 epochs is allowed: it writes the seeded initialization as a checkpoint
     Option("max_epochs", int, 5000, "training", "epoch cap", min=0),
     Option("valid_every", int, 100, "training", "epochs between validations", min=1),

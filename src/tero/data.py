@@ -15,9 +15,10 @@ facts into per-endpoint training quadruples, one row of an int64 array each.
 endpoint terms, the training rows and the evaluation filter all take their
 steps from it. Facts repeat a few hundred distinct timestamps (ICEWS14:
 90,730 facts, 365 days): each date text of a file is parsed once, and its
-facts share the one annotation. ``columns`` turns facts into an annotation
-table, an int64 row per fact indexing the list of distinct annotations, so
-the year counts, the training expansion and the filter take each once.
+facts share the one annotation. ``annotation_index`` numbers the distinct
+annotations of the facts, and ``columns`` turns facts into an annotation
+table, an int64 row per fact indexing them, so the year counts, the
+binning, the training expansion and the filter take each once.
 """
 
 from __future__ import annotations
@@ -291,21 +292,32 @@ def parse_dataset(paths: Sequence[str | Path], fmt: str) -> tuple[Vocab, list[li
     return vocab, [to_quadruples(split, vocab) for split in raw_splits]
 
 
-def columns(facts: Iterable[Quadruple]) -> tuple[np.ndarray, list[TimeAnnotation]]:
-    """The facts as one annotation table: ``(rows, times)``.
+def annotation_index(facts: Iterable[Quadruple]) -> tuple[np.ndarray, list[TimeAnnotation]]:
+    """The facts' annotations numbered: ``(t, times)``.
 
-    ``rows`` is an (N, 4) int64 array of ``(subject, relation, object, t)``,
-    where ``t`` indexes ``times``, the distinct annotation objects in
-    first-seen order. The only code that keys on ``id()``.
+    ``times`` holds the distinct annotation objects in first-seen order, and
+    the int64 ``t[i]`` indexes the i-th fact's in it. The only code that
+    keys on ``id()``.
     """
     facts = list(facts)  # holds every annotation, so no id() is reused
     seen: dict[int, int] = {}  # annotation id -> index of the first fact that has it
     first = np.fromiter(map(seen.setdefault, map(id, map(attrgetter("time"), facts)), count()),
                         np.int64, len(facts))
     starts, t = np.unique(first, return_inverse=True)  # t numbers them in first-seen order
+    return t, [facts[i].time for i in starts]
+
+
+def columns(facts: Iterable[Quadruple]) -> tuple[np.ndarray, list[TimeAnnotation]]:
+    """The facts as one annotation table: ``(rows, times)``.
+
+    ``rows`` is an (N, 4) int64 array of ``(subject, relation, object, t)``,
+    with ``t`` and ``times`` those of ``annotation_index``.
+    """
+    facts = list(facts)
+    t, times = annotation_index(facts)
     rows = [np.fromiter(map(attrgetter(name), facts), np.int64, len(facts))
             for name in ("subject", "relation", "object")]
-    return np.stack(rows + [t], axis=1), [facts[i].time for i in starts]
+    return np.stack(rows + [t], axis=1), times
 
 
 def year_mention_counts(facts: Iterable[Quadruple]) -> dict[int, int]:
@@ -314,9 +326,9 @@ def year_mention_counts(facts: Iterable[Quadruple]) -> dict[int, int]:
     A fact adds one mention per distinct endpoint year, so a point fact (or
     an interval within one year) counts once there.
     """
-    rows, times = columns(facts)
+    index, times = annotation_index(facts)
     counts: dict[int, int] = {}
-    for t, n in zip(times, np.bincount(rows[:, 3]).tolist()):
+    for t, n in zip(times, np.bincount(index).tolist()):
         for y in {d.year for d in (t.begin, t.end) if d is not None}:
             counts[y] = counts.get(y, 0) + n
     return counts
@@ -461,7 +473,7 @@ def build_binning(facts: Iterable[Quadruple], unit_days: int | None,
     if (unit_days is None) == (threshold is None):
         raise ValueError("specify exactly one of unit_days / threshold")
     if unit_days is not None:
-        ends = (d for t in columns(facts)[1] for d in (t.begin, t.end) if d is not None)
+        ends = (d for t in annotation_index(facts)[1] for d in (t.begin, t.end) if d is not None)
         # distinct dates in first-seen order, so a partial date is named as before
         return bin_fixed(list(dict.fromkeys(ends)), unit_days)
     return bin_threshold(year_mention_counts(facts), threshold)

@@ -35,11 +35,12 @@ TIE_MODES = ("mean", "optimistic", "pessimistic")
 # rows, one step's rows before they are copied in and the screen rows (at
 # most 4 x 128 x n_entities float32, 15 MB at 7128 entities); the chunk sums
 # of each score_step worker (per 128 terms: 128 x 64 rows x 2k/w float32, w
-# the largest divisor of 2k up to model.SUM_COLS, and their float64 copy:
-# 820 KB + 1.6 MB per worker at k=500, where w = 40, but 16 + 33 MB at
-# k=499, where w = 2), beside its 256 KB complex64 block and 512 KB buffer
-# of maxima or differences at k=500; and the candidates filtered_ranks
-# rescores at once (~5-6 per query on ICEWS14, all for a constant scorer)
+# the largest divisor of 2k up to model.SUM_COLS, and np.dot's transient
+# float64 cast of them: 820 KB + 1.6 MB per worker at k=500, where w = 40,
+# but 16 + 33 MB at k=499, where w = 2), beside its 256 KB complex64 block
+# and 512 KB buffer of maxima or differences at k=500; and the candidates
+# filtered_ranks rescores at once (~5-6 per query on ICEWS14, all for a
+# constant scorer)
 QUERIES_PER_CALL = 128
 
 

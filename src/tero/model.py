@@ -50,9 +50,9 @@ CHECKPOINT_MAGIC = b"TERO"
 CHECKPOINT_VERSION = 1
 # rows per block of the fused rotate-and-score kernel and of the training
 # step. At k=500 a screen worker holds a 256 KB complex64 block of rotated
-# rows, a 512 KB buffer of one query pair's maxima (p=1) or differences and
-# a float64 buffer of at least 512 KB for the row sums, which stay in L2
-# together (2 MB per core on the 2-core Xeon measured). There, evaluate over
+# rows and a 512 KB buffer of one query pair's maxima (p=1) or differences,
+# which stay in L2 together (2 MB per core on the 2-core Xeon measured);
+# np.dot's float64 casts for the row sums are transient. There, evaluate over
 # 20 ICEWS14-shaped valid steps took 2.85, 2.24 and 2.40 ms per query at
 # 32, 64 and 128 rows (medians of 4 alternated rounds). The training step
 # (ICEWS14 shape, batch 512) was also fastest at 64 of 16-256, 4% ahead of
@@ -136,13 +136,13 @@ def init_params(n_entities: int, n_relations: int, n_tau: int, k: int, dual: boo
     if norm_p not in (1, 2):
         raise ValueError(f"norm_p must be 1 or 2, got {norm_p}")
     rng = np.random.default_rng(seed)
-    bound = 6.0 / np.sqrt(2 * k)
     n_slots = 2 * n_relations if dual else n_relations
     try:  # ent_re, ent_im, rel_re, rel_im, phase
+        bound = 6.0 / np.sqrt(2.0 * k)  # 2.0: np.sqrt takes no int past 2^64
         arrays = [rng.uniform(-bound, bound, (rows, k)).astype(dtype)
                   for rows in (n_entities, n_entities, n_slots, n_slots)]
         arrays.append(rng.uniform(0.0, 2.0 * np.pi, (n_tau, k)).astype(dtype))
-    except (MemoryError, ValueError) as exc:  # ValueError: past what numpy can address
+    except (MemoryError, ValueError, OverflowError) as exc:  # past what numpy can address
         rows = 2 * n_entities + 2 * n_slots + n_tau
         raise MemoryError(f"cannot allocate {rows} x {k} float64 parameter values "
                           f"({8 * rows * k:,} bytes)") from exc
@@ -264,9 +264,9 @@ def score_step(params: ModelParams, tau: int, anchors, slots, sides,
     The blocks are split into ``min(usable_cpus(), blocks)`` contiguous
     runs, one per worker thread with its own buffers; ``taskset`` narrows
     the affinity set and so the count. Every block keeps its rows and
-    arithmetic, so the result is bit-identical for every worker count. One
-    worker runs on the calling thread, and the workers of a call have ended
-    when it returns.
+    arithmetic, so the result is bit-identical for every worker count. Each
+    worker is a pool thread, a lone one too, so none runs on the calling
+    thread; the workers of a call have ended when it returns.
     """
     _check_ids(params, anchors, slots, tau)
     for side in sides:
@@ -292,11 +292,8 @@ def score_step(params: ModelParams, tau: int, anchors, slots, sides,
     # contiguous runs of whole blocks, so every block has the rows it has alone
     cuts = [min(BLOCK_ROWS * (i * n_blocks // workers), n) for i in range(workers + 1)]
     screen = functools.partial(_screen_rows, params, z, x, x_sums, out)
-    if workers == 1:
-        screen(0, n)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(screen, cuts[:-1], cuts[1:]))  # re-raises a worker's error
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(screen, cuts[:-1], cuts[1:]))  # re-raises a worker's error
     return (out if p == 1 else np.sqrt(out, out=out)), offsets
 
 
@@ -314,8 +311,6 @@ def _screen_rows(params: ModelParams, z, x, x_sums, out, lo: int, hi: int) -> No
     # flat, so that a short last block's views stay contiguous for reshape and np.dot's out
     diff = np.empty(QUERIES_PER_OP * rows * 2 * k, np.float32)
     chunk_sums = np.empty(nq * rows * m, np.float32)
-    wide = np.empty(max(nq * m, 2 * k) * rows)  # float64 chunk sums, then the block for its sums
-    row_sums, block_sums = np.empty(nq * rows), np.empty(rows)
     for start in range(lo, hi, BLOCK_ROWS):
         e = slice(start, min(start + BLOCK_ROWS, hi))
         r = e.stop - start
@@ -323,7 +318,7 @@ def _screen_rows(params: ModelParams, z, x, x_sums, out, lo: int, hi: int) -> No
         rotated.real, rotated.imag = params.ent_re[e], params.ent_im[e]
         rotated *= z
         b = rotated.view(np.float32)  # (r, 2k), re and im interleaved
-        parts, sums = chunk_sums[:nq * r * m], row_sums[:nq * r].reshape(nq, r)
+        parts = chunk_sums[:nq * r * m]
         for q in range(0, nq, QUERIES_PER_OP):
             xq = x[q:q + QUERIES_PER_OP, None]
             d = diff[:len(xq) * r * 2 * k].reshape(len(xq), r, 2 * k)
@@ -333,15 +328,11 @@ def _screen_rows(params: ModelParams, z, x, x_sums, out, lo: int, hi: int) -> No
                 np.subtract(b, xq, out=d)
                 np.multiply(d, d, out=d)
             np.dot(d.reshape(-1, w), ones_w, out=parts[q * r * m:(q + len(xq)) * r * m])
-        wide_parts = wide[:nq * r * m].reshape(-1, m)
-        np.copyto(wide_parts, parts.reshape(-1, m))
-        np.dot(wide_parts, ones_m, out=sums.reshape(-1))
+        # float64 ones vectors: np.dot casts the float32 operand and sums in float64
+        sums = np.dot(parts.reshape(-1, m), ones_m).reshape(nq, r)
         if p == 1:  # |b - x| summed as 2*max(b, x) - b - x
-            wide_block = wide[:r * 2 * k].reshape(r, 2 * k)
-            np.copyto(wide_block, b)
-            np.dot(wide_block, ones_2k, out=block_sums[:r])
             sums *= 2
-            sums -= block_sums[:r]
+            sums -= np.dot(b, ones_2k)
             sums -= x_sums[:, None]
         out[:, e] = sums
 

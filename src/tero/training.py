@@ -112,11 +112,16 @@ def _corrupt_batch(pos: np.ndarray, neg_ratio: int, n_entities: int,
 
     A fair coin picks the subject or object side of each negative; the
     replacement is uniform over all other entities. Accidental true facts
-    are not filtered.
+    are not filtered. Negatives too many to allocate raise ``MemoryError``
+    naming their size.
     """
     if n_entities < 2:
         raise ValueError("need at least 2 entities to corrupt")
-    neg = np.repeat(pos, neg_ratio, axis=0)
+    try:
+        neg = np.repeat(pos, neg_ratio, axis=0)
+    except (MemoryError, ValueError, OverflowError) as exc:  # past what numpy can address
+        raise MemoryError(f"cannot allocate {len(pos)} x {neg_ratio} negative quadruples "
+                          f"({32 * len(pos) * neg_ratio:,} bytes)") from exc
     n = len(neg)
     subject_side = rng.random(n) < 0.5
     original = np.where(subject_side, neg[:, 0], neg[:, 2])

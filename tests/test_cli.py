@@ -304,15 +304,21 @@ class TestTrainCommand:
         assert Path(ref).is_absolute() and Path(ref).samefile(tmp_path / "run")
         assert params.k == 8
 
-    # both tables lie past a 47-bit address space, so no allocation can begin;
-    # numpy raises MemoryError for the first and ValueError for the second
-    @pytest.mark.parametrize("dim", ["1000000000000000", "1000000000000000000"])
+    # every size lies past a 47-bit address space, so no allocation can begin;
+    # numpy raises MemoryError or ValueError, or OverflowError for a count past 2^63
+    @pytest.mark.parametrize("flag, value, what", [
+        pytest.param("--dim", str(10**15), "float64", id=str(10**15)),
+        pytest.param("--dim", str(10**18), "float64", id=str(10**18)),
+        pytest.param("--dim", str(10**30), "float64", id=str(10**30)),
+        pytest.param("--neg-ratio", str(10**18), "negative", id=f"neg-ratio-{10**18}"),
+        pytest.param("--neg-ratio", str(10**30), "negative", id=f"neg-ratio-{10**30}"),
+    ])
     def test_model_too_large_to_allocate_is_usage_error(self, suite_files, tmp_path, capsys,
-                                                        dim):
+                                                        flag, value, what):
         _, paths = suite_files
-        assert main(["train", *run_args(paths, tmp_path / "run"), "--dim", dim]) == 1
+        assert main(["train", *run_args(paths, tmp_path / "run"), flag, value]) == 1
         [line] = capsys.readouterr().err.splitlines()
-        assert line.startswith("tero: error: cannot allocate ") and f" x {dim} float64" in line
+        assert line.startswith("tero: error: cannot allocate ") and f" x {value} {what}" in line
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf/nan pass-through is the point
     def test_numerical_blowup_exits_three(self, suite_files, tmp_path):
@@ -569,7 +575,7 @@ class TestPredictCommand:
                 assert main(["predict", "--checkpoint", str(tmp_path / "m.tero"), *query,
                              "--relation", "r1", "--time", "2014-01-02", "--top-n", "12"]) == 0
                 outputs.append(capsys.readouterr().out)
-        assert made == [w for count in cpus for w in 2 * [min(count, 4)] if w > 1]
+        assert made == [w for count in cpus for w in 2 * [min(count, 4)]]
         assert len(outputs[0].splitlines()) == 12
         assert all(outputs[i:i + 2] == outputs[0:2] for i in range(0, len(outputs), 2))
 

@@ -592,6 +592,14 @@ class TestExpansionOverSharedAnnotations:
 
 
 class TestBuildBinning:
+    def test_builds_no_fact_rows(self, monkeypatch):
+        # both modes need the distinct annotations only, not the (N, 4) table
+        monkeypatch.setattr("tero.data.columns", lambda facts: pytest.fail("columns called"))
+        facts = [Quadruple(0, 0, 1, TimeAnnotation.point(PartialDate(2014, 1, day)))
+                 for day in (1, 2, 2)]
+        assert build_binning(facts, 1, None).n_tau == 2
+        assert build_binning(facts, None, 1).n_tau == 1
+
     def test_requires_exactly_one_parameter(self):
         facts = [Quadruple(0, 0, 1, TimeAnnotation.point(PartialDate(2014, 1, 1)))]
         with pytest.raises(ValueError):

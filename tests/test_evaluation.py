@@ -482,7 +482,7 @@ class TestScreen:
         dot = np.dot
 
         def left_to_right(a, b, out=None):
-            if a.dtype != np.float32:
+            if b.dtype != np.float32:
                 return dot(a, b, out=out)
             assert (b == 1).all()
             out[...] = np.add.accumulate(a, axis=1)[:, -1]

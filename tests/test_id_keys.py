@@ -1,8 +1,8 @@
-"""Only ``data.columns`` keys on ``id()``.
+"""Only ``data.annotation_index`` keys on ``id()``.
 
-Facts share their annotation objects, and ``columns`` is the one code that
-recovers them: it holds every annotation while it compares their ids, so no
-``id()`` is reused. Everything else works from its annotation table.
+Facts share their annotation objects, and ``annotation_index`` is the one
+code that recovers them: it holds every annotation while it compares their
+ids, so no ``id()`` is reused. Everything else works from its numbering.
 """
 
 import ast
@@ -28,10 +28,10 @@ def id_uses(source: str) -> list[str]:
     return found
 
 
-def test_no_id_outside_columns():
+def test_no_id_outside_annotation_index():
     uses = [f"{path.name}: {use}" for path in sorted(PACKAGE.glob("*.py"))
             for use in id_uses(path.read_text(encoding="utf-8"))]
-    assert [use for use in uses if not use.startswith("data.py: columns (")] == []
+    assert [use for use in uses if not use.startswith("data.py: annotation_index (")] == []
 
 
 def test_finds_id_uses():

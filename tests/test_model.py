@@ -295,7 +295,7 @@ class TestBatchScoring:
                 made.clear()
                 monkeypatch.setattr(model, "usable_cpus", lambda: 1)
                 scores, offsets = score_step(params, 1, anchors, slots, sides)
-                assert made == []
+                assert made == [1]
                 for count in cpus:
                     monkeypatch.setattr(model, "usable_cpus", lambda: count)
                     got_scores, got_offsets = score_step(params, 1, anchors, slots, sides)
@@ -303,7 +303,7 @@ class TestBatchScoring:
                     assert np.array_equal(got_offsets, offsets), (p, first, count)
                     assert threading.active_count() == before
                 workers = [min(count, n_blocks) for count in cpus]
-                assert made == [w for w in workers if w > 1]
+                assert made == [1] + workers
 
     def test_many_workers_under_fast_switching(self, monkeypatch):
         # 8 workers, more than the cores, share the output array and hand the
