@@ -237,10 +237,14 @@ def cmd_train(cfg: RunConfig) -> int:
     _write_sidecar(ds, out)
     ckpt = Path(cfg.checkpoint) if cfg.checkpoint else out / "model.tero"
     ckpt.parent.mkdir(parents=True, exist_ok=True)
-    best, history = train(ds.train, ds.valid, config, ds.binning, ds.vocab,
-                          log_path=out / "training_log.tsv", progress=True)
     # absolute, so the sidecar is found from any directory
-    save_checkpoint(best, ckpt, vocab_ref=str(out.absolute()))
+    vocab_ref = str(out.absolute())
+    # each new best is saved at once, so a later failure cannot lose it; the
+    # final save covers runs that never validate
+    best, history = train(ds.train, ds.valid, config, ds.binning, ds.vocab,
+                          log_path=out / "training_log.tsv", progress=True,
+                          on_best=lambda snapshot, _: save_checkpoint(snapshot, ckpt, vocab_ref))
+    save_checkpoint(best, ckpt, vocab_ref)
     if history:
         top = max(history, key=lambda rec: rec.mrr)
         print(f"best_valid_mrr\t{top.mrr:.6f}\tepoch\t{top.epoch}")

@@ -12,9 +12,11 @@ Lower is more plausible. Relations on interval datasets come in dual
 begin/end variants stored as two row blocks of one table: slot r is the
 beginning of relation r, slot r + n_relations its end.
 
-Row-paired quadruples are scored by one kernel, ``_forward``, run
-BLOCK_ROWS rows at a time: in float64 by ``score_quads`` and in the
-storage dtype by the training step, so no whole-batch temporary is built.
+Row-paired quadruples are scored in float64 by ``score_quads``, which
+runs one kernel, ``_forward``, BLOCK_ROWS rows at a time, so no
+whole-batch temporary is built. The training step scores its groups of
+quadruples itself (``training.loss_and_grads``), from query vectors built
+as ``score_step`` builds them.
 
 Link prediction needs every entity rotated to the query's step.
 ``score_step`` fuses that rotation with the scoring, BLOCK_ROWS rows at a
@@ -48,15 +50,16 @@ import numpy as np
 
 CHECKPOINT_MAGIC = b"TERO"
 CHECKPOINT_VERSION = 1
-# rows per block of the fused rotate-and-score kernel and of the training
-# step. At k=500 a screen worker holds a 256 KB complex64 block of rotated
-# rows and a 512 KB buffer of one query pair's maxima (p=1) or differences,
-# which stay in L2 together (2 MB per core on the 2-core Xeon measured);
-# np.dot's float64 casts for the row sums are transient. There, evaluate over
+# rows per block of the fused rotate-and-score kernel, of ``score_quads``
+# and of the training step's Adagrad. At k=500 a screen worker holds a
+# 256 KB complex64 block of rotated rows and a 512 KB buffer of one query
+# pair's maxima (p=1) or differences, which stay in L2 together (2 MB per
+# core on the 2-core Xeon measured); np.dot's float64 casts for the row
+# sums are transient. There, evaluate over
 # 20 ICEWS14-shaped valid steps took 2.85, 2.24 and 2.40 ms per query at
-# 32, 64 and 128 rows (medians of 4 alternated rounds). The training step
-# (ICEWS14 shape, batch 512) was also fastest at 64 of 16-256, 4% ahead of
-# 32 and 7-11% ahead of the rest.
+# 32, 64 and 128 rows (medians of 4 alternated rounds). Adagrad over
+# ICEWS14-shaped gradients (4,000 entity rows per table) took 33.5, 33.8
+# and 42.5 ms at 16, 64 and 256 rows (medians of 15 calls).
 BLOCK_ROWS = 64
 # widest column chunk of the screen's float32 row sum (chunks are the
 # largest divisor of 2k up to this). The band grows with the chunk's depth

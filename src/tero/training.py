@@ -9,40 +9,46 @@ per positive is
 
 and gradients flow through the rotation into entity components, relation
 components, and time phases. Quadruples whose loss weight has saturated to
-zero are dropped before the backward pass. Gradients are row-sparse: each
-table gets the sorted rows that a remaining quadruple touches and a
-gradient for those rows only, and Adagrad reads and writes only those rows
-of the table and of its squared-gradient sums, the Adagrad state that
-``train`` keeps beside the parameters. A step therefore costs time in
-proportion to the batch, not to the tables.
+zero contribute nothing. Gradients are row-sparse: each table gets the
+sorted rows that a remaining quadruple touches and a gradient for those
+rows only, and Adagrad reads and writes only those rows of the table and
+of its squared-gradient sums, the Adagrad state that ``train`` keeps
+beside the parameters. A step therefore costs time in proportion to the
+batch, not to the tables.
 
-The step works on blocks of BLOCK_ROWS quadruples or rows, so that its
-temporaries stay in cache. The forward pass, ``model._forward`` in the
-storage dtype, keeps only the scores; the backward pass recomputes the
-forward of each block of live quadruples and writes their gradients into
-one array per table, stored as column slabs that the scatter sums with one
-``bincount`` each; Adagrad updates the touched rows a block at a time.
+A positive and its negatives form a group: all share the relation slot
+and the time step, and each negative shares the positive's subject or its
+object. ``loss_and_grads`` works GROUPS_PER_BLOCK groups at a time,
+scores, loss weights and gradients in one pass over each block, in the
+storage dtype. It builds each group's query vectors once, so that a
+quadruple costs one gathered and rotated entity, and sums each group's
+relation, phase and shared-entity gradients before the scatter, which adds
+the rows that share an index in float64. Adagrad updates the touched rows
+BLOCK_ROWS at a time. Scores for evaluation come from
+``model.score_quads``, not from the training step.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import evaluation
 from .data import Dataset, Quadruple, TimeBinning, Vocab, expand_for_training
-from .model import BLOCK_ROWS, ModelParams, _forward, _scores, init_params, largest_divisor
+from .model import BLOCK_ROWS, ModelParams, _norm, init_params
 
 ADAGRAD_EPS = 1e-10
 # loss weights below this carry no representable update
 FLUSH_BELOW = 1e-30
-# widest column slab the gradient scatter sums with one bincount (slabs are
-# the largest divisor of k up to this). At k=500 slabs of 10-50 columns
-# scattered alike; 100 and 250 were 5% and 30% slower
-SCATTER_COLS = 50
+# groups (a positive and its negatives) per block of the training step: 176
+# quadruples at 10 negatives. 16-step ICEWS14-shaped train() calls (k=500,
+# batch 512) took 1.62, 1.48, 1.51, 1.58 and 1.62 s at 8, 12, 16, 24 and 32
+# groups per block (medians of 4 alternated rounds, 2-core Xeon); the result
+# does not depend on it
+GROUPS_PER_BLOCK = 16
 
 
 class NumericalError(Exception):
@@ -137,35 +143,76 @@ def _softplus(x: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    ex = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
 
 
 def _scatter_rows(idx: np.ndarray,
                   vals: Sequence[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
     """Sum value rows that share a row index, over the touched rows only.
 
-    ``vals`` are (len(idx), k // w, w) tables indexed alike by ``idx``, a
-    row of k values split into slabs of w columns, whose slabs ``v[:, j]``
-    are contiguous. Returns the sorted unique indices ``rows`` and, per
-    table, a (len(rows), k) float64 table whose row i is the sum, in input
-    order, of the value rows with index ``rows[i]``. Each slab is summed by
-    one ``bincount`` that reads it in place, with one flat index reused for
-    every slab.
+    ``vals`` are (len(idx), k) tables indexed alike by ``idx``; rows with a
+    negative index are skipped. Returns the sorted unique indices ``rows``
+    and, per table, a (len(rows), k) float64 table whose row i is the sum,
+    in input order, of the value rows with index ``rows[i]``. A stable sort
+    lines the rows up by index; the first row of each index is copied, then
+    the j-th is added to every index that has one, for j = 2, 3, ..., so
+    each value row is read once.
     """
-    rows, inv = np.unique(idx, return_inverse=True)
-    n, (_, n_slabs, w) = len(rows), vals[0].shape
-    flat = (inv[:, None] * w + np.arange(w)).ravel()
-    out = [np.empty((n, n_slabs * w)) for _ in vals]
-    for j in range(n_slabs):
+    order = np.argsort(idx, kind="stable")
+    order = order[np.searchsorted(idx[order], 0):]
+    sorted_idx = idx[order]
+    first = np.flatnonzero(np.diff(sorted_idx, prepend=-1))
+    count = np.diff(first, append=len(order))
+    out = [v[order[first]].astype(np.float64) for v in vals]
+    for j in range(1, count.max(initial=0)):
+        more = np.flatnonzero(count > j)
+        src = order[first[more] + j]
         for v, g in zip(vals, out):
-            g[:, j * w: (j + 1) * w] = np.bincount(
-                flat, weights=v[:, j].ravel(), minlength=n * w).reshape(n, w)
-    return rows, out
+            g[more] += v[src]
+    return sorted_idx[first], out
+
+
+def _rotate(re, im, c, sn):
+    """(re + i*im) * (c + i*sn), elementwise in the operands' dtype."""
+    return re * c - im * sn, re * sn + im * c
+
+
+def _unit(d_re: np.ndarray, d_im: np.ndarray, f: np.ndarray, w: np.ndarray, p: int):
+    """w times the gradient of the p-norm at (n, k) differences d of norms f.
+
+    The gradient of the L1 norm is 0 at its kink, that of the L2 norm 0 at
+    the origin.
+    """
+    if p == 1:
+        v_re, v_im = np.sign(d_re), np.sign(d_im)
+    else:
+        v_re, v_im = d_re, d_im
+        w = np.where(f > 0.0, w / np.where(f > 0.0, f, 1.0), 0.0)
+    w = np.repeat(w, d_re.shape[1]).reshape(d_re.shape)
+    return v_re * w, v_im * w
+
+
+def _groups(pos: np.ndarray, neg: np.ndarray, neg_ratio: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each group's free entities and object-side flags, (B, neg_ratio + 1) each.
+
+    Column 0 is the positive, whose free entity is its object; it counts as
+    on the object side. ``neg[i*R:(i+1)*R]`` must keep ``pos[i]``'s slot
+    and step and one of its entities, else ``ValueError``. A negative that
+    keeps the subject is on the object side (its object is free), one that
+    keeps only the object on the subject side (its subject is free).
+    """
+    B = len(pos)
+    if neg.shape != (B * neg_ratio, 4):
+        raise ValueError(f"expected {B * neg_ratio} negative quadruples for {B} positives "
+                         f"and neg_ratio {neg_ratio}, got shape {neg.shape}")
+    quads = np.concatenate([pos[:, None], neg.reshape(B, neg_ratio, 4)], axis=1)
+    keeps = quads == pos[:, None]
+    obj_side = keeps[:, :, 0]
+    if not (keeps[:, :, 1].all() and keeps[:, :, 3].all() and (obj_side | keeps[:, :, 2]).all()):
+        raise ValueError("each negative must keep its positive's relation slot, time step "
+                         "and subject or object")
+    return np.where(obj_side, quads[:, :, 2], quads[:, :, 0]), obj_side
 
 
 def loss_and_grads(params: ModelParams, pos: np.ndarray, neg: np.ndarray,
@@ -173,78 +220,127 @@ def loss_and_grads(params: ModelParams, pos: np.ndarray, neg: np.ndarray,
                    ) -> tuple[float, dict[str, tuple[np.ndarray, np.ndarray]]]:
     """Mean batch loss and row-sparse analytic gradients for every table.
 
-    Returns ``{name: (rows, g)}``: the sorted unique rows of the table that
-    a live quadruple touches and their (len(rows), k) float64 gradient.
-    Gradients are exact subgradients of the loss: the L1 kink contributes 0,
-    and d||.||_2 at the origin is taken as 0. Arithmetic follows the storage
-    dtype. A quadruple whose loss weight is below ``FLUSH_BELOW`` (sigmoid
-    fully saturated, no representable update) takes no part in the backward
-    pass, so rows touched only by such quadruples get no gradient row; this
-    also keeps float32 math out of the denormal range.
+    ``neg[i*R:(i+1)*R]`` (R = ``neg_ratio``) are the negatives of
+    ``pos[i]``: each keeps its relation slot, its time step and its subject
+    or its object, as ``_corrupt_batch`` makes them; anything else raises
+    ``ValueError``. Returns ``{name: (rows, g)}``: the sorted unique rows of
+    the table that a live quadruple touches and their (len(rows), k)
+    float64 gradient. Gradients are exact subgradients of the loss: the L1
+    kink contributes 0, and d||.||_2 at the origin is taken as 0.
+    Arithmetic follows the storage dtype. A quadruple whose loss weight is
+    below ``FLUSH_BELOW`` (sigmoid fully saturated, no representable update)
+    contributes nothing, so rows touched only by such quadruples, an anchor
+    whose whole side is flushed among them, get no gradient row; this also
+    keeps float32 gradients out of the denormal range.
+
+    A positive (s, r, o, tau) and its negatives form a group, worked
+    GROUPS_PER_BLOCK groups at a time in one pass: scores, loss weights and
+    gradients, with nothing computed twice. With q = rot(s) + r, the
+    positive and each negative with a free object o' score
+    ||q - conj(rot(o'))||_p (the object side), and each negative with a free
+    subject s' ||rot(s') + r - conj(rot(o))||_p (the subject side), as
+    ``model.score_step`` builds its query vectors; the group gathers its
+    slot, step and anchors once, and each quadruple adds one gathered and
+    rotated entity. Gradients are summed per group before the scatter: one
+    relation row and one phase row per live group, one row for the subject
+    (the conjugate-rotated sum over the object side) and one for the object
+    (over the positive and the subject side), and one row per live
+    negative, for its free entity. The group sums are products with a fixed
+    matrix per group, so the result does not depend on GROUPS_PER_BLOCK.
     """
-    B = len(pos)
-    quads = np.concatenate([pos, neg])
-    # contiguous index columns gather measurably faster than strided views
-    s, slot, o, tau = (np.ascontiguousarray(quads[:, j]) for j in range(4))
+    B, R, p = len(pos), neg_ratio, params.norm_p
+    free, obj_side = _groups(pos, neg, R)
+    s, slot, tau = pos[:, 0], pos[:, 1], pos[:, 3]
     k, dtype = params.k, params.ent_re.dtype
     # trig over the phase table once, then gather: far fewer evaluations
     cos, sin = np.cos(params.phase), np.sin(params.phase)
-    scores = _scores(params, cos, sin, s, slot, o, tau)
+    # each quadruple's group within its block, and its row of the (2G, k)
+    # table of its block's query vectors, two per group
+    group_of = np.repeat(np.arange(min(GROUPS_PER_BLOCK, B)), R + 1)
+    x_row = 2 * np.arange(B)[:, None] + ~obj_side
+    # Each quadruple's gradient of |d| is u; the loop works with v, which is
+    # u with its real part negated on the object side. The group sums weigh
+    # each v by these rows: A sums u over the object side (the subject's
+    # quadruples), C over the positive and the subject side (the object's),
+    # and D over the subject side's negatives.
+    obj = obj_side.astype(dtype)
+    first = np.zeros_like(obj)
+    first[:, 0] = 1.0
+    sums_re = np.stack([-obj, 1.0 - obj - first, 1.0 - obj], axis=1)
+    sums_im = np.stack([obj, 1.0 - obj + first, 1.0 - obj], axis=1)
+    f = np.empty((B, R + 1), dtype)  # scores, the positive first
+    w = np.empty((B, R + 1), dtype)  # d(mean loss)/d(score)
+    # per group: the subject's row, the object's, then each negative's free entity
+    g_ent = np.empty((2, B, R + 2, k), dtype)
+    g_grp = np.empty((3, B, k), dtype)  # rel_re, rel_im, phase
+    for lo in range(0, B, GROUPS_PER_BLOCK):
+        b = slice(lo, min(lo + GROUPS_PER_BLOCK, B))
+        G = b.stop - lo
+        c, sn = cos[tau[b]], sin[tau[b]]
+        gi = group_of[:G * (R + 1)]
+        cq, sq = c[gi], sn[gi]
+        e = free[b].ravel()
+        t_re, t_im = _rotate(params.ent_re[e], params.ent_im[e], cq, sq)
+        S_re, S_im = _rotate(params.ent_re[s[b]], params.ent_im[s[b]], c, sn)
+        Q_re, Q_im = t_re[::R + 1], -t_im[::R + 1]  # conj(rot(o)), from the positive's row
+        r_re, r_im = params.rel_re[slot[b]], params.rel_im[slot[b]]
+        q_re, q_im = S_re + r_re, S_im + r_im
+        # d' = rot(e) + x is the difference d with its real part negated on
+        # the object side, where x = (-re(q), im(q)); on the subject side
+        # d' = d and x = r - conj(rot(o))
+        x_re = np.stack([-q_re, r_re - Q_re], axis=1).reshape(2 * G, k)
+        x_im = np.stack([q_im, r_im - Q_im], axis=1).reshape(2 * G, k)
+        rows = x_row[b].ravel() - 2 * lo
+        d_re, d_im = x_re[rows], x_im[rows]
+        d_re += t_re
+        d_im += t_im
+        fb, wb = f[b], w[b]
+        # numpy sums each row on its own, so a score does not depend on the block
+        fb[:] = _norm(d_re, d_im, p).reshape(G, R + 1)
+        wb[:, 0] = _sigmoid(fb[:, 0] - margin) / B
+        wb[:, 1:] = -_sigmoid(margin - fb[:, 1:]) / R / B
+        v_re, v_im = (v.reshape(G, R + 1, k) for v in _unit(
+            d_re, d_im, fb.ravel(), np.where(np.abs(wb) >= FLUSH_BELOW, wb, 0.0).ravel(), p))
 
-    f_pos, f_neg = scores[:B], scores[B:]
-    total = float((_softplus(f_pos - margin)
-                   + _softplus(margin - f_neg).reshape(B, neg_ratio).sum(axis=1) / neg_ratio).mean())
-    # d(mean loss)/d(score) per quadruple
-    w = np.concatenate([_sigmoid(f_pos - margin), -_sigmoid(margin - f_neg) / neg_ratio]) / B
+        # einsum adds a group's terms in order on any CPU; a BLAS product's
+        # order, and so the trained bits, would depend on the kernel it picks
+        (A_re, C_re, D_re), (A_im, C_im, D_im) = (
+            np.einsum("gsq,gqk->sgk", sums[b], v) for sums, v in ((sums_re, v_re), (sums_im, v_im)))
+        # the phase gradient u_im*re(P) - u_re*im(P), P = rot(s) + conj(rot(o)),
+        # is Im(v conj(rot(e))) per quadruple plus terms in each side's sum
+        cross = v_im.reshape(-1, k) * t_re
+        cross -= v_re.reshape(-1, k) * t_im
+        g_grp[2, b] = cross.reshape(G, R + 1, k).sum(axis=1)
+        g_grp[2, b] += S_re * A_im - S_im * A_re
+        g_grp[2, b] += Q_re * D_im - Q_im * D_re
+        g_grp[0, b] = A_re + D_re
+        g_grp[1, b] = A_im + D_im
+        # entity gradients: v (or a side's u) rotated by the conjugate phasor
+        ent_re, ent_im = g_ent[0, b], g_ent[1, b]
+        cq, sq = cq.reshape(G, R + 1, k), sq.reshape(G, R + 1, k)
+        np.multiply(v_re, cq, out=ent_re[:, 1:])
+        ent_re[:, 1:] += v_im * sq
+        np.multiply(v_im, cq, out=ent_im[:, 1:])
+        ent_im[:, 1:] -= v_re * sq
+        ent_re[:, 0], ent_im[:, 0] = _rotate(A_re, A_im, c, -sn)
+        ent_re[:, 1], ent_im[:, 1] = _rotate(-C_re, C_im, c, -sn)
+
+    total = float((_softplus(f[:, 0] - margin) + _softplus(margin - f[:, 1:]).sum(axis=1) / R
+                   ).mean())
     if not np.isfinite(total) or not np.isfinite(w).all():
         raise NumericalError("non-finite loss in batch")
-
-    # backward pass over the live quadruples only, recomputing each block's
-    # forward; the subject half of the entity gradients comes first
-    live = np.flatnonzero(np.abs(w) >= FLUSH_BELOW)
-    s, slot, o, tau, w, norm = (x[live] for x in (s, slot, o, tau, w[:, None],
-                                                   scores[:, None]))
-    n = len(live)
-    # per-quadruple gradients as (rows, k // w, w) views of slab-major
-    # storage, so that each slab of w columns is contiguous for the scatter
-    w_slab = largest_divisor(k, SCATTER_COLS)
-    g_ent_re, g_ent_im, g_rel_re, g_rel_im, g_phase = (
-        np.empty((k // w_slab, rows, w_slab), dtype).transpose(1, 0, 2)
-        for rows in (2 * n, 2 * n, n, n, n))
-    for lo in range(0, n, BLOCK_ROWS):
-        hi = min(lo + BLOCK_ROWS, n)
-        b, ob = slice(lo, hi), slice(n + lo, n + hi)
-        c, sn, a1, a2, b1, b2, d_re, d_im = _forward(params, cos, sin, s[b], slot[b],
-                                                     o[b], tau[b])
-        if params.norm_p == 1:
-            u_re, u_im = np.sign(d_re), np.sign(d_im)
-        else:
-            safe = np.where(norm[b] > 0.0, norm[b], 1.0)
-            u_re = np.where(norm[b] > 0.0, d_re / safe, 0.0)
-            u_im = np.where(norm[b] > 0.0, d_im / safe, 0.0)
-        u_re *= w[b]
-        u_im *= w[b]
-        urc = u_re * c
-        urs = u_re * sn
-        uic = u_im * c
-        uis = u_im * sn
-        g = uic * b1
-        g -= uis * b2
-        g -= urc * a2
-        g -= urs * a1
-        as_slabs = (hi - lo, k // w_slab, w_slab)
-        g_phase[b] = g.reshape(as_slabs)
-        g_rel_re[b] = u_re.reshape(as_slabs)
-        g_rel_im[b] = u_im.reshape(as_slabs)
-        g_ent_re[b] = (urc + uis).reshape(as_slabs)
-        g_ent_re[ob] = (uis - urc).reshape(as_slabs)
-        g_ent_im[b] = (uic - urs).reshape(as_slabs)
-        g_ent_im[ob] = (urs + uic).reshape(as_slabs)
-
-    ent_rows, (g_ent_re, g_ent_im) = _scatter_rows(np.concatenate([s, o]),
-                                                   [g_ent_re, g_ent_im])
-    rel_rows, (g_rel_re, g_rel_im) = _scatter_rows(slot, [g_rel_re, g_rel_im])
-    tau_rows, (g_tau,) = _scatter_rows(tau, [g_phase])
+    # rows of flushed quadruples, and anchors of wholly flushed sides, take no part
+    live = np.abs(w) >= FLUSH_BELOW
+    live_ent = np.concatenate([(live & obj_side).any(axis=1, keepdims=True),
+                               (live & ~obj_side).any(axis=1, keepdims=True) | live[:, :1],
+                               live[:, 1:]], axis=1)
+    ent_idx = np.where(live_ent, np.concatenate([pos[:, [0, 2]], free[:, 1:]], axis=1), -1)
+    ent_rows, (g_ent_re, g_ent_im) = _scatter_rows(ent_idx.ravel(),
+                                                   list(g_ent.reshape(2, -1, k)))
+    live_grp = live.any(axis=1)
+    rel_rows, (g_rel_re, g_rel_im) = _scatter_rows(np.where(live_grp, slot, -1),
+                                                   list(g_grp[:2]))
+    tau_rows, (g_tau,) = _scatter_rows(np.where(live_grp, tau, -1), [g_grp[2]])
     return total, {"ent_re": (ent_rows, g_ent_re), "ent_im": (ent_rows, g_ent_im),
                    "rel_re": (rel_rows, g_rel_re), "rel_im": (rel_rows, g_rel_im),
                    "phase": (tau_rows, g_tau)}
@@ -284,12 +380,16 @@ def grad_step(params: ModelParams, acc: dict[str, np.ndarray], pos: np.ndarray,
 
 def train(train_facts: Sequence[Quadruple], valid_facts: Sequence[Quadruple],
           config: TrainConfig, binning: TimeBinning, vocab: Vocab,
-          log_path=None, progress: bool = False) -> tuple[ModelParams, list[ValidationRecord]]:
+          log_path=None, progress: bool = False,
+          on_best: Callable[[ModelParams, ValidationRecord], None] | None = None,
+          ) -> tuple[ModelParams, list[ValidationRecord]]:
     """Full training run with early stopping on validation MRR.
 
     Expands facts into endpoint quadruples, shuffles each epoch (seeded),
     validates every ``valid_every`` epochs against the train+valid filter,
-    and keeps the best-MRR snapshot. Stops at ``max_epochs`` or after
+    and keeps the best-MRR snapshot. ``on_best(snapshot, record)`` runs at
+    each validation that improves on the best MRR, so a caller can save the
+    snapshot before a later step fails. Stops at ``max_epochs`` or after
     ``patience`` consecutive validations without improvement. Returns the
     best snapshot (the final params if validation never ran) and the
     per-validation history. Validation screens on one worker per CPU in
@@ -342,6 +442,8 @@ def train(train_facts: Sequence[Quadruple], valid_facts: Sequence[Quadruple],
                     best_mrr = report.mrr
                     best = params.copy()
                     bad_validations = 0
+                    if on_best is not None:
+                        on_best(best, rec)
                 else:
                     bad_validations += 1
                     if bad_validations >= config.patience:

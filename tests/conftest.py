@@ -1,3 +1,5 @@
+import os
+
 import hypothesis
 import numpy as np
 import pytest
@@ -6,7 +8,8 @@ from tero.model import ModelParams, init_params
 
 hypothesis.settings.register_profile("fast", max_examples=25)
 hypothesis.settings.register_profile("thorough", max_examples=300)
-hypothesis.settings.load_profile("fast")
+# HYPOTHESIS_PROFILE=thorough runs 300 examples per property instead of 25
+hypothesis.settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "fast"))
 
 
 @pytest.fixture

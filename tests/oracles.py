@@ -3,9 +3,9 @@
 Nearly everything here works one element at a time with Python complex
 numbers and plain loops, so it shares no code with the vectorized
 implementations it is used to verify; ``score_oracle`` checks the forward
-kernel that ``score_quads`` and the training step share. The exceptions
-are ``dense_step_oracle``, the dense training step the row-sparse one must
-match bit for bit, ``score_one``, which calls ``score_quads`` on one
+kernel of ``score_quads``. The exceptions are ``dense_step_oracle``, a
+dense training step in input order that the grouped one must match to
+rounding, ``score_one``, which calls ``score_quads`` on one
 quadruple, ``read_facts_oracle``, which checks each line with
 ``read_facts``'s own line parser but without its date memo,
 ``expand_oracle``, which expands fact by fact through ``endpoint_terms``,

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import params_from
 from oracles import format_fact
-from tero import model
+from tero import model, training
 from tero.cli import (COMMANDS, DEFAULTS, OPTIONS, PROFILES, build_parser, main,
                       parse_config_file, resolve_config)
 from tero.data import POINT_TSV, Vocab, bin_fixed, PartialDate
@@ -270,6 +270,43 @@ class TestTrainCommand:
         first = (out / "model.tero").read_bytes()
         assert main(args) == 0
         assert (out / "model.tero").read_bytes() == first
+
+    def test_failure_keeps_the_best_checkpoint_so_far(self, suite_files, tmp_path,
+                                                       monkeypatch, capsys):
+        # a step fails after the 3rd validation (epoch 6): the checkpoint holds
+        # the best snapshot of the first 3, as a 6-epoch run returns it (here
+        # that of the 1st validation, not the parameters at the failure)
+        ds, paths = suite_files
+        out = tmp_path / "run"
+        validations = []
+        evaluate, grad_step = training.evaluation.evaluate, training.grad_step
+
+        def counted(*args, **kwargs):
+            report = evaluate(*args, **kwargs)
+            validations.append(report.mrr)
+            return report
+
+        def failing(*args, **kwargs):
+            if len(validations) == 3:
+                raise training.NumericalError("injected")
+            return grad_step(*args, **kwargs)
+
+        monkeypatch.setattr(training.evaluation, "evaluate", counted)
+        monkeypatch.setattr(training, "grad_step", failing)
+        argv = self.quick(paths, out, "--max-epochs", "40", "--valid-every", "2",
+                          "--patience", "10")
+        assert main(argv) == 3
+        assert "injected" in capsys.readouterr().err
+        assert len(validations) == 3
+        monkeypatch.undo()
+        cfg = resolve_config(build_parser().parse_args(argv))
+        cfg.max_epochs = 6
+        best, history = training.train(ds.train, ds.valid, cfg.train_config(), ds.binning,
+                                       ds.vocab)
+        assert [rec.mrr for rec in history] == validations
+        saved, _ = load_checkpoint(out / "model.tero")
+        for name, arr in best.arrays().items():
+            assert np.array_equal(saved.arrays()[name], arr), name
 
     def test_writes_training_log(self, suite_files, tmp_path):
         _, paths = suite_files

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import params_from
 from oracles import (batch_loss, dense_grads, dense_step_oracle, fd_grads, loss, loss_oracle,
                      max_relative_error, zero_acc)
 from tero import model, training
 from tero.data import expand_for_training
-from tero.model import init_params, score_quads
+from tero.model import ModelParams, init_params, score_quads
 from tero.synthetic import reflexive_relation_suite, temporary_relation_suite
 from tero.training import (ADAGRAD_EPS, NumericalError, TrainConfig, _corrupt_batch,
                            apply_adagrad, grad_step, loss_and_grads, train)
@@ -129,6 +130,21 @@ class TestGradients:
         numeric = fd_grads(params, pos, neg, margin=3.0, neg_ratio=3)
         assert max_relative_error(dense_grads(params, grads), numeric) < 1e-4
 
+    @pytest.mark.parametrize("norm_p", [1, 2])
+    def test_matches_finite_differences_both_sides(self, norm_p):
+        # make_batch corrupts subjects only; here half the negatives free the object
+        params = init_params(5, 2, 3, 3, dual=False, seed=31, norm_p=norm_p, dtype=np.float64)
+        pos, _ = make_batch(params, n_pos=3, neg_ratio=1, seed=8)
+        neg = _corrupt_batch(pos, 4, params.n_entities, np.random.default_rng(8))
+        assert 0 < (neg[:, 0] == np.repeat(pos[:, 0], 4)).sum() < len(neg)
+        _, grads = loss_and_grads(params, pos, neg, margin=2.0, neg_ratio=4)
+        grads = dense_grads(params, grads)
+        numeric = fd_grads(params, pos, neg, margin=2.0, neg_ratio=4)
+        for name in grads:
+            a, n = grads[name].ravel(), numeric[name].ravel()
+            near_kink = np.abs(n) < 1e-3 if norm_p == 1 else np.zeros(len(n), bool)
+            assert (np.abs(a - n) / np.maximum(1e-8, np.abs(n)) < 1e-4)[~near_kink].all(), name
+
     def test_loss_value_agrees_with_scalar_form(self):
         params = init_params(4, 2, 3, 3, dual=False, seed=14, dtype=np.float64)
         pos, neg = make_batch(params, n_pos=2, neg_ratio=3, seed=7)
@@ -159,36 +175,256 @@ def saturating_batch(params, n_pos, neg_ratio, margin, seed):
     return pos, neg, int((f_neg > margin + 70.0).sum())
 
 
+def two_sided_batch(params, n_pos, neg_ratio, seed):
+    """A batch of ``_corrupt_batch`` negatives, on both sides, of positives without entity 0.
+
+    Entity 0 is scaled far out and every third negative substitutes it, so
+    that its score saturates the loss and its weight is flushed.
+    """
+    params.ent_re[0] *= 1e3
+    params.ent_im[0] *= 1e3
+    rng = np.random.default_rng(seed)
+    n_e, n_s, n_t = params.n_entities, params.n_slots, params.n_tau
+    pos = np.stack([rng.integers(1, n_e, n_pos), rng.integers(0, n_s, n_pos),
+                    rng.integers(1, n_e, n_pos), rng.integers(0, n_t, n_pos)], axis=1)
+    neg = _corrupt_batch(pos, neg_ratio, n_e, rng)
+    free = np.where(neg[:, 0] != np.repeat(pos[:, 0], neg_ratio), 0, 2)
+    neg[np.arange(0, len(neg), 3), free[::3]] = 0
+    return pos, neg
+
+
+def float64_copy(params):
+    return ModelParams(*(a.astype(np.float64) for a in params.arrays().values()),
+                       params.n_relations, params.dual, params.norm_p)
+
+
+def gamma(m, u=2.0 ** -24):
+    return m * u / (1 - m * u)
+
+
+def float32_gradient_bound(params, pos, neg, margin, neg_ratio):
+    """Bounds on the error of a float32 step's gradients, as dense float64 tables.
+
+    Derivation (first order in u = 2^-24, gamma(m) = m*u/(1 - m*u)). For each
+    quadruple q the exact difference d = rot(s) + r - conj(rot(o)) is
+    worked out in float64 from the float32 parameters, as are its score f
+    and weight w. The step builds each float32 coordinate of d from
+    gathered entities, the relation and cos/sin of the phase (each within a
+    few ulp) by at most 8 roundings, each of a number no larger than
+    M_j = |s_re| + |s_im| + |o_re| + |o_im| + |r_j|, so it errs by at most
+    eps_j = gamma(8) * M_j. Its score then errs by at most
+    df = sum_j eps_j + gamma(k + 1) * f at p=1 (a sum of k terms per part,
+    in any order, and one addition) and ||eps||_2 + gamma(k + 4) * f at
+    p=2. A loss weight is w = sigmoid(+-(f - margin)) / (B or B*R), and the
+    log of a sigmoid has slope at most 1, so the float32 weight errs by a
+    relative rho = expm1(df) + gamma(8) (exp, sums and divisions).
+
+    The gradient u of |d| (p=1) is w*sign(d), so |u_re| + |u_im| = U <=
+    2|w|. Where |d_j| <= eps_j the float32 sign may differ, by up to 2, so
+    dU = rho*U + 2|w|(1 + rho) * #{flippable parts of coordinate j}. At p=2
+    u = w*d/f, and dU = rho*U + |w|(1 + rho)(eps_re + eps_im + (|d_re| +
+    |d_im|) df/f)/f. The step then sums u over each side of a group (at
+    most R + 1 terms, in order), rotates the sums or each negative's u by the
+    conjugate phasor (two products and a sum, with cos/sin within a few
+    ulp) and adds relation and phase parts, all in float32, then scatters
+    in float64: no gradient entry meets more than R + 16 float32 roundings
+    of numbers bounded by the terms' moduli. So a quadruple adds
+    E = dU + gamma(R + 16)*U to the error of each entity row it touches and
+    of its relation row. A phase gradient term is u_im*Re(P) - u_re*Im(P),
+    P = rot(s) + conj(rot(o)), |P_j| <= |s_re| + |s_im| + |o_re| + |o_im|
+    =: N_j, and the float32 rotations err by gamma(4)*N_j, so it adds
+    E * N_j. The float64 reference errs by far less (u' = 2^-53).
+    """
+    p, B, R = params.norm_p, len(pos), neg_ratio
+    P = float64_copy(params)
+    s, slot, o, tau = np.concatenate([pos, neg]).T
+    c, sn = np.cos(P.phase[tau]), np.sin(P.phase[tau])
+    s_re, s_im, o_re, o_im = P.ent_re[s], P.ent_im[s], P.ent_re[o], P.ent_im[o]
+    r_re, r_im = P.rel_re[slot], P.rel_im[slot]
+    d_re = (s_re * c - s_im * sn) + r_re - (o_re * c - o_im * sn)
+    d_im = (s_re * sn + s_im * c) + r_im + (o_re * sn + o_im * c)
+    N = np.abs(s_re) + np.abs(s_im) + np.abs(o_re) + np.abs(o_im)
+    eps_re, eps_im = gamma(8) * (N + np.abs(r_re)), gamma(8) * (N + np.abs(r_im))
+    if p == 1:
+        f = np.abs(d_re).sum(1) + np.abs(d_im).sum(1)
+        df = eps_re.sum(1) + eps_im.sum(1) + gamma(params.k + 1) * f
+    else:
+        f = np.sqrt((d_re ** 2).sum(1) + (d_im ** 2).sum(1))
+        df = np.sqrt((eps_re ** 2).sum(1) + (eps_im ** 2).sum(1)) + gamma(params.k + 4) * f
+    x = np.concatenate([f[:B] - margin, margin - f[B:]])
+    w = np.exp(-np.logaddexp(0.0, -x)) / np.where(np.arange(len(x)) < B, B, R * B)
+    w[w < training.FLUSH_BELOW] = 0.0
+    rho = (np.expm1(df) + gamma(8))[:, None]
+    w = w[:, None]
+    if p == 1:
+        U = w * ((d_re != 0).astype(float) + (d_im != 0))
+        flips = (np.abs(d_re) <= eps_re).astype(float) + (np.abs(d_im) <= eps_im)
+        dU = rho * U + 2 * w * (1 + rho) * flips
+    else:
+        fs = np.where(f > 0, f, np.inf)[:, None]
+        U = w * (np.abs(d_re) + np.abs(d_im)) / fs
+        dU = rho * U + w * (1 + rho) * (eps_re + eps_im
+                                        + (np.abs(d_re) + np.abs(d_im)) * df[:, None] / fs) / fs
+    E = dU + gamma(R + 16) * U
+    bound = {name: np.zeros(arr.shape) for name, arr in P.arrays().items()}
+    for name in ("ent_re", "ent_im"):
+        np.add.at(bound[name], s, E)
+        np.add.at(bound[name], o, E)
+    for name in ("rel_re", "rel_im"):
+        np.add.at(bound[name], slot, E)
+    np.add.at(bound["phase"], tau, E * N)
+    return bound
+
+
+def oracle_gradients(params, pos, neg, margin, neg_ratio):
+    """``dense_step_oracle``'s float64 gradients at ``params``, read off one step from
+    zero accumulators: there G = g^2 and the parameter moves against the sign of g."""
+    P = float64_copy(params)
+    before, acc = P.copy(), zero_acc(P)
+    dense_step_oracle(P, acc, pos, neg, margin, neg_ratio, lr=1.0)
+    return {name: np.copysign(np.sqrt(acc[name]), before.arrays()[name] - arr)
+            for name, arr in P.arrays().items()}
+
+
 class TestSparseStep:
-    @pytest.mark.parametrize("norm_p,dual", [(1, False), (2, False), (1, True)])
-    def test_matches_dense_oracle_bit_for_bit(self, norm_p, dual):
-        params = init_params(12, 3, 5, 6, dual=dual, seed=21, norm_p=norm_p)
+    def steps_against_oracle(self, norm_p, dual):
+        """Six steps of a float64 model against ``dense_step_oracle``.
+
+        Both compute the same float64 terms, at most 2*B*(R + 1) = 80 per
+        gradient coordinate here, by other formulas and add them in other
+        orders, so each coordinate differs by a few gamma'(80) ~ 1e-14 of
+        its terms' moduli (u' = 2^-53). Adagrad's update lr*g/(sqrt(G) + eps)
+        is scale-free while G >> eps^2, so parameters and accumulators move
+        apart by the same relative amounts, which the next steps' scores
+        carry forward; six steps stay far below the 1e-9 allowed here. (A
+        coordinate whose terms cancel to within their rounding would be
+        divided by a tiny sqrt(G): this batch has none.) A wrong sign,
+        side or dropped term moves a parameter by O(lr) in the first step.
+        """
+        params = init_params(12, 3, 5, 6, dual=dual, seed=21, norm_p=norm_p, dtype=np.float64)
         cfg = TrainConfig(k=6, batch_size=8, neg_ratio=4, margin=2.0, lr=0.3, seed=0)
-        pos, neg, n_flushed = saturating_batch(params, 8, 4, cfg.margin, seed=9)
-        assert 0 < n_flushed < len(neg)
+        pos, neg = two_sided_batch(params, 8, 4, seed=9)
+        f = score_quads(params, *neg.T)
+        assert 0 < (f > cfg.margin + 70.0).sum() < len(neg)
+        obj_side = neg[:, 0] == np.repeat(pos[:, 0], 4)
+        assert 0 < obj_side.sum() < len(neg)
         dense = params.copy()
         acc, dense_acc = {}, zero_acc(params)  # the step makes its tables on first use
         rng = np.random.default_rng(3)
         for _ in range(6):
-            assert grad_step(params, acc, pos, neg, cfg) == dense_step_oracle(
-                dense, dense_acc, pos, neg, cfg.margin, cfg.neg_ratio, cfg.lr)
+            loss = grad_step(params, acc, pos, neg, cfg)
+            assert loss == pytest.approx(dense_step_oracle(
+                dense, dense_acc, pos, neg, cfg.margin, cfg.neg_ratio, cfg.lr), rel=1e-9)
             pos[:, 3] = rng.integers(0, params.n_tau, len(pos))
             neg[:, 3] = np.repeat(pos[:, 3], cfg.neg_ratio)
         for name, arr in params.arrays().items():
-            assert np.array_equal(arr, dense.arrays()[name]), name
-            assert np.array_equal(acc[name], dense_acc[name]), name
+            np.testing.assert_allclose(arr, dense.arrays()[name], rtol=0, atol=1e-9, err_msg=name)
+            np.testing.assert_allclose(acc[name], dense_acc[name], rtol=1e-9, atol=0,
+                                       err_msg=name)
 
-    # With 40 quadruples, 24 of them live, and 10 touched entity rows,
-    # 3-row blocks leave a short last block in the forward pass and in
-    # Adagrad, 5-row blocks one in the backward pass; 3-column slabs split
-    # k=6 into two.
+    @pytest.mark.parametrize("norm_p,dual", [(1, False), (2, False), (1, True)])
+    def test_matches_dense_oracle_within_rounding(self, norm_p, dual):
+        self.steps_against_oracle(norm_p, dual)
+
+    # With 8 groups, blocks of 3 and 5 groups leave a short last block; with
+    # 11 touched entity rows (first step), 3- and 5-row Adagrad blocks do too.
     @pytest.mark.parametrize("block_rows", [3, 5])
     @pytest.mark.parametrize("norm_p,dual", [(1, False), (2, False), (1, True)])
     def test_block_boundaries_match_dense_oracle(self, monkeypatch, block_rows, norm_p, dual):
-        monkeypatch.setattr(model, "BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(training, "GROUPS_PER_BLOCK", block_rows)
         monkeypatch.setattr(training, "BLOCK_ROWS", block_rows)
-        monkeypatch.setattr(training, "SCATTER_COLS", 4)
-        self.test_matches_dense_oracle_bit_for_bit(norm_p, dual)
+        self.steps_against_oracle(norm_p, dual)
+
+    @pytest.mark.parametrize("norm_p,dual", [(1, False), (2, False), (1, True), (2, True)])
+    def test_float32_gradients_within_derived_bound(self, norm_p, dual):
+        params = init_params(40, 3, 5, 24, dual=dual, seed=27, norm_p=norm_p)
+        pos, neg = two_sided_batch(params, 16, 6, seed=12)
+        margin = 8.0
+        _, grads = loss_and_grads(params, pos, neg, margin, 6)
+        step = dense_grads(params, grads)
+        exact = oracle_gradients(params, pos, neg, margin, 6)
+        bound = float32_gradient_bound(params, pos, neg, margin, 6)
+        for name in step:
+            err = np.abs(step[name] - exact[name])
+            assert (err <= bound[name] * (1 + 1e-6)).all(), name
+            # the bound is tight enough to see a wrong or missing term
+            touched = np.abs(exact[name]) > 0
+            assert np.median(bound[name][touched] / np.abs(exact[name][touched])) < 1e-3, name
+
+    @pytest.mark.parametrize("norm_p,dual", [(1, False), (2, False), (1, True)])
+    def test_float32_steps_equal_across_block_sizes(self, monkeypatch, norm_p, dual):
+        # 23 groups leave a short last block at 2, 3 and the default 16 groups per block
+        runs = []
+        for groups in (1, 2, 3, training.GROUPS_PER_BLOCK):
+            monkeypatch.setattr(training, "GROUPS_PER_BLOCK", groups)
+            params = init_params(30, 4, 6, 10, dual=dual, seed=28, norm_p=norm_p)
+            pos, neg = two_sided_batch(params, 23, 5, seed=13)
+            cfg = TrainConfig(k=10, batch_size=23, neg_ratio=5, margin=6.0, lr=0.3, seed=0)
+            acc = {}
+            losses = [grad_step(params, acc, pos, neg, cfg) for _ in range(3)]
+            runs.append((losses, params, acc))
+        losses, params, acc = runs[0]
+        for other_losses, other, other_acc in runs[1:]:
+            assert other_losses == losses
+            for name, arr in params.arrays().items():
+                assert np.array_equal(other.arrays()[name], arr), name
+                assert np.array_equal(other_acc[name], acc[name]), name
+
+    def test_anchor_with_a_flushed_side_gets_no_row(self):
+        params = init_params(6, 1, 2, 6, dual=False, seed=29)
+        params.ent_re[0] *= 1e4
+        params.ent_im[0] *= 1e4
+        # margin 100 flushes every positive; entity 0 flushes the negatives
+        # on entity 1's side (free object), and entity 2's side stays live
+        pos = np.array([[1, 0, 2, 0], [3, 0, 4, 1]])
+        neg = np.array([[1, 0, 0, 0], [5, 0, 2, 0], [1, 0, 0, 0],
+                        [3, 0, 5, 1], [4, 0, 4, 1], [3, 0, 2, 1]])
+        before = params.copy()
+        total, grads = loss_and_grads(params, pos, neg, margin=100.0, neg_ratio=3)
+        assert np.isfinite(total)
+        rows = set(grads["ent_re"][0])
+        assert 1 not in rows and 0 not in rows and {2, 5} <= rows
+        cfg = TrainConfig(k=6, batch_size=2, neg_ratio=3, margin=100.0, lr=0.3, seed=0)
+        acc = zero_acc(params)
+        grad_step(params, acc, pos, neg, cfg)
+        for name in ("ent_re", "ent_im"):
+            assert np.array_equal(params.arrays()[name][1], before.arrays()[name][1])
+            assert not acc[name][1].any()
+            assert acc[name][2].any()
+
+    def test_flushed_quads_add_nothing_to_group_sums(self):
+        # k=1 and a zero phase, so each score is |s + r - conj(o)|_1: the
+        # positive scores 0 and the two object-side negatives 166 and 170. At
+        # margin 100 the positive is flushed, and the negatives' weights are
+        # sigmoid(-66)/2 ~ 1e-29 (live) and sigmoid(-70)/2 ~ 2e-31 (flushed,
+        # yet not negligible beside the first)
+        params = params_from([[0], [0], [-166], [-170]], [[0]], np.zeros((1, 1)))
+        pos = np.array([[0, 0, 1, 0]])
+        neg = np.array([[0, 0, 2, 0], [0, 0, 3, 0]])
+        _, grads = loss_and_grads(params, pos, neg, margin=100.0, neg_ratio=2)
+        rows, g = grads["ent_re"]
+        assert list(rows) == [0, 2]
+        exact = oracle_gradients(params, pos, neg, 100.0, 2)["ent_re"]
+        assert exact[0, 0] != 0.0
+        np.testing.assert_allclose(g[:, 0], exact[[0, 2], 0], rtol=1e-12)
+
+    @pytest.mark.parametrize("column,value", [(1, 0), (3, 2), (None, None)])
+    def test_negative_outside_its_group_rejected(self, column, value):
+        params = init_params(6, 2, 3, 4, dual=False, seed=30)
+        pos = np.array([[1, 0, 2, 0], [3, 1, 4, 1]])
+        neg = np.array([[1, 0, 5, 0], [5, 0, 2, 0], [3, 1, 0, 1], [2, 1, 4, 1]])
+        if column is None:  # both entities replaced
+            neg[3, [0, 2]] = 5
+        else:
+            neg[2, column] = value
+        with pytest.raises(ValueError, match="must keep"):
+            loss_and_grads(params, pos, neg, margin=2.0, neg_ratio=2)
+
+    def test_negative_count_must_match(self):
+        params = init_params(6, 2, 3, 4, dual=False, seed=30)
+        pos = np.array([[1, 0, 2, 0], [3, 1, 4, 1]])
+        with pytest.raises(ValueError, match="expected 4 negative"):
+            loss_and_grads(params, pos, np.repeat(pos, 3, axis=0), margin=2.0, neg_ratio=2)
 
     def test_all_flushed_batch_changes_nothing(self):
         params = init_params(4, 1, 2, 6, dual=False, seed=24)
