@@ -2,11 +2,11 @@
 
 Every option is declared once, as a row of ``OPTIONS``; the argparse flags,
 the built-in defaults and the checks on config-file values all come from
-that table. Configuration precedence is flag > config file > profile >
-built-in default. Config files are plain ``key = value`` lines with ``#``
-comments; keys match the long flag names with dashes or underscores, and
-values are checked against the option's type, choices and lower bound as
-flags are.
+that table, whose training rows take their defaults from ``TrainConfig``.
+Configuration precedence is flag > config file > profile > built-in
+default. Config files are plain ``key = value`` lines with ``#`` comments;
+keys match the long flag names with dashes or underscores, and values are
+checked against the option's type, choices and lower bound as flags are.
 Exit codes: 0 success, 1 usage error (a model too large to allocate among
 them), 2 data error, 3 numerical failure.
 """
@@ -43,23 +43,25 @@ OPTIONS: tuple[Option, ...] = (
     Option("valid", str, None, "dataset", "validation split TSV", metavar="FILE"),
     Option("test", str, None, "dataset", "test split TSV", metavar="FILE"),
     Option("format", str, POINT_TSV, "dataset", "input layout", FORMATS),
-    Option("time_unit", int, 1, "dataset", "fixed time-step length in days", metavar="DAYS",
-           min=1),
-    Option("time_threshold", int, None, "dataset",
+    Option("time_unit", int, TrainConfig.time_unit, "dataset", "fixed time-step length in days",
+           metavar="DAYS", min=1),
+    Option("time_threshold", int, TrainConfig.time_threshold, "dataset",
            "min fact mentions per clubbed year bin (default: none)", metavar="N", min=1),
     Option("dual", str, "auto", "dataset", "dual begin/end relation embeddings",
            ("auto", "on", "off")),
-    Option("dim", int, 500, "training", "embedding dimension", min=1),
-    Option("margin", float, 110.0, "training", "loss margin"),
-    Option("lr", float, 0.1, "training", "Adagrad learning rate"),
-    Option("neg_ratio", int, 10, "training", "negatives per positive", min=1),
-    Option("batch_size", int, 512, "training", "minibatch size", min=1),
-    Option("norm", int, 1, "training", "score p-norm", (1, 2)),
-    Option("seed", int, 0, "training", "RNG seed", min=0),
+    Option("dim", int, TrainConfig.k, "training", "embedding dimension", min=1),
+    Option("margin", float, TrainConfig.margin, "training", "loss margin"),
+    Option("lr", float, TrainConfig.lr, "training", "Adagrad learning rate"),
+    Option("neg_ratio", int, TrainConfig.neg_ratio, "training", "negatives per positive", min=1),
+    Option("batch_size", int, TrainConfig.batch_size, "training", "minibatch size", min=1),
+    Option("norm", int, TrainConfig.norm_p, "training", "score p-norm", (1, 2)),
+    Option("seed", int, TrainConfig.seed, "training", "RNG seed", min=0),
     # 0 epochs is allowed: it writes the seeded initialization as a checkpoint
-    Option("max_epochs", int, 5000, "training", "epoch cap", min=0),
-    Option("valid_every", int, 100, "training", "epochs between validations", min=1),
-    Option("patience", int, 5, "training", "non-improving validations before stopping", min=1),
+    Option("max_epochs", int, TrainConfig.max_epochs, "training", "epoch cap", min=0),
+    Option("valid_every", int, TrainConfig.valid_every, "training", "epochs between validations",
+           min=1),
+    Option("patience", int, TrainConfig.patience, "training",
+           "non-improving validations before stopping", min=1),
     Option("checkpoint", str, None, "run", "checkpoint path (default: <out-dir>/model.tero)",
            metavar="FILE"),
     Option("out_dir", str, "runs", "run", "artifact directory", metavar="DIR"),
@@ -232,6 +234,9 @@ def cmd_preprocess(cfg: RunConfig) -> int:
 def cmd_train(cfg: RunConfig) -> int:
     config = cfg.train_config()
     ds = _load(cfg)
+    if ds.vocab.n_entities < 2:
+        raise DataError("negative sampling needs at least 2 entities, the dataset has "
+                        f"{ds.vocab.n_entities}")
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_sidecar(ds, out)

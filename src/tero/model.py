@@ -12,11 +12,17 @@ Lower is more plausible. Relations on interval datasets come in dual
 begin/end variants stored as two row blocks of one table: slot r is the
 beginning of relation r, slot r + n_relations its end.
 
-Row-paired quadruples are scored in float64 by ``score_quads``, which
-runs one kernel, ``_forward``, BLOCK_ROWS rows at a time, so no
-whole-batch temporary is built. The training step scores its groups of
-quadruples itself (``training.loss_and_grads``), from query vectors built
-as ``score_step`` builds them.
+Every scorer computes the score one way, from two helpers. ``_rotate``
+turns (re, im) by (cos, sin), and ``_query`` builds, from a rotated anchor
+and the relation, the query vector x of which every candidate e scores
+||rot(e) - x||_p: x = conj(rot(s) + r) when the object is the candidate,
+conj(rot(o)) - r when the subject is. Rotation keeps each coordinate's
+modulus (RotatE, Sun et al. 2019), so both equal the score above.
+``score_quads`` scores row-paired quadruples in float64 from the subject's
+query vector, BLOCK_ROWS rows at a time, so no whole-batch temporary is
+built; the training step (``training.loss_and_grads``) builds two query
+vectors per group of a positive and its negatives, ``score_step`` one per
+query.
 
 Link prediction needs every entity rotated to the query's step.
 ``score_step`` fuses that rotation with the scoring, BLOCK_ROWS rows at a
@@ -152,24 +158,21 @@ def init_params(n_entities: int, n_relations: int, n_tau: int, k: int, dual: boo
     return ModelParams(*arrays, n_relations=n_relations, dual=dual, norm_p=norm_p)
 
 
-def rotate(re: np.ndarray, im: np.ndarray,
-           phase: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Elementwise complex rotation (re + i*im) * e^{i*phase}, in float64.
+def _rotate(re, im, c, sn):
+    """(re + i*im) * (c + i*sn), elementwise in the operands' dtype."""
+    return re * c - im * sn, re * sn + im * c
 
-    One complex multiply by ``_phasor(phase)``, as the screen rotates its
-    blocks. Preserves the modulus of every coordinate exactly up to float
-    rounding.
+
+def _query(a_re, a_im, r_re, r_im, obj):
+    """Query vector x of rotated anchor a and relation r: a candidate e scores ||rot(e) - x||_p.
+
+    x = conj(rot(a) + r) where ``obj`` (the object is asked for, a the
+    subject), else conj(rot(a)) - r (a the object); ``obj`` broadcasts
+    against the rows. Rotation keeps each coordinate's modulus, so both
+    norms equal ||rot(s) + r - conj(rot(o))||_p.
     """
-    re, im, phase = np.asarray(re), np.asarray(im), np.asarray(phase, float)
-    if re.shape != im.shape or re.shape[-1] != phase.shape[-1]:
-        raise ValueError(f"shape mismatch: re {re.shape}, im {im.shape}, phase {phase.shape}")
-    z = (re.astype(float) + 1j * im.astype(float)) * _phasor(phase)
-    return z.real, z.imag
-
-
-def _phasor(phase: np.ndarray) -> np.ndarray:
-    """cos(phase) + i*sin(phase) in complex128, from float64 ``phase``."""
-    return np.cos(phase) + 1j * np.sin(phase)
+    x_im = a_im + r_im
+    return a_re + np.where(obj, r_re, -r_re), np.negative(x_im, out=x_im)
 
 
 def _norm(d_re: np.ndarray, d_im: np.ndarray, p: int) -> np.ndarray:
@@ -179,53 +182,29 @@ def _norm(d_re: np.ndarray, d_im: np.ndarray, p: int) -> np.ndarray:
     return np.sqrt((d_re * d_re).sum(axis=-1) + (d_im * d_im).sum(axis=-1))
 
 
-def _forward(params: ModelParams, cos: np.ndarray, sin: np.ndarray, s: np.ndarray,
-             slot: np.ndarray, o: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Differences ``rot(s) + r - conj(rot(o))`` of row-paired quadruples, with their terms.
-
-    Works in the dtype of the ``cos``/``sin`` tables, which ``tau`` indexes;
-    entity rows are converted to it, with no copy in the storage dtype.
-    Returns ``c, sn, a1, a2, b1, b2, d_re, d_im``, each (len(s), k).
-    """
-    c, sn = cos[tau], sin[tau]
-    s_re, s_im, o_re, o_im = (table[rows].astype(cos.dtype, copy=False) for rows in (s, o)
-                              for table in (params.ent_re, params.ent_im))
-    a1 = s_re - o_re
-    a2 = s_im - o_im
-    b1 = s_re + o_re
-    b2 = s_im + o_im
-    # conj(rot(o)) flips the sign of the rotated imaginary part, hence the +.
-    d_re = a1 * c
-    d_re -= a2 * sn
-    d_re += params.rel_re[slot]
-    d_im = b1 * sn
-    d_im += b2 * c
-    d_im += params.rel_im[slot]
-    return c, sn, a1, a2, b1, b2, d_re, d_im
-
-
-def _scores(params: ModelParams, cos: np.ndarray, sin: np.ndarray, s: np.ndarray,
-            slot: np.ndarray, o: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """Scores of row-paired quadruples in the dtype of ``cos``, BLOCK_ROWS at a time."""
-    out = np.empty(len(s), cos.dtype)
-    for lo in range(0, len(s), BLOCK_ROWS):
-        b = slice(lo, lo + BLOCK_ROWS)
-        *_, d_re, d_im = _forward(params, cos, sin, s[b], slot[b], o[b], tau[b])
-        out[b] = _norm(d_re, d_im, params.norm_p)
-    return out
-
-
 def score_quads(params: ModelParams, s: np.ndarray, slot: np.ndarray,
                 o: np.ndarray, tau: np.ndarray) -> np.ndarray:
     """Vectorized endpoint scores for index arrays of equal length.
 
     Computed in float64 whatever the storage dtype, so scores are safe to
-    compare for ranking.
+    compare for ranking: BLOCK_ROWS quadruples at a time, each as
+    ||rot(o) - x||_p with x the object-side query vector of s.
     """
     # trig over the distinct steps only, which the inverse then indexes
     steps, tau = np.unique(tau, return_inverse=True)
     phase = params.phase[steps].astype(np.float64)
-    return _scores(params, np.cos(phase), np.sin(phase), s, slot, o, tau)
+    cos, sin = np.cos(phase), np.sin(phase)
+    out = np.empty(len(s))
+    for lo in range(0, len(s), BLOCK_ROWS):
+        b = slice(lo, lo + BLOCK_ROWS)
+        c, sn = cos[tau[b]], sin[tau[b]]
+        x_re, x_im = _query(*_rotate(params.ent_re[s[b]], params.ent_im[s[b]], c, sn),
+                            params.rel_re[slot[b]], params.rel_im[slot[b]], True)
+        d_re, d_im = _rotate(params.ent_re[o[b]], params.ent_im[o[b]], c, sn)
+        d_re -= x_re
+        d_im -= x_im
+        out[b] = _norm(d_re, d_im, params.norm_p)
+    return out
 
 
 def _check_ids(params: ModelParams, entities, slots, tau: int) -> None:
@@ -244,10 +223,9 @@ def score_step(params: ModelParams, tau: int, anchors, slots, sides,
 
     Query q fixes entity ``anchors[q]`` and relation slot ``slots[q]`` and
     asks for the entity on ``sides[q]``. Both sides reduce to
-    ``||rot(e, theta_tau) - x_q||_p`` over the 2k real coordinates, with a
-    the rotated anchor: ``x = [re(a) + r_re, -(im(a) + r_im)]`` when the
-    object is asked for, ``x = [re(a) - r_re, -(im(a) + r_im)]`` when the
-    subject is.
+    ``||rot(e, theta_tau) - x_q||_p`` over the 2k real coordinates, x_q the
+    query vector ``_query`` builds in float64 from the anchor, which
+    ``_rotate`` turns by float64 cos(theta) and sin(theta).
 
     Returns float32 scores of every entity, row q for query q, and the
     per-query offsets ``screen_band`` takes. Entities are rotated
@@ -277,17 +255,19 @@ def score_step(params: ModelParams, tau: int, anchors, slots, sides,
             raise ValueError(f"side must be 'subject' or 'object', got {side!r}")
     k, n, p = params.k, params.n_entities, params.norm_p
     anchors, slots = np.asarray(anchors, dtype=np.intp), np.asarray(slots, dtype=np.intp)
-    a_re, a_im = rotate(params.ent_re[anchors], params.ent_im[anchors], params.phase[tau])
+    phase = params.phase[tau].astype(np.float64)
+    c, sn = np.cos(phase), np.sin(phase)
+    a_re, a_im = _rotate(params.ent_re[anchors], params.ent_im[anchors], c, sn)
     r_re, r_im = params.rel_re[slots], params.rel_im[slots]
     obj = np.array([side == "object" for side in sides])[:, None]
-    x = np.empty(a_re.shape, np.complex128)
-    x.real, x.imag = np.where(obj, a_re + r_re, a_re - r_re), -(a_im + r_im)
-    offsets = ((_screen_slope(k, 1) if p == 1 else 17 * U32) * _norm(x.real, x.imag, p)
+    x_re, x_im = _query(a_re, a_im, r_re, r_im, obj)
+    offsets = ((_screen_slope(k, 1) if p == 1 else 17 * U32) * _norm(x_re, x_im, p)
                + np.sqrt(2 * k) * 2.0 ** -68
                + 2.0 ** -44 * (_norm(a_re, a_im, 1) + _norm(r_re, r_im, 1)))
 
-    z = _phasor(params.phase[tau].astype(np.float64)).astype(np.complex64)
-    x = x.view(np.float64).astype(np.float32)  # (Q, 2k), re and im interleaved as in a block
+    z = (c + 1j * sn).astype(np.complex64)
+    # (Q, 2k), re and im interleaved as in a block
+    x = np.stack([x_re, x_im], axis=-1).astype(np.float32).reshape(len(x_re), 2 * k)
     x_sums = x.sum(axis=1, dtype=np.float64)
     out = np.empty((len(x), n), np.float32)
     n_blocks = -(-n // BLOCK_ROWS)
@@ -418,13 +398,18 @@ def screen_band(k: int, p: int, score, offset: float) -> tuple[np.float32, np.fl
     one as under one) and the square root as one: in all
     gamma(D + 10)*S* + gamma(11)*||x||_2, and g = gamma(D + 13).
 
-    ``score_quads`` (float64) rounds rot(s) + r - conj(rot(o)) its own way,
-    not through x: with cos/sin within 4 ulp, each of its coordinates and
-    of x errs by under gamma'(12) times the terms it adds up; as
-    |c| + |s| <= sqrt(2) and ||e||_1 <= sqrt(2)*(||d||_1 + ||x||_1), that is
-    in all under gamma'(12)*(6*||rot(a)||_1 + 3*||r||_1 + 2*||d||_1). The
-    offset's 2^-44*(||rot(a)||_1 + ||r||_1) covers the first two terms
-    four times; the last, as ||d||_1 <= sqrt(2k)*S*, with the norm's
+    ``score_quads`` (float64) scores ||rot(o) - x'||_p, x' the query vector
+    of s by ``_query``; on a subject-side query that swaps candidate and
+    anchor and conjugates the difference, which keeps its moduli. With
+    cos/sin within 4 ulp, each coordinate of x, of x' and of rot(o) - x'
+    errs by under gamma'(12) times the terms it adds up: |re*c| + |im*s| per
+    rotated coordinate, and |r_j|. As |c| + |s| <= sqrt(2), a rotated row's
+    terms add up to at most 2*||rot(.)||_1, and ||rot(e)||_1 <= ||d||_1 +
+    ||rot(a)||_1 + ||r||_1. S* is exact for the rounded x, whose error
+    thus counts once more: in all under
+    gamma'(12)*(6*||rot(a)||_1 + 4*||r||_1 + 2*||d||_1). The offset's
+    2^-44*(||rot(a)||_1 + ||r||_1) covers the first two terms over seven
+    times; the last, as ||d||_1 <= sqrt(2k)*S*, with the norm's
     gamma'(2k + 3)*S* < gamma'(N)*S* and a mean of two terms (one rounding
     per precision; halving is exact) stays under gamma(1). At p=2, S* in
     terms of S gives a and the offset's 17u*||x||_2 > gamma(16)*||x||_2;

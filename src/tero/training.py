@@ -20,8 +20,9 @@ A positive and its negatives form a group: all share the relation slot
 and the time step, and each negative shares the positive's subject or its
 object. ``loss_and_grads`` works GROUPS_PER_BLOCK groups at a time,
 scores, loss weights and gradients in one pass over each block, in the
-storage dtype. It builds each group's query vectors once, so that a
-quadruple costs one gathered and rotated entity, and sums each group's
+storage dtype. It builds each group's two query vectors once, with the
+helpers every scorer uses (``model._rotate`` and ``model._query``), so that
+a quadruple costs one gathered and rotated entity, and sums each group's
 relation, phase and shared-entity gradients before the scatter, which adds
 the rows that share an index in float64. Adagrad updates the touched rows
 BLOCK_ROWS at a time. Scores for evaluation come from
@@ -38,7 +39,7 @@ import numpy as np
 
 from . import evaluation
 from .data import Dataset, Quadruple, TimeBinning, Vocab, expand_for_training
-from .model import BLOCK_ROWS, ModelParams, _norm, init_params
+from .model import BLOCK_ROWS, ModelParams, _norm, _query, _rotate, init_params
 
 ADAGRAD_EPS = 1e-10
 # loss weights below this carry no representable update
@@ -173,11 +174,6 @@ def _scatter_rows(idx: np.ndarray,
     return sorted_idx[first], out
 
 
-def _rotate(re, im, c, sn):
-    """(re + i*im) * (c + i*sn), elementwise in the operands' dtype."""
-    return re * c - im * sn, re * sn + im * c
-
-
 def _unit(d_re: np.ndarray, d_im: np.ndarray, f: np.ndarray, w: np.ndarray, p: int):
     """w times the gradient of the p-norm at (n, k) differences d of norms f.
 
@@ -215,6 +211,8 @@ def _groups(pos: np.ndarray, neg: np.ndarray, neg_ratio: int) -> tuple[np.ndarra
     return np.where(obj_side, quads[:, :, 2], quads[:, :, 0]), obj_side
 
 
+# non-finite params make nan in the blocks; the check after them reports it
+@np.errstate(invalid="ignore")
 def loss_and_grads(params: ModelParams, pos: np.ndarray, neg: np.ndarray,
                    margin: float, neg_ratio: int,
                    ) -> tuple[float, dict[str, tuple[np.ndarray, np.ndarray]]]:
@@ -235,13 +233,13 @@ def loss_and_grads(params: ModelParams, pos: np.ndarray, neg: np.ndarray,
 
     A positive (s, r, o, tau) and its negatives form a group, worked
     GROUPS_PER_BLOCK groups at a time in one pass: scores, loss weights and
-    gradients, with nothing computed twice. With q = rot(s) + r, the
-    positive and each negative with a free object o' score
-    ||q - conj(rot(o'))||_p (the object side), and each negative with a free
-    subject s' ||rot(s') + r - conj(rot(o))||_p (the subject side), as
-    ``model.score_step`` builds its query vectors; the group gathers its
-    slot, step and anchors once, and each quadruple adds one gathered and
-    rotated entity. Gradients are summed per group before the scatter: one
+    gradients, with nothing computed twice. Each quadruple scores
+    ||rot(e) - x||_p, e its free entity and x one of the group's two query
+    vectors from ``model._query``: conj(rot(s) + r) for the positive and
+    each negative with a free object (the object side), conj(rot(o)) - r for
+    each negative with a free subject (the subject side). The group gathers
+    its slot, step and anchors once, and each quadruple adds one gathered
+    and rotated entity. Gradients are summed per group before the scatter: one
     relation row and one phase row per live group, one row for the subject
     (the conjugate-rotated sum over the object side) and one for the object
     (over the positive and the subject side), and one row per live
@@ -284,16 +282,14 @@ def loss_and_grads(params: ModelParams, pos: np.ndarray, neg: np.ndarray,
         S_re, S_im = _rotate(params.ent_re[s[b]], params.ent_im[s[b]], c, sn)
         Q_re, Q_im = t_re[::R + 1], -t_im[::R + 1]  # conj(rot(o)), from the positive's row
         r_re, r_im = params.rel_re[slot[b]], params.rel_im[slot[b]]
-        q_re, q_im = S_re + r_re, S_im + r_im
-        # d' = rot(e) + x is the difference d with its real part negated on
-        # the object side, where x = (-re(q), im(q)); on the subject side
-        # d' = d and x = r - conj(rot(o))
-        x_re = np.stack([-q_re, r_re - Q_re], axis=1).reshape(2 * G, k)
-        x_im = np.stack([q_im, r_im - Q_im], axis=1).reshape(2 * G, k)
+        # each group's query vectors, the object side's (from s) then the
+        # subject side's (from o); d' = rot(e) - x is the difference d with
+        # its real part negated on the object side, and d itself on the other
+        x_re, x_im = (np.stack(v, axis=1).reshape(2 * G, k) for v in zip(
+            _query(S_re, S_im, r_re, r_im, True),
+            _query(t_re[::R + 1], t_im[::R + 1], r_re, r_im, False)))
         rows = x_row[b].ravel() - 2 * lo
-        d_re, d_im = x_re[rows], x_im[rows]
-        d_re += t_re
-        d_im += t_im
+        d_re, d_im = t_re - x_re[rows], t_im - x_im[rows]
         fb, wb = f[b], w[b]
         # numpy sums each row on its own, so a score does not depend on the block
         fb[:] = _norm(d_re, d_im, p).reshape(G, R + 1)

@@ -40,6 +40,9 @@ class TestConfigResolution:
         assert (cfg.margin, cfg.lr, cfg.time_unit) == (110.0, 0.1, 1)
         assert cfg.max_epochs == 5000 and cfg.norm == 1
 
+    def test_empty_command_line_trains_with_train_config_defaults(self):
+        assert resolve_config(self.parse("train")).train_config() == training.TrainConfig()
+
     def test_profiles_encode_dataset_presets(self):
         cfg = resolve_config(self.parse("train", "--profile", "icews05-15"))
         assert (cfg.margin, cfg.lr, cfg.time_unit) == (120.0, 0.1, 2)
@@ -314,6 +317,17 @@ class TestTrainCommand:
         assert main(self.quick(paths, out, "--max-epochs", "20")) == 0
         log = (out / "training_log.tsv").read_text().strip().splitlines()
         assert log[0].startswith("epoch\t") and len(log) == 3
+
+    def test_one_entity_dataset_is_data_error(self, tmp_path, capsys):
+        paths = {}
+        for split in ("train", "valid", "test"):
+            paths[split] = tmp_path / f"{split}.txt"
+            paths[split].write_text("A\tr\tA\t2014-01-02\n", encoding="utf-8")
+        out = tmp_path / "run"
+        assert main(self.quick({k: str(v) for k, v in paths.items()}, out)) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == ("tero: data error: negative sampling needs at least 2 entities, "
+                        "the dataset has 1")
 
     @pytest.mark.parametrize("flag,value", [("margin", "nan"), ("margin", "inf"),
                                             ("lr", "nan"), ("lr", "inf")])

@@ -12,10 +12,15 @@ from oracles import fact_score_oracle, param_count, rotate_oracle, score_one, sc
 from tero.data import PartialDate, Quadruple, TimeAnnotation, bin_threshold
 from tero import model
 from tero.evaluation import candidate_scores
-from tero.model import (init_params, load_checkpoint, rotate,
+from tero.model import (_norm, _query, _rotate, init_params, load_checkpoint,
                         save_checkpoint, score_quads, score_step, screen_band)
 
 seeds = st.integers(0, 2**32 - 1)
+
+
+def rotate(re, im, phase):
+    """``_rotate`` by the angles ``phase``."""
+    return _rotate(re, im, np.cos(phase), np.sin(phase))
 
 
 class TestRotate:
@@ -60,6 +65,27 @@ class TestRotate:
         one_step = rotate(re, im, p1 + p2)
         assert np.abs(two_step[0] - one_step[0]).max() < 1e-10
         assert np.abs(two_step[1] - one_step[1]).max() < 1e-10
+
+
+class TestQuery:
+    @given(seeds, st.sampled_from([1, 2]), st.booleans())
+    def test_both_sides_agree_with_score_quads(self, seed, p, dual):
+        # the object-side query of s scoring o and the subject-side query of o
+        # scoring s round differently from score_quads, by a few ulp
+        params = init_params(12, 3, 4, 16, dual, seed % 2**16, norm_p=p)
+        rng = np.random.default_rng(seed)
+        s, o = rng.integers(0, 12, (2, 50))
+        slot, tau = rng.integers(0, params.n_slots, 50), rng.integers(0, 4, 50)
+        expect = score_quads(params, s, slot, o, tau)
+        phase = params.phase[tau].astype(np.float64)
+        c, sn = np.cos(phase), np.sin(phase)
+        r_re, r_im = params.rel_re[slot], params.rel_im[slot]
+        for anchor, cand, obj in ((s, o, True), (o, s, False)):
+            x_re, x_im = _query(*_rotate(params.ent_re[anchor], params.ent_im[anchor], c, sn),
+                                r_re, r_im, obj)
+            e_re, e_im = _rotate(params.ent_re[cand], params.ent_im[cand], c, sn)
+            got = _norm(e_re - x_re, e_im - x_im, p)
+            assert np.allclose(got, expect, rtol=8 * np.finfo(float).eps, atol=0), obj
 
 
 def build_exact_match(theta: float, s: complex, r: complex) -> tuple[complex, complex]:

@@ -541,6 +541,7 @@ class TestAdagrad:
         for arr in params.arrays().values():
             assert arr.dtype == np.float32
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # the error alone reports it
     def test_non_finite_params_raise(self):
         params = init_params(3, 1, 2, 2, dual=False, seed=19)
         params.ent_re[0, 0] = np.inf
