@@ -120,6 +120,8 @@ def rank_from_scores(scores: np.ndarray, target_idx: int, keep: np.ndarray,
 
     Ties against other candidates count half each (rounded half up) in the
     default mode, so a constant scorer lands mid-field instead of at rank 1.
+    NaN orders after every number, as ``np.argsort`` puts it, and ties with
+    NaN.
     """
     if tie not in TIE_MODES:
         raise ValueError(f"tie mode must be one of {TIE_MODES}")
@@ -127,8 +129,12 @@ def rank_from_scores(scores: np.ndarray, target_idx: int, keep: np.ndarray,
         raise ValueError("target candidate must survive filtering")
     target = scores[target_idx]
     kept = scores[keep]
-    n_lower = int((kept < target).sum())
-    n_equal = int((kept == target).sum()) - 1  # the target itself ties with itself
+    if np.isnan(target):
+        n_equal = int(np.isnan(kept).sum()) - 1  # the target itself ties with itself
+        n_lower = len(kept) - 1 - n_equal
+    else:
+        n_lower = int((kept < target).sum())
+        n_equal = int((kept == target).sum()) - 1
     if tie == "optimistic":
         return 1 + n_lower
     if tie == "pessimistic":

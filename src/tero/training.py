@@ -18,14 +18,16 @@ batch, not to the tables.
 
 A positive and its negatives form a group: all share the relation slot
 and the time step, and each negative shares the positive's subject or its
-object. ``loss_and_grads`` works GROUPS_PER_BLOCK groups at a time,
-scores, loss weights and gradients in one pass over each block, in the
-storage dtype. It builds each group's two query vectors once, with the
-helpers every scorer uses (``model._rotate`` and ``model._query``), so that
-a quadruple costs one gathered and rotated entity, and sums each group's
-relation, phase and shared-entity gradients before the scatter, which adds
-the rows that share an index in float64. Adagrad updates the touched rows
-BLOCK_ROWS at a time. Scores for evaluation come from
+object. ``_corrupt_batch`` draws each negative as the entity it puts in
+and the side it replaces, never as a quadruple. ``loss_and_grads`` works
+GROUPS_PER_BLOCK groups at a time, scores, loss weights and gradients in
+one pass over each block, in the storage dtype. It builds each group's
+two query vectors once, with the helpers every scorer uses
+(``model._rotate`` and ``model._query``), so that a quadruple costs one
+gathered and rotated entity, and sums each group's relation, phase and
+shared-entity gradients before the scatter, which adds the rows that
+share an index in float64. Adagrad updates the touched rows BLOCK_ROWS at
+a time. Scores for evaluation come from
 ``model.score_quads``, not from the training step.
 """
 
@@ -114,29 +116,26 @@ class ValidationRecord:
 
 
 def _corrupt_batch(pos: np.ndarray, neg_ratio: int, n_entities: int,
-                   rng: np.random.Generator) -> np.ndarray:
-    """Corrupt each of (B, 4) positives ``neg_ratio`` times: (B * neg_ratio, 4).
+                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Corrupt each of (B, 4) positives ``neg_ratio`` times: (B, neg_ratio) ``(repl, obj)``.
 
-    A fair coin picks the subject or object side of each negative; the
+    Negative j of ``pos[i]`` replaces its object with ``repl[i, j]`` where
+    ``obj[i, j]``, and its subject otherwise. A fair coin picks the side; the
     replacement is uniform over all other entities. Accidental true facts
     are not filtered. Negatives too many to allocate raise ``MemoryError``
     naming their size.
     """
     if n_entities < 2:
         raise ValueError("need at least 2 entities to corrupt")
+    shape = (len(pos), neg_ratio)
     try:
-        neg = np.repeat(pos, neg_ratio, axis=0)
+        obj = rng.random(shape) >= 0.5
+        repl = rng.integers(0, n_entities - 1, shape)
     except (MemoryError, ValueError, OverflowError) as exc:  # past what numpy can address
-        raise MemoryError(f"cannot allocate {len(pos)} x {neg_ratio} negative quadruples "
-                          f"({32 * len(pos) * neg_ratio:,} bytes)") from exc
-    n = len(neg)
-    subject_side = rng.random(n) < 0.5
-    original = np.where(subject_side, neg[:, 0], neg[:, 2])
-    repl = rng.integers(0, n_entities - 1, n)
-    repl = repl + (repl >= original)
-    neg[subject_side, 0] = repl[subject_side]
-    neg[~subject_side, 2] = repl[~subject_side]
-    return neg
+        raise MemoryError(f"cannot allocate {len(pos)} x {neg_ratio} negatives "
+                          f"({9 * len(pos) * neg_ratio:,} bytes)") from exc
+    repl += repl >= np.where(obj, pos[:, 2:3], pos[:, :1])
+    return repl, obj
 
 
 def _softplus(x: np.ndarray) -> np.ndarray:
@@ -189,40 +188,17 @@ def _unit(d_re: np.ndarray, d_im: np.ndarray, f: np.ndarray, w: np.ndarray, p: i
     return v_re * w, v_im * w
 
 
-def _groups(pos: np.ndarray, neg: np.ndarray, neg_ratio: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each group's free entities and object-side flags, (B, neg_ratio + 1) each.
-
-    Column 0 is the positive, whose free entity is its object; it counts as
-    on the object side. ``neg[i*R:(i+1)*R]`` must keep ``pos[i]``'s slot
-    and step and one of its entities, else ``ValueError``. A negative that
-    keeps the subject is on the object side (its object is free), one that
-    keeps only the object on the subject side (its subject is free).
-    """
-    B = len(pos)
-    if neg.shape != (B * neg_ratio, 4):
-        raise ValueError(f"expected {B * neg_ratio} negative quadruples for {B} positives "
-                         f"and neg_ratio {neg_ratio}, got shape {neg.shape}")
-    quads = np.concatenate([pos[:, None], neg.reshape(B, neg_ratio, 4)], axis=1)
-    keeps = quads == pos[:, None]
-    obj_side = keeps[:, :, 0]
-    if not (keeps[:, :, 1].all() and keeps[:, :, 3].all() and (obj_side | keeps[:, :, 2]).all()):
-        raise ValueError("each negative must keep its positive's relation slot, time step "
-                         "and subject or object")
-    return np.where(obj_side, quads[:, :, 2], quads[:, :, 0]), obj_side
-
-
 # non-finite params make nan in the blocks; the check after them reports it
 @np.errstate(invalid="ignore")
-def loss_and_grads(params: ModelParams, pos: np.ndarray, neg: np.ndarray,
-                   margin: float, neg_ratio: int,
-                   ) -> tuple[float, dict[str, tuple[np.ndarray, np.ndarray]]]:
+def loss_and_grads(params: ModelParams, pos: np.ndarray, repl: np.ndarray, obj: np.ndarray,
+                   margin: float) -> tuple[float, dict[str, tuple[np.ndarray, np.ndarray]]]:
     """Mean batch loss and row-sparse analytic gradients for every table.
 
-    ``neg[i*R:(i+1)*R]`` (R = ``neg_ratio``) are the negatives of
-    ``pos[i]``: each keeps its relation slot, its time step and its subject
-    or its object, as ``_corrupt_batch`` makes them; anything else raises
-    ``ValueError``. Returns ``{name: (rows, g)}``: the sorted unique rows of
-    the table that a live quadruple touches and their (len(rows), k)
+    ``repl`` and ``obj`` are the (B, R) negatives of the (B, 4) positives
+    ``pos``, as ``_corrupt_batch`` draws them: negative j of ``pos[i]``
+    replaces its object with ``repl[i, j]`` where ``obj[i, j]``, and its
+    subject otherwise. Returns ``{name: (rows, g)}``: the sorted unique
+    rows of the table that a live quadruple touches and their (len(rows), k)
     float64 gradient. Gradients are exact subgradients of the loss: the L1
     kink contributes 0, and d||.||_2 at the origin is taken as 0.
     Arithmetic follows the storage dtype. A quadruple whose loss weight is
@@ -235,19 +211,21 @@ def loss_and_grads(params: ModelParams, pos: np.ndarray, neg: np.ndarray,
     GROUPS_PER_BLOCK groups at a time in one pass: scores, loss weights and
     gradients, with nothing computed twice. Each quadruple scores
     ||rot(e) - x||_p, e its free entity and x one of the group's two query
-    vectors from ``model._query``: conj(rot(s) + r) for the positive and
-    each negative with a free object (the object side), conj(rot(o)) - r for
-    each negative with a free subject (the subject side). The group gathers
-    its slot, step and anchors once, and each quadruple adds one gathered
-    and rotated entity. Gradients are summed per group before the scatter: one
-    relation row and one phase row per live group, one row for the subject
-    (the conjugate-rotated sum over the object side) and one for the object
-    (over the positive and the subject side), and one row per live
-    negative, for its free entity. The group sums are products with a fixed
-    matrix per group, so the result does not depend on GROUPS_PER_BLOCK.
+    vectors from ``model._query``: conj(rot(s) + r) for the positive (whose
+    free entity is its object) and each negative that replaces the object
+    (the object side), conj(rot(o)) - r for each negative that replaces the
+    subject (the subject side). The group gathers its slot, step and
+    anchors once, and each quadruple adds one gathered and rotated entity.
+    Gradients are summed per group before the scatter: one relation row and
+    one phase row per live group, one row for the subject (the
+    conjugate-rotated sum over the object side) and one for the object (over
+    the positive and the subject side), and one row per live negative, for
+    its free entity. The group sums are products with a fixed matrix per
+    group, so the result does not depend on GROUPS_PER_BLOCK.
     """
-    B, R, p = len(pos), neg_ratio, params.norm_p
-    free, obj_side = _groups(pos, neg, R)
+    (B, R), p = repl.shape, params.norm_p
+    # each group's free entities and object-side flags, the positive first
+    free, obj_side = np.insert(repl, 0, pos[:, 2], axis=1), np.insert(obj, 0, True, axis=1)
     s, slot, tau = pos[:, 0], pos[:, 1], pos[:, 3]
     k, dtype = params.k, params.ent_re.dtype
     # trig over the phase table once, then gather: far fewer evaluations
@@ -330,7 +308,7 @@ def loss_and_grads(params: ModelParams, pos: np.ndarray, neg: np.ndarray,
     live_ent = np.concatenate([(live & obj_side).any(axis=1, keepdims=True),
                                (live & ~obj_side).any(axis=1, keepdims=True) | live[:, :1],
                                live[:, 1:]], axis=1)
-    ent_idx = np.where(live_ent, np.concatenate([pos[:, [0, 2]], free[:, 1:]], axis=1), -1)
+    ent_idx = np.where(live_ent, np.concatenate([pos[:, [0, 2]], repl], axis=1), -1)
     ent_rows, (g_ent_re, g_ent_im) = _scatter_rows(ent_idx.ravel(),
                                                    list(g_ent.reshape(2, -1, k)))
     live_grp = live.any(axis=1)
@@ -367,9 +345,11 @@ def apply_adagrad(params: ModelParams, acc: dict[str, np.ndarray],
 
 
 def grad_step(params: ModelParams, acc: dict[str, np.ndarray], pos: np.ndarray,
-              neg: np.ndarray, config: TrainConfig) -> float:
-    """One optimization step over a batch; mutates params and acc, returns mean loss."""
-    total, grads = loss_and_grads(params, pos, neg, config.margin, config.neg_ratio)
+              repl: np.ndarray, obj: np.ndarray, config: TrainConfig) -> float:
+    """One optimization step over a batch of positives and their negatives
+    ``(repl, obj)``, as ``loss_and_grads`` takes them; mutates params and
+    acc, returns mean loss."""
+    total, grads = loss_and_grads(params, pos, repl, obj, config.margin)
     apply_adagrad(params, acc, grads, config.lr)
     return total
 
@@ -419,8 +399,8 @@ def train(train_facts: Sequence[Quadruple], valid_facts: Sequence[Quadruple],
             epoch_loss = 0.0
             for lo in range(0, len(quads), config.batch_size):
                 pos = quads[order[lo: lo + config.batch_size]]
-                neg = _corrupt_batch(pos, config.neg_ratio, vocab.n_entities, rng)
-                epoch_loss += grad_step(params, acc, pos, neg, config) * len(pos)
+                repl, obj = _corrupt_batch(pos, config.neg_ratio, vocab.n_entities, rng)
+                epoch_loss += grad_step(params, acc, pos, repl, obj, config) * len(pos)
             epoch_loss /= len(quads)
 
             if filter_set is not None and epoch % config.valid_every == 0:

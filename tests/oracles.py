@@ -13,7 +13,9 @@ and ``batch_loss``, the batch loss from ``score_quads`` that ``fd_grads``
 differentiates. ``batch_loss`` shares its forward with ``loss_and_grads``,
 so the finite differences check the hand-derived backward, not the
 forward. ``key_of``, ``filter_key_count``, ``param_count``, ``loss`` (on
-the training step's ``_softplus``), ``zero_acc``, ``format_fact``,
+the training step's ``_softplus``), ``zero_acc``, ``negative_quads``
+(which writes the sampler's negatives out as the quadruples the training
+oracles take), ``format_fact``,
 ``is_begin_only`` and ``is_end_only`` are small helpers that only the tests
 use, as is the ``random_kg`` dataset generator.
 """
@@ -200,6 +202,15 @@ def loss_oracle(pos: float, negs: list[float], margin: float) -> float:
         return -math.log1p(math.exp(-x)) if x > 0 else x - math.log1p(math.exp(x))
 
     return -log_sigmoid(margin - pos) - sum(log_sigmoid(f - margin) for f in negs) / len(negs)
+
+
+def negative_quads(pos: np.ndarray, repl: np.ndarray, obj: np.ndarray) -> np.ndarray:
+    """The (B*R, 4) quadruples of the (B, R) negatives ``(repl, obj)`` of (B, 4)
+    positives, group by group: each copies its positive and puts ``repl`` in
+    the object where ``obj``, in the subject elsewhere."""
+    neg = np.repeat(pos, repl.shape[1], axis=0)
+    neg[np.arange(len(neg)), np.where(obj.ravel(), 2, 0)] = repl.ravel()
+    return neg
 
 
 def batch_loss(params: ModelParams, pos: np.ndarray, neg: np.ndarray,

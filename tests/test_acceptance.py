@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import dense_grads, fd_grads, key_of, loss, random_kg, rank_oracle
+from oracles import dense_grads, fd_grads, key_of, loss, negative_quads, random_kg, rank_oracle
 from tero.data import (PartialDate, POINT_TSV, bin_fixed, bin_threshold,
                        load_dataset, year_mention_counts)
 from tero.evaluation import FilterSet, candidate_scores, evaluate, filtered_ranks
@@ -67,11 +67,11 @@ def test_criterion_1_gradients_match_finite_differences():
         pos = np.stack([rng.integers(0, 4, 3), rng.integers(0, 2, 3),
                         rng.integers(0, 4, 3), rng.integers(0, 3, 3)], axis=1)
         pos[0, 2] = pos[0, 0]  # self-loop hits the shared-entity path
-        neg = np.repeat(pos, 2, axis=0)
-        neg[:, 2] = rng.integers(0, 4, len(neg))
-        _, analytic = loss_and_grads(params, pos, neg, margin=2.0, neg_ratio=2)
+        repl, obj = rng.integers(0, 4, (3, 2)), np.ones((3, 2), bool)
+        _, analytic = loss_and_grads(params, pos, repl, obj, margin=2.0)
         analytic = dense_grads(params, analytic)
-        numeric = fd_grads(params, pos, neg, margin=2.0, neg_ratio=2, h=1e-4)
+        numeric = fd_grads(params, pos, negative_quads(pos, repl, obj), margin=2.0, neg_ratio=2,
+                           h=1e-4)
         for name in analytic:
             a, n = analytic[name].ravel(), numeric[name].ravel()
             rel = np.abs(a - n) / np.maximum(1e-8, np.abs(n))

@@ -1,4 +1,5 @@
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -460,23 +461,25 @@ class TestEvalCommand:
         assert code == 2
 
 
-class TestPredictCommand:
-    def make_constructed_checkpoint(self, tmp_path):
-        # entity B is exactly conj(s + r) for subject A, so it must rank first
-        ent = np.array([[1.0 + 0.5j], [1.2 + 0.5j], [5.0 + 5.0j], [-4.0 + 3.0j]])
-        rel = np.array([[0.2 - 1.0j]])
-        params = params_from(ent, rel, np.zeros((2, 1)))
-        sidecar = tmp_path / "side"
-        vocab = Vocab(["A", "B", "C", "D"], ["likes"])
-        vocab.save(sidecar)
-        binning = bin_fixed([PartialDate(2014, 1, 1), PartialDate(2014, 1, 2)], 1)
-        (sidecar / "binning.txt").write_text(binning.to_manifest(), encoding="utf-8")
-        ckpt = tmp_path / "constructed.tero"
-        save_checkpoint(params, ckpt, vocab_ref=str(sidecar))
-        return ckpt
+def constructed_checkpoint(tmp_path):
+    """A 4-entity checkpoint over two days, its sidecar in ``tmp_path / "side"``."""
+    # entity B is exactly conj(s + r) for subject A, so it must rank first
+    ent = np.array([[1.0 + 0.5j], [1.2 + 0.5j], [5.0 + 5.0j], [-4.0 + 3.0j]])
+    rel = np.array([[0.2 - 1.0j]])
+    params = params_from(ent, rel, np.zeros((2, 1)))
+    sidecar = tmp_path / "side"
+    vocab = Vocab(["A", "B", "C", "D"], ["likes"])
+    vocab.save(sidecar)
+    binning = bin_fixed([PartialDate(2014, 1, 1), PartialDate(2014, 1, 2)], 1)
+    (sidecar / "binning.txt").write_text(binning.to_manifest(), encoding="utf-8")
+    ckpt = tmp_path / "constructed.tero"
+    save_checkpoint(params, ckpt, vocab_ref=str(sidecar))
+    return ckpt
 
+
+class TestPredictCommand:
     def test_constructed_minimum_ranks_first(self, tmp_path, capsys):
-        ckpt = self.make_constructed_checkpoint(tmp_path)
+        ckpt = constructed_checkpoint(tmp_path)
         code = main(["predict", "--checkpoint", str(ckpt), "--subject", "A",
                      "--relation", "likes", "--time", "2014-01-01", "--top-n", "2"])
         assert code == 0
@@ -485,7 +488,7 @@ class TestPredictCommand:
         assert float(lines[0].split("\t")[1]) < 1e-5
 
     def test_full_top_n_is_a_permutation(self, tmp_path, capsys):
-        ckpt = self.make_constructed_checkpoint(tmp_path)
+        ckpt = constructed_checkpoint(tmp_path)
         code = main(["predict", "--checkpoint", str(ckpt), "--subject", "A",
                      "--relation", "likes", "--time", "2014-01-01", "--top-n", "4"])
         assert code == 0
@@ -493,21 +496,21 @@ class TestPredictCommand:
         assert sorted(names) == ["A", "B", "C", "D"]
 
     def test_unknown_entity_names_the_token(self, tmp_path, capsys):
-        ckpt = self.make_constructed_checkpoint(tmp_path)
+        ckpt = constructed_checkpoint(tmp_path)
         code = main(["predict", "--checkpoint", str(ckpt), "--subject", "Nessie",
                      "--relation", "likes", "--time", "2014-01-01"])
         assert code == 2
         assert "Nessie" in capsys.readouterr().err
 
     def test_unknown_relation_names_the_token(self, tmp_path, capsys):
-        ckpt = self.make_constructed_checkpoint(tmp_path)
+        ckpt = constructed_checkpoint(tmp_path)
         code = main(["predict", "--checkpoint", str(ckpt), "--subject", "A",
                      "--relation", "hates", "--time", "2014-01-01"])
         assert code == 2
         assert "hates" in capsys.readouterr().err
 
     def test_truncated_checkpoint_is_data_error(self, tmp_path, capsys):
-        ckpt = self.make_constructed_checkpoint(tmp_path)
+        ckpt = constructed_checkpoint(tmp_path)
         ckpt.write_bytes(ckpt.read_bytes()[:40])  # header, then 2 of 14 floats
         code = main(["predict", "--checkpoint", str(ckpt), "--subject", "A",
                      "--relation", "likes", "--time", "2014-01-01"])
@@ -515,7 +518,7 @@ class TestPredictCommand:
         assert "truncated checkpoint" in capsys.readouterr().err
 
     def test_short_sidecar_vocab_is_data_error(self, tmp_path, capsys):
-        ckpt = self.make_constructed_checkpoint(tmp_path)
+        ckpt = constructed_checkpoint(tmp_path)
         entities = tmp_path / "side" / "entities.tsv"
         entities.write_text("0\tA\n1\tB\n2\tC\n", encoding="utf-8")
         code = main(["predict", "--checkpoint", str(ckpt), "--subject", "A",
@@ -528,7 +531,7 @@ class TestPredictCommand:
         (b"0\tA\n1\t\xff\n2\tC\n3\tD\n", "entities.tsv:2: invalid UTF-8"),
     ])
     def test_bad_sidecar_vocab_is_data_error(self, tmp_path, capsys, table, message):
-        ckpt = self.make_constructed_checkpoint(tmp_path)
+        ckpt = constructed_checkpoint(tmp_path)
         (tmp_path / "side" / "entities.tsv").write_bytes(table)
         code = main(["predict", "--checkpoint", str(ckpt), "--subject", "A",
                      "--relation", "likes", "--time", "2014-01-01"])
@@ -546,7 +549,7 @@ class TestPredictCommand:
         "mode = threshold\nparam = 1\nn_tau = 2\nbins = 2014:2014,2016:2016\n",
     ])
     def test_bad_binning_manifest_is_data_error(self, tmp_path, capsys, manifest):
-        ckpt = self.make_constructed_checkpoint(tmp_path)
+        ckpt = constructed_checkpoint(tmp_path)
         (tmp_path / "side" / "binning.txt").write_text(manifest, encoding="utf-8")
         code = main(["predict", "--checkpoint", str(ckpt), "--subject", "A",
                      "--relation", "likes", "--time", "2014-01-01"])
@@ -554,7 +557,7 @@ class TestPredictCommand:
         assert "bad binning manifest" in capsys.readouterr().err
 
     def test_invalid_utf8_binning_manifest_is_data_error(self, tmp_path, capsys):
-        ckpt = self.make_constructed_checkpoint(tmp_path)
+        ckpt = constructed_checkpoint(tmp_path)
         manifest = tmp_path / "side" / "binning.txt"
         manifest.write_bytes(manifest.read_bytes() + b"# \xff\n")
         code = main(["predict", "--checkpoint", str(ckpt), "--subject", "A",
@@ -563,7 +566,7 @@ class TestPredictCommand:
         assert "binning.txt:6: invalid UTF-8" in capsys.readouterr().err
 
     def test_subject_side_query(self, tmp_path, capsys):
-        ckpt = self.make_constructed_checkpoint(tmp_path)
+        ckpt = constructed_checkpoint(tmp_path)
         code = main(["predict", "--checkpoint", str(ckpt), "--object", "B",
                      "--relation", "likes", "--time", "2014-01-01",
                      "--side", "subject", "--top-n", "1"])
@@ -571,7 +574,7 @@ class TestPredictCommand:
         assert capsys.readouterr().out.startswith("A\t")
 
     def test_side_follows_the_given_entity_unless_set(self, tmp_path, capsys):
-        ckpt = self.make_constructed_checkpoint(tmp_path)
+        ckpt = constructed_checkpoint(tmp_path)
         query = ["predict", "--checkpoint", str(ckpt), "--relation", "likes",
                  "--time", "2014-01-01", "--top-n", "1"]
         assert main([*query, "--object", "B"]) == 0
@@ -656,7 +659,7 @@ class TestPredictCommand:
         assert capsys.readouterr().out == expected
 
     def test_moved_sidecar_found_next_to_the_checkpoint(self, tmp_path, capsys):
-        ckpt = self.make_constructed_checkpoint(tmp_path)
+        ckpt = constructed_checkpoint(tmp_path)
         query = ["predict", "--subject", "A", "--relation", "likes", "--time", "2014-01-01",
                  "--top-n", "4"]
         assert main([*query, "--checkpoint", str(ckpt)]) == 0
@@ -667,6 +670,68 @@ class TestPredictCommand:
         assert main([*query, "--checkpoint", str(moved / ckpt.name)]) == 0
         assert capsys.readouterr().out == expected
 
+
+def predict_argv(ckpt, *extra):
+    return ["predict", "--checkpoint", str(ckpt), "--subject", "A", "--relation", "likes",
+            "--time", "2014-01-01", *extra]
+
+
+def written(path, text):
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+def three_day_manifest():
+    return bin_fixed([PartialDate(2014, 1, 1), PartialDate(2014, 1, 3)], 1).to_manifest()
+
+
+USAGE, DATA = "tero: error: ", "tero: data error: "
+# (id, argv from the context c, exit code, the one stderr line's prefix and a
+# text it holds, or None for no stderr). c.tmp is the test's directory,
+# c.paths the suite's split files, c.ckpt a constructed checkpoint with its
+# sidecar in c.tmp / "side", and c.run the out-dir of an untrained run.
+EXIT_PATHS = [
+    ("config-file-not-found", lambda c: ["train", "--config", str(c.tmp / "absent.conf")],
+     1, (USAGE, "config file not found: ")),
+    ("no-time-unit-nor-threshold",
+     lambda c: ["train", "--config", str(written(c.tmp / "run.conf", "time_unit = none\n"))],
+     1, (USAGE, "one of --time-unit / --time-threshold is required")),
+    ("eval-without-any-checkpoint", lambda c: ["eval", *run_args(c.paths, c.tmp / "empty")],
+     1, (USAGE, "missing required option(s): --checkpoint")),
+    ("eval-finds-out-dir-checkpoint", lambda c: ["eval", *run_args(c.paths, c.run)], 0, None),
+    ("predict-unknown-time", lambda c: predict_argv(c.ckpt, "--time", "####-##-##"),
+     2, (DATA, "query time cannot be fully unknown")),
+    ("predict-date-past-span", lambda c: predict_argv(c.ckpt, "--time", "2014-01-03"),
+     2, (DATA, "date 2014-01-03 beyond binning span")),
+    ("sidecar-without-manifest",
+     lambda c: (c.tmp / "side" / "binning.txt").unlink() or predict_argv(c.ckpt),
+     2, (DATA, "binning manifest missing from sidecar")),
+    ("manifest-n-tau-differs",
+     lambda c: written(c.tmp / "side" / "binning.txt", three_day_manifest())
+     and predict_argv(c.ckpt),
+     2, (DATA, "checkpoint has 2 time steps but manifest describes 3")),
+    ("out-dir-is-a-file",
+     lambda c: ["preprocess", *run_args(c.paths, written(c.tmp / "taken", ""))],
+     2, ("tero: ", "File exists")),
+]
+
+
+@pytest.mark.parametrize("argv, code, message", [case[1:] for case in EXIT_PATHS],
+                         ids=[case[0] for case in EXIT_PATHS])
+def test_exit_path(suite_files, tmp_path, capsys, argv, code, message):
+    _, paths = suite_files
+    run = tmp_path / "run"
+    assert main(["train", *run_args(paths, run), "--dim", "4", "--max-epochs", "0"]) == 0
+    c = SimpleNamespace(tmp=tmp_path, paths=paths, ckpt=constructed_checkpoint(tmp_path), run=run)
+    argv = argv(c)
+    capsys.readouterr()
+    assert main(argv) == code
+    lines = capsys.readouterr().err.splitlines()
+    if message is None:
+        assert lines == []
+    else:
+        prefix, text = message
+        assert len(lines) == 1 and lines[0].startswith(prefix) and text in lines[0], lines
 
 class TestDefaultsTable:
     def test_profiles_cover_documented_presets(self):

@@ -72,6 +72,14 @@ class TestRankFromScores:
         assert rank_from_scores(scores, 0, keep, "pessimistic") == 4
         assert rank_from_scores(scores, 0, keep, "mean") == 3
 
+    @pytest.mark.parametrize("tie,rank", [("optimistic", 3), ("pessimistic", 4), ("mean", 4)])
+    def test_nan_orders_after_every_number(self, tie, rank):
+        # a NaN target has the two kept numbers below it and ties with the kept NaN
+        scores = np.array([np.nan, 1.0, np.nan, 0.0, 5.0])
+        keep = np.array([True, True, True, True, False])
+        assert rank_from_scores(scores, 0, keep, tie) == rank
+        assert rank_from_scores(scores, 1, keep, tie) == 2
+
     def test_filtered_target_rejected(self):
         with pytest.raises(ValueError):
             rank_from_scores(np.zeros(3), 0, np.array([False, True, True]))
@@ -602,6 +610,21 @@ class TestEvaluate:
             multi = evaluate(params, ds.test, fs, ds.binning)
             assert [q.rank for q in single.ranks] == [q.rank for q in multi.ranks]
             assert single.mrr == multi.mrr
+
+    @pytest.mark.parametrize("tie", TIE_MODES)
+    def test_nan_entity_ranks_last(self, tie):
+        from tero.synthetic import temporary_relation_suite
+        ds = temporary_relation_suite()
+        params = init_params(ds.vocab.n_entities, ds.vocab.n_relations, ds.binning.n_tau, 8,
+                             ds.dual, seed=0)
+        quad = ds.test[0]
+        params.ent_re[quad.object] = np.nan
+        params.ent_im[quad.object] = np.nan
+        fs = FilterSet.build(ds.all_facts, ds.binning)
+        report = evaluate(params, ds.test, fs, ds.binning, tie)
+        kept = ds.vocab.n_entities + 1 - len(fs.true_entities(quad, "object"))
+        assert report.ranks[1].side == "object" and report.ranks[1].rank == kept == 20
+        assert 0.0 < report.mrr < 1.0
 
     def test_empty_test_set_rejected(self):
         params = init_params(4, 1, 2, 2, dual=False, seed=29)

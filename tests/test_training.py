@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from conftest import params_from
 from oracles import (batch_loss, dense_grads, dense_step_oracle, fd_grads, loss, loss_oracle,
-                     max_relative_error, zero_acc)
+                     max_relative_error, negative_quads, zero_acc)
 from tero import model, training
 from tero.data import expand_for_training
 from tero.model import ModelParams, init_params, score_quads
@@ -16,14 +16,14 @@ from tero.training import (ADAGRAD_EPS, NumericalError, TrainConfig, _corrupt_ba
 
 
 def make_batch(params, n_pos, neg_ratio, seed=0):
+    """Random positives and ``neg_ratio`` negatives each that replace the subject."""
     rng = np.random.default_rng(seed)
     n_e, n_s, n_t = params.n_entities, params.n_slots, params.n_tau
     pos = np.stack([rng.integers(0, n_e, n_pos), rng.integers(0, n_s, n_pos),
                     rng.integers(0, n_e, n_pos), rng.integers(0, n_t, n_pos)], axis=1)
     pos[0, 2] = pos[0, 0]  # keep one self-loop to exercise shared-entity grads
-    neg = np.repeat(pos, neg_ratio, axis=0)
-    neg[:, 0] = rng.integers(0, n_e, len(neg))
-    return pos, neg
+    repl = rng.integers(0, n_e, (n_pos, neg_ratio))
+    return pos, repl, np.zeros(repl.shape, bool)
 
 
 class TestSampleNegatives:
@@ -33,26 +33,27 @@ class TestSampleNegatives:
 
     def test_changes_exactly_one_slot(self):
         quad = (3, 1, 7, 2)
-        neg = self.corrupt(quad, 50, 10, 0)
-        assert neg.shape == (50, 4)
+        repl, obj = self.corrupt(quad, 50, 10, 0)
+        assert repl.shape == obj.shape == (1, 50) and obj.dtype == bool
+        assert ((0 <= repl) & (repl < 10)).all()
+        neg = negative_quads(np.array([quad]), repl, obj)
         changed_s = neg[:, 0] != quad[0]
         changed_o = neg[:, 2] != quad[2]
         assert (changed_s != changed_o).all()
         assert (neg[:, 1] == quad[1]).all() and (neg[:, 3] == quad[3]).all()
 
     def test_two_entities_forces_the_other(self):
-        neg = self.corrupt((0, 0, 1, 0), 20, 2, 1)
-        assert all((s, o) in ((1, 1), (0, 0)) for s, o in neg[:, [0, 2]])
+        repl, obj = self.corrupt((0, 0, 1, 0), 20, 2, 1)
+        assert (repl == np.where(obj, 0, 1)).all()
 
     def test_side_choice_is_fair(self):
-        quad = (5, 0, 9, 0)
-        neg = self.corrupt(quad, 100_000, 50, 2)
-        frac = (neg[:, 0] != quad[0]).mean()
-        assert abs(frac - 0.5) < 0.01
+        _, obj = self.corrupt((5, 0, 9, 0), 100_000, 50, 2)
+        assert abs(obj.mean() - 0.5) < 0.01
 
     def test_replacement_never_original(self):
-        neg = self.corrupt((2, 0, 2, 1), 2000, 4, 3)
-        assert ((neg[:, 0] != 2) | (neg[:, 2] != 2)).all()
+        repl, obj = self.corrupt((2, 0, 3, 1), 2000, 4, 3)
+        assert 0 < obj.sum() < obj.size
+        assert (repl != np.where(obj, 3, 2)).all()
 
     def test_too_few_entities(self):
         with pytest.raises(ValueError, match="at least 2 entities"):
@@ -103,17 +104,17 @@ class TestLoss:
 class TestGradients:
     def test_matches_finite_differences_l2(self):
         params = init_params(4, 2, 3, 3, dual=False, seed=11, norm_p=2, dtype=np.float64)
-        pos, neg = make_batch(params, n_pos=3, neg_ratio=2, seed=4)
-        _, grads = loss_and_grads(params, pos, neg, margin=2.0, neg_ratio=2)
-        numeric = fd_grads(params, pos, neg, margin=2.0, neg_ratio=2)
+        pos, repl, obj = make_batch(params, n_pos=3, neg_ratio=2, seed=4)
+        _, grads = loss_and_grads(params, pos, repl, obj, margin=2.0)
+        numeric = fd_grads(params, pos, negative_quads(pos, repl, obj), margin=2.0, neg_ratio=2)
         assert max_relative_error(dense_grads(params, grads), numeric) < 1e-4
 
     def test_matches_finite_differences_l1_away_from_kinks(self):
         params = init_params(4, 2, 3, 3, dual=False, seed=12, norm_p=1, dtype=np.float64)
-        pos, neg = make_batch(params, n_pos=3, neg_ratio=2, seed=5)
-        _, grads = loss_and_grads(params, pos, neg, margin=2.0, neg_ratio=2)
+        pos, repl, obj = make_batch(params, n_pos=3, neg_ratio=2, seed=5)
+        _, grads = loss_and_grads(params, pos, repl, obj, margin=2.0)
         grads = dense_grads(params, grads)
-        numeric = fd_grads(params, pos, neg, margin=2.0, neg_ratio=2)
+        numeric = fd_grads(params, pos, negative_quads(pos, repl, obj), margin=2.0, neg_ratio=2)
         # |.| is non-differentiable at 0; exclude coordinates near a kink
         from tero.model import score_quads  # noqa: F401  (documentation import)
         for name in grads:
@@ -125,21 +126,21 @@ class TestGradients:
 
     def test_matches_finite_differences_dual_model(self):
         params = init_params(5, 2, 4, 2, dual=True, seed=13, norm_p=2, dtype=np.float64)
-        pos, neg = make_batch(params, n_pos=4, neg_ratio=3, seed=6)
-        _, grads = loss_and_grads(params, pos, neg, margin=3.0, neg_ratio=3)
-        numeric = fd_grads(params, pos, neg, margin=3.0, neg_ratio=3)
+        pos, repl, obj = make_batch(params, n_pos=4, neg_ratio=3, seed=6)
+        _, grads = loss_and_grads(params, pos, repl, obj, margin=3.0)
+        numeric = fd_grads(params, pos, negative_quads(pos, repl, obj), margin=3.0, neg_ratio=3)
         assert max_relative_error(dense_grads(params, grads), numeric) < 1e-4
 
     @pytest.mark.parametrize("norm_p", [1, 2])
     def test_matches_finite_differences_both_sides(self, norm_p):
         # make_batch corrupts subjects only; here half the negatives free the object
         params = init_params(5, 2, 3, 3, dual=False, seed=31, norm_p=norm_p, dtype=np.float64)
-        pos, _ = make_batch(params, n_pos=3, neg_ratio=1, seed=8)
-        neg = _corrupt_batch(pos, 4, params.n_entities, np.random.default_rng(8))
-        assert 0 < (neg[:, 0] == np.repeat(pos[:, 0], 4)).sum() < len(neg)
-        _, grads = loss_and_grads(params, pos, neg, margin=2.0, neg_ratio=4)
+        pos, _, _ = make_batch(params, n_pos=3, neg_ratio=1, seed=8)
+        repl, obj = _corrupt_batch(pos, 4, params.n_entities, np.random.default_rng(8))
+        assert 0 < obj.sum() < obj.size
+        _, grads = loss_and_grads(params, pos, repl, obj, margin=2.0)
         grads = dense_grads(params, grads)
-        numeric = fd_grads(params, pos, neg, margin=2.0, neg_ratio=4)
+        numeric = fd_grads(params, pos, negative_quads(pos, repl, obj), margin=2.0, neg_ratio=4)
         for name in grads:
             a, n = grads[name].ravel(), numeric[name].ravel()
             near_kink = np.abs(n) < 1e-3 if norm_p == 1 else np.zeros(len(n), bool)
@@ -147,9 +148,10 @@ class TestGradients:
 
     def test_loss_value_agrees_with_scalar_form(self):
         params = init_params(4, 2, 3, 3, dual=False, seed=14, dtype=np.float64)
-        pos, neg = make_batch(params, n_pos=2, neg_ratio=3, seed=7)
+        pos, repl, obj = make_batch(params, n_pos=2, neg_ratio=3, seed=7)
+        neg = negative_quads(pos, repl, obj)
         from tero.model import score_quads
-        total, _ = loss_and_grads(params, pos, neg, margin=2.0, neg_ratio=3)
+        total, _ = loss_and_grads(params, pos, repl, obj, margin=2.0)
         f_pos = score_quads(params, pos[:, 0], pos[:, 1], pos[:, 2], pos[:, 3])
         f_neg = score_quads(params, neg[:, 0], neg[:, 1], neg[:, 2], neg[:, 3])
         by_hand = np.mean([loss(f_pos[i], f_neg[3 * i: 3 * i + 3], 2.0, 3)
@@ -167,12 +169,11 @@ def saturating_batch(params, n_pos, neg_ratio, margin, seed):
     """
     params.ent_re[0] *= 1e3
     params.ent_im[0] *= 1e3
-    pos, neg = make_batch(params, n_pos, neg_ratio, seed)
+    pos, repl, obj = make_batch(params, n_pos, neg_ratio, seed)
     pos[:, [0, 2]] = np.maximum(pos[:, [0, 2]], 1)
-    neg[:, 2] = np.repeat(pos[:, 2], neg_ratio)
-    neg[::2, 0] = 0
-    f_neg = score_quads(params, neg[:, 0], neg[:, 1], neg[:, 2], neg[:, 3])
-    return pos, neg, int((f_neg > margin + 70.0).sum())
+    repl.flat[::2] = 0
+    f_neg = score_quads(params, *negative_quads(pos, repl, obj).T)
+    return pos, repl, obj, int((f_neg > margin + 70.0).sum())
 
 
 def two_sided_batch(params, n_pos, neg_ratio, seed):
@@ -187,10 +188,9 @@ def two_sided_batch(params, n_pos, neg_ratio, seed):
     n_e, n_s, n_t = params.n_entities, params.n_slots, params.n_tau
     pos = np.stack([rng.integers(1, n_e, n_pos), rng.integers(0, n_s, n_pos),
                     rng.integers(1, n_e, n_pos), rng.integers(0, n_t, n_pos)], axis=1)
-    neg = _corrupt_batch(pos, neg_ratio, n_e, rng)
-    free = np.where(neg[:, 0] != np.repeat(pos[:, 0], neg_ratio), 0, 2)
-    neg[np.arange(0, len(neg), 3), free[::3]] = 0
-    return pos, neg
+    repl, obj = _corrupt_batch(pos, neg_ratio, n_e, rng)
+    repl.flat[::3] = 0
+    return pos, repl, obj
 
 
 def float64_copy(params):
@@ -303,20 +303,19 @@ class TestSparseStep:
         """
         params = init_params(12, 3, 5, 6, dual=dual, seed=21, norm_p=norm_p, dtype=np.float64)
         cfg = TrainConfig(k=6, batch_size=8, neg_ratio=4, margin=2.0, lr=0.3, seed=0)
-        pos, neg = two_sided_batch(params, 8, 4, seed=9)
-        f = score_quads(params, *neg.T)
-        assert 0 < (f > cfg.margin + 70.0).sum() < len(neg)
-        obj_side = neg[:, 0] == np.repeat(pos[:, 0], 4)
-        assert 0 < obj_side.sum() < len(neg)
+        pos, repl, obj = two_sided_batch(params, 8, 4, seed=9)
+        f = score_quads(params, *negative_quads(pos, repl, obj).T)
+        assert 0 < (f > cfg.margin + 70.0).sum() < obj.size
+        assert 0 < obj.sum() < obj.size
         dense = params.copy()
         acc, dense_acc = {}, zero_acc(params)  # the step makes its tables on first use
         rng = np.random.default_rng(3)
         for _ in range(6):
-            loss = grad_step(params, acc, pos, neg, cfg)
+            loss = grad_step(params, acc, pos, repl, obj, cfg)
             assert loss == pytest.approx(dense_step_oracle(
-                dense, dense_acc, pos, neg, cfg.margin, cfg.neg_ratio, cfg.lr), rel=1e-9)
+                dense, dense_acc, pos, negative_quads(pos, repl, obj), cfg.margin,
+                cfg.neg_ratio, cfg.lr), rel=1e-9)
             pos[:, 3] = rng.integers(0, params.n_tau, len(pos))
-            neg[:, 3] = np.repeat(pos[:, 3], cfg.neg_ratio)
         for name, arr in params.arrays().items():
             np.testing.assert_allclose(arr, dense.arrays()[name], rtol=0, atol=1e-9, err_msg=name)
             np.testing.assert_allclose(acc[name], dense_acc[name], rtol=1e-9, atol=0,
@@ -338,9 +337,10 @@ class TestSparseStep:
     @pytest.mark.parametrize("norm_p,dual", [(1, False), (2, False), (1, True), (2, True)])
     def test_float32_gradients_within_derived_bound(self, norm_p, dual):
         params = init_params(40, 3, 5, 24, dual=dual, seed=27, norm_p=norm_p)
-        pos, neg = two_sided_batch(params, 16, 6, seed=12)
+        pos, repl, obj = two_sided_batch(params, 16, 6, seed=12)
+        neg = negative_quads(pos, repl, obj)
         margin = 8.0
-        _, grads = loss_and_grads(params, pos, neg, margin, 6)
+        _, grads = loss_and_grads(params, pos, repl, obj, margin)
         step = dense_grads(params, grads)
         exact = oracle_gradients(params, pos, neg, margin, 6)
         bound = float32_gradient_bound(params, pos, neg, margin, 6)
@@ -358,10 +358,10 @@ class TestSparseStep:
         for groups in (1, 2, 3, training.GROUPS_PER_BLOCK):
             monkeypatch.setattr(training, "GROUPS_PER_BLOCK", groups)
             params = init_params(30, 4, 6, 10, dual=dual, seed=28, norm_p=norm_p)
-            pos, neg = two_sided_batch(params, 23, 5, seed=13)
+            pos, repl, obj = two_sided_batch(params, 23, 5, seed=13)
             cfg = TrainConfig(k=10, batch_size=23, neg_ratio=5, margin=6.0, lr=0.3, seed=0)
             acc = {}
-            losses = [grad_step(params, acc, pos, neg, cfg) for _ in range(3)]
+            losses = [grad_step(params, acc, pos, repl, obj, cfg) for _ in range(3)]
             runs.append((losses, params, acc))
         losses, params, acc = runs[0]
         for other_losses, other, other_acc in runs[1:]:
@@ -377,16 +377,16 @@ class TestSparseStep:
         # margin 100 flushes every positive; entity 0 flushes the negatives
         # on entity 1's side (free object), and entity 2's side stays live
         pos = np.array([[1, 0, 2, 0], [3, 0, 4, 1]])
-        neg = np.array([[1, 0, 0, 0], [5, 0, 2, 0], [1, 0, 0, 0],
-                        [3, 0, 5, 1], [4, 0, 4, 1], [3, 0, 2, 1]])
+        repl = np.array([[0, 5, 0], [5, 4, 2]])
+        obj = np.array([[True, False, True], [True, False, True]])
         before = params.copy()
-        total, grads = loss_and_grads(params, pos, neg, margin=100.0, neg_ratio=3)
+        total, grads = loss_and_grads(params, pos, repl, obj, margin=100.0)
         assert np.isfinite(total)
         rows = set(grads["ent_re"][0])
         assert 1 not in rows and 0 not in rows and {2, 5} <= rows
         cfg = TrainConfig(k=6, batch_size=2, neg_ratio=3, margin=100.0, lr=0.3, seed=0)
         acc = zero_acc(params)
-        grad_step(params, acc, pos, neg, cfg)
+        grad_step(params, acc, pos, repl, obj, cfg)
         for name in ("ent_re", "ent_im"):
             assert np.array_equal(params.arrays()[name][1], before.arrays()[name][1])
             assert not acc[name][1].any()
@@ -400,31 +400,13 @@ class TestSparseStep:
         # yet not negligible beside the first)
         params = params_from([[0], [0], [-166], [-170]], [[0]], np.zeros((1, 1)))
         pos = np.array([[0, 0, 1, 0]])
-        neg = np.array([[0, 0, 2, 0], [0, 0, 3, 0]])
-        _, grads = loss_and_grads(params, pos, neg, margin=100.0, neg_ratio=2)
+        repl, obj = np.array([[2, 3]]), np.ones((1, 2), bool)
+        _, grads = loss_and_grads(params, pos, repl, obj, margin=100.0)
         rows, g = grads["ent_re"]
         assert list(rows) == [0, 2]
-        exact = oracle_gradients(params, pos, neg, 100.0, 2)["ent_re"]
+        exact = oracle_gradients(params, pos, negative_quads(pos, repl, obj), 100.0, 2)["ent_re"]
         assert exact[0, 0] != 0.0
         np.testing.assert_allclose(g[:, 0], exact[[0, 2], 0], rtol=1e-12)
-
-    @pytest.mark.parametrize("column,value", [(1, 0), (3, 2), (None, None)])
-    def test_negative_outside_its_group_rejected(self, column, value):
-        params = init_params(6, 2, 3, 4, dual=False, seed=30)
-        pos = np.array([[1, 0, 2, 0], [3, 1, 4, 1]])
-        neg = np.array([[1, 0, 5, 0], [5, 0, 2, 0], [3, 1, 0, 1], [2, 1, 4, 1]])
-        if column is None:  # both entities replaced
-            neg[3, [0, 2]] = 5
-        else:
-            neg[2, column] = value
-        with pytest.raises(ValueError, match="must keep"):
-            loss_and_grads(params, pos, neg, margin=2.0, neg_ratio=2)
-
-    def test_negative_count_must_match(self):
-        params = init_params(6, 2, 3, 4, dual=False, seed=30)
-        pos = np.array([[1, 0, 2, 0], [3, 1, 4, 1]])
-        with pytest.raises(ValueError, match="expected 4 negative"):
-            loss_and_grads(params, pos, np.repeat(pos, 3, axis=0), margin=2.0, neg_ratio=2)
 
     def test_all_flushed_batch_changes_nothing(self):
         params = init_params(4, 1, 2, 6, dual=False, seed=24)
@@ -433,38 +415,39 @@ class TestSparseStep:
         # positives score far below the margin, negatives (through entity 0)
         # far above it: every loss weight is below the flush threshold
         pos = np.array([[1, 0, 2, 0], [2, 0, 3, 1]])
-        neg = np.array([[0, 0, 2, 0], [1, 0, 0, 0], [0, 0, 3, 1], [2, 0, 0, 1]])
+        repl = np.zeros((2, 2), int)
+        obj = np.array([[False, True], [False, True]])
         before = params.copy()
-        total, grads = loss_and_grads(params, pos, neg, margin=100.0, neg_ratio=2)
+        total, grads = loss_and_grads(params, pos, repl, obj, margin=100.0)
         assert np.isfinite(total)
         for name, (rows, g) in grads.items():
             assert rows.shape == (0,), name
             assert g.shape == (0, params.k) and g.dtype == np.float64, name
         cfg = TrainConfig(k=6, batch_size=2, neg_ratio=2, margin=100.0, lr=0.3, seed=0)
         acc = zero_acc(params)
-        grad_step(params, acc, pos, neg, cfg)
+        grad_step(params, acc, pos, repl, obj, cfg)
         for name, arr in params.arrays().items():
             assert np.array_equal(arr, before.arrays()[name]), name
             assert not acc[name].any(), name
 
     def test_rows_touched_only_by_flushed_quads_stay_put(self):
         params = init_params(12, 3, 5, 6, dual=False, seed=22)
-        pos, neg, n_flushed = saturating_batch(params, 8, 4, 2.0, seed=10)
+        pos, repl, obj, n_flushed = saturating_batch(params, 8, 4, 2.0, seed=10)
         assert n_flushed > 0 and 0 not in pos[:, [0, 2]]
         before = params.copy()
         cfg = TrainConfig(k=6, batch_size=8, neg_ratio=4, margin=2.0, lr=0.3, seed=0)
-        _, grads = loss_and_grads(params, pos, neg, cfg.margin, cfg.neg_ratio)
+        _, grads = loss_and_grads(params, pos, repl, obj, cfg.margin)
         assert 0 not in grads["ent_re"][0] and 0 not in grads["ent_im"][0]
         acc = zero_acc(params)
-        grad_step(params, acc, pos, neg, cfg)
+        grad_step(params, acc, pos, repl, obj, cfg)
         for name in ("ent_re", "ent_im"):
             assert np.array_equal(params.arrays()[name][0], before.arrays()[name][0])
             assert not acc[name][0].any()
 
     def test_rows_are_sorted_unique_and_match_gradient_shape(self):
         params = init_params(9, 2, 4, 5, dual=True, seed=23, norm_p=2)
-        pos, neg = make_batch(params, n_pos=6, neg_ratio=3, seed=11)
-        _, grads = loss_and_grads(params, pos, neg, margin=2.0, neg_ratio=3)
+        pos, repl, obj = make_batch(params, n_pos=6, neg_ratio=3, seed=11)
+        _, grads = loss_and_grads(params, pos, repl, obj, margin=2.0)
         assert set(grads) == set(params.arrays())
         for name, (rows, g) in grads.items():
             assert np.array_equal(rows, np.unique(rows)), name
@@ -497,9 +480,9 @@ class TestAdagrad:
         params = init_params(10, 3, 6, 4, dual=False, seed=17)
         before = {k: v.copy() for k, v in params.arrays().items()}
         pos = np.array([[0, 1, 2, 3]])
-        neg = np.array([[5, 1, 2, 3], [0, 1, 6, 3]])
+        repl, obj = np.array([[5, 6]]), np.array([[False, True]])
         cfg = TrainConfig(k=4, batch_size=1, neg_ratio=2, margin=2.0, lr=0.1, seed=0)
-        grad_step(params, zero_acc(params), pos, neg, cfg)
+        grad_step(params, zero_acc(params), pos, repl, obj, cfg)
         touched_ents = {0, 2, 5, 6}
         for e in range(10):
             same = np.array_equal(params.ent_re[e], before["ent_re"][e]) and \
@@ -533,11 +516,11 @@ class TestAdagrad:
 
     def test_storage_stays_float32(self):
         params = init_params(4, 2, 3, 3, dual=False, seed=18)
-        pos, neg = make_batch(params, 3, 2, seed=8)
+        pos, repl, obj = make_batch(params, 3, 2, seed=8)
         cfg = TrainConfig(k=3, batch_size=3, neg_ratio=2, margin=2.0, lr=0.3, seed=0)
         acc = zero_acc(params)
         for _ in range(5):
-            grad_step(params, acc, pos, neg, cfg)
+            grad_step(params, acc, pos, repl, obj, cfg)
         for arr in params.arrays().values():
             assert arr.dtype == np.float32
 
@@ -546,10 +529,10 @@ class TestAdagrad:
         params = init_params(3, 1, 2, 2, dual=False, seed=19)
         params.ent_re[0, 0] = np.inf
         pos = np.array([[0, 0, 1, 0]])
-        neg = np.array([[2, 0, 1, 0]])
+        repl, obj = np.array([[2]]), np.array([[False]])
         cfg = TrainConfig(k=2, batch_size=1, neg_ratio=1, margin=2.0, lr=0.1, seed=0)
         with pytest.raises(NumericalError):
-            grad_step(params, zero_acc(params), pos, neg, cfg)
+            grad_step(params, zero_acc(params), pos, repl, obj, cfg)
 
 
 class TestTrainConfig:
@@ -597,12 +580,13 @@ class TestTrainLoop:
         params = init_params(ds.vocab.n_entities, ds.vocab.n_relations, ds.binning.n_tau,
                              cfg.k, False, cfg.seed, cfg.norm_p)
         rng = np.random.default_rng(0)
-        neg0 = _corrupt_batch(quads, cfg.neg_ratio, ds.vocab.n_entities, rng)
+        neg0 = negative_quads(quads, *_corrupt_batch(quads, cfg.neg_ratio, ds.vocab.n_entities,
+                                                     rng))
         initial = batch_loss(params, quads, neg0, cfg.margin, cfg.neg_ratio)
         losses, acc = [], zero_acc(params)
         for _ in range(200):
-            neg = _corrupt_batch(quads, cfg.neg_ratio, ds.vocab.n_entities, rng)
-            losses.append(grad_step(params, acc, quads, neg, cfg))
+            repl, obj = _corrupt_batch(quads, cfg.neg_ratio, ds.vocab.n_entities, rng)
+            losses.append(grad_step(params, acc, quads, repl, obj, cfg))
         assert losses[-1] < 0.1 * initial
 
     def test_determinism(self):
