@@ -80,7 +80,8 @@ OPTIONS: tuple[Option, ...] = (
 _OPTION = {opt.name: opt for opt in OPTIONS}
 DEFAULTS: dict = {opt.name: opt.default for opt in OPTIONS}
 
-# Per-dataset presets: only parameters that differ from the defaults above.
+# Per-dataset presets, written out in full even where a value equals its
+# default above (every icews14 value does).
 PROFILES: dict[str, dict] = {
     "icews14": {"format": POINT_TSV, "lr": 0.1, "margin": 110.0, "time_unit": 1},
     "icews05-15": {"format": POINT_TSV, "lr": 0.1, "margin": 120.0, "time_unit": 2},

@@ -507,6 +507,9 @@ def load_checkpoint(path) -> tuple[ModelParams, str]:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
         if dual_flag not in (0, 1) or p not in (1, 2):
             raise ValueError(f"{path}: bad checkpoint header (dual={dual_flag}, p={p})")
+        for field, n in (("n_e", n_e), ("n_r", n_r), ("n_tau", n_tau), ("k", k)):
+            if n == 0:
+                raise ValueError(f"{path}: bad checkpoint header ({field}=0)")
         names, rows = zip(*_checkpoint_blocks(n_e, n_r, n_tau))
         ref_at = off + 4 * k * sum(rows)
         if size < ref_at + 4:

@@ -174,18 +174,18 @@ def _scatter_rows(idx: np.ndarray,
 
 
 def _unit(d_re: np.ndarray, d_im: np.ndarray, f: np.ndarray, w: np.ndarray, p: int):
-    """w times the gradient of the p-norm at (n, k) differences d of norms f.
+    """w times the gradient of the p-norm at differences d of norms f.
 
-    The gradient of the L1 norm is 0 at its kink, that of the L2 norm 0 at
-    the origin.
+    d is (G, R+1, k), one row per quadruple of each group; f and w are
+    (G, R+1) and broadcast along the k coordinates. The gradient of the L1
+    norm is 0 at its kink, that of the L2 norm 0 at the origin.
     """
     if p == 1:
         v_re, v_im = np.sign(d_re), np.sign(d_im)
     else:
         v_re, v_im = d_re, d_im
         w = np.where(f > 0.0, w / np.where(f > 0.0, f, 1.0), 0.0)
-    w = np.repeat(w, d_re.shape[1]).reshape(d_re.shape)
-    return v_re * w, v_im * w
+    return v_re * w[..., None], v_im * w[..., None]
 
 
 # non-finite params make nan in the blocks; the check after them reports it
@@ -230,10 +230,6 @@ def loss_and_grads(params: ModelParams, pos: np.ndarray, repl: np.ndarray, obj: 
     k, dtype = params.k, params.ent_re.dtype
     # trig over the phase table once, then gather: far fewer evaluations
     cos, sin = np.cos(params.phase), np.sin(params.phase)
-    # each quadruple's group within its block, and its row of the (2G, k)
-    # table of its block's query vectors, two per group
-    group_of = np.repeat(np.arange(min(GROUPS_PER_BLOCK, B)), R + 1)
-    x_row = 2 * np.arange(B)[:, None] + ~obj_side
     # Each quadruple's gradient of |d| is u; the loop works with v, which is
     # u with its real part negated on the object side. The group sums weigh
     # each v by these rows: A sums u over the object side (the subject's
@@ -249,32 +245,31 @@ def loss_and_grads(params: ModelParams, pos: np.ndarray, repl: np.ndarray, obj: 
     # per group: the subject's row, the object's, then each negative's free entity
     g_ent = np.empty((2, B, R + 2, k), dtype)
     g_grp = np.empty((3, B, k), dtype)  # rel_re, rel_im, phase
+    # a block of G groups is (G, R+1, k) arrays, each group's phasor and query
+    # vectors broadcast over its quadruples; it touches only its own slices
     for lo in range(0, B, GROUPS_PER_BLOCK):
         b = slice(lo, min(lo + GROUPS_PER_BLOCK, B))
-        G = b.stop - lo
         c, sn = cos[tau[b]], sin[tau[b]]
-        gi = group_of[:G * (R + 1)]
-        cq, sq = c[gi], sn[gi]
-        e = free[b].ravel()
+        cq, sq = c[:, None], sn[:, None]
+        e = free[b]
         t_re, t_im = _rotate(params.ent_re[e], params.ent_im[e], cq, sq)
         S_re, S_im = _rotate(params.ent_re[s[b]], params.ent_im[s[b]], c, sn)
-        Q_re, Q_im = t_re[::R + 1], -t_im[::R + 1]  # conj(rot(o)), from the positive's row
+        Q_re, Q_im = t_re[:, 0], -t_im[:, 0]  # conj(rot(o)), from the positive's row
         r_re, r_im = params.rel_re[slot[b]], params.rel_im[slot[b]]
-        # each group's query vectors, the object side's (from s) then the
+        # each group's query vectors, the object side's (from s) and the
         # subject side's (from o); d' = rot(e) - x is the difference d with
         # its real part negated on the object side, and d itself on the other
-        x_re, x_im = (np.stack(v, axis=1).reshape(2 * G, k) for v in zip(
-            _query(S_re, S_im, r_re, r_im, True),
-            _query(t_re[::R + 1], t_im[::R + 1], r_re, r_im, False)))
-        rows = x_row[b].ravel() - 2 * lo
-        d_re, d_im = t_re - x_re[rows], t_im - x_im[rows]
+        xo_re, xo_im = _query(S_re, S_im, r_re, r_im, True)
+        xs_re, xs_im = _query(t_re[:, 0], t_im[:, 0], r_re, r_im, False)
+        side = obj_side[b, :, None]
+        d_re = t_re - np.where(side, xo_re[:, None], xs_re[:, None])
+        d_im = t_im - np.where(side, xo_im[:, None], xs_im[:, None])
         fb, wb = f[b], w[b]
         # numpy sums each row on its own, so a score does not depend on the block
-        fb[:] = _norm(d_re, d_im, p).reshape(G, R + 1)
+        fb[:] = _norm(d_re, d_im, p)
         wb[:, 0] = _sigmoid(fb[:, 0] - margin) / B
         wb[:, 1:] = -_sigmoid(margin - fb[:, 1:]) / R / B
-        v_re, v_im = (v.reshape(G, R + 1, k) for v in _unit(
-            d_re, d_im, fb.ravel(), np.where(np.abs(wb) >= FLUSH_BELOW, wb, 0.0).ravel(), p))
+        v_re, v_im = _unit(d_re, d_im, fb, np.where(np.abs(wb) >= FLUSH_BELOW, wb, 0.0), p)
 
         # einsum adds a group's terms in order on any CPU; a BLAS product's
         # order, and so the trained bits, would depend on the kernel it picks
@@ -282,16 +277,15 @@ def loss_and_grads(params: ModelParams, pos: np.ndarray, repl: np.ndarray, obj: 
             np.einsum("gsq,gqk->sgk", sums[b], v) for sums, v in ((sums_re, v_re), (sums_im, v_im)))
         # the phase gradient u_im*re(P) - u_re*im(P), P = rot(s) + conj(rot(o)),
         # is Im(v conj(rot(e))) per quadruple plus terms in each side's sum
-        cross = v_im.reshape(-1, k) * t_re
-        cross -= v_re.reshape(-1, k) * t_im
-        g_grp[2, b] = cross.reshape(G, R + 1, k).sum(axis=1)
+        cross = v_im * t_re
+        cross -= v_re * t_im
+        g_grp[2, b] = cross.sum(axis=1)
         g_grp[2, b] += S_re * A_im - S_im * A_re
         g_grp[2, b] += Q_re * D_im - Q_im * D_re
         g_grp[0, b] = A_re + D_re
         g_grp[1, b] = A_im + D_im
         # entity gradients: v (or a side's u) rotated by the conjugate phasor
         ent_re, ent_im = g_ent[0, b], g_ent[1, b]
-        cq, sq = cq.reshape(G, R + 1, k), sq.reshape(G, R + 1, k)
         np.multiply(v_re, cq, out=ent_re[:, 1:])
         ent_re[:, 1:] += v_im * sq
         np.multiply(v_im, cq, out=ent_im[:, 1:])

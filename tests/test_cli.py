@@ -1,8 +1,10 @@
+import struct
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import params_from
 from oracles import format_fact
@@ -516,6 +518,36 @@ class TestPredictCommand:
                      "--relation", "likes", "--time", "2014-01-01"])
         assert code == 2
         assert "truncated checkpoint" in capsys.readouterr().err
+
+    def test_mutated_checkpoint_ends_in_one_error_line(self, tmp_path, capsys):
+        ckpt = constructed_checkpoint(tmp_path)
+        blob = ckpt.read_bytes()
+        # magic and the seven u32 header fields, then the vocab reference
+        # (its u32 length and its UTF-8 path) after the float blocks
+        head, ref_at = 32, len(blob) - 4 - len(str(tmp_path / "side").encode())
+
+        def set_field(i, value):
+            return blob[:4 + 4 * i] + struct.pack("<I", value) + blob[8 + 4 * i:]
+
+        def flip(at, bits):
+            bad = bytearray(blob)
+            bad[at] ^= bits
+            return bytes(bad)
+
+        @given(st.one_of(
+            st.builds(set_field, st.integers(0, 6), st.integers(0, 9) | st.integers(0, 2**32 - 1)),
+            st.builds(lambda n: blob[:n], st.integers(0, len(blob) - 1)),
+            st.builds(flip, st.integers(0, head - 1) | st.integers(ref_at, len(blob) - 1),
+                      st.integers(1, 255))))
+        def predict(bad):
+            ckpt.write_bytes(bad)
+            code = main(["predict", "--checkpoint", str(ckpt), "--subject", "A",
+                         "--relation", "likes", "--time", "2014-01-01"])
+            err = capsys.readouterr().err.splitlines()
+            assert code in (0, 2)
+            assert len(err) <= 1 and all(line.startswith("tero:") for line in err)
+
+        predict()
 
     def test_short_sidecar_vocab_is_data_error(self, tmp_path, capsys):
         ckpt = constructed_checkpoint(tmp_path)

@@ -5,8 +5,11 @@ data (p=1, p=2 and dual) and on interval data (dual, p=1 and p=2). Their
 metrics, rank dumps and top-5 predictions must equal, byte for byte, the
 files in ``tests/golden/``, which were made by scoring every candidate in
 float64; ranks and printed scores come from ``tero.model.score_quads``,
-which the screen's uncertain candidates are rescored with. To make them
-again from a tree known to be right:
+which the screen's uncertain candidates are rescored with. Training bits
+hold on one numpy build with AVX2 or better: numpy picks its float32
+``cos``/``sin`` kernels by SIMD level, and below AVX2 every case here
+fails though nothing is wrong. To make them again from a tree known to be
+right:
 
     PYTHONPATH=<that tree>/src python tests/test_golden.py
 """

@@ -1,4 +1,5 @@
 import cmath
+import struct
 import sys
 import threading
 import tracemalloc
@@ -479,6 +480,18 @@ class TestCheckpoint:
             f.write_bytes(bad)
             with pytest.raises(ValueError, match=match):
                 load_checkpoint(f)
+
+    @pytest.mark.parametrize("field", ["n_e", "n_r", "n_tau", "k"])
+    def test_rejects_zero_dimension(self, tmp_path, field):
+        # a header that matches the file size but has no rows or no columns
+        dims = {"n_e": 2, "n_r": 1, "n_tau": 3, "k": 2, field: 0}
+        rows = sum(n for _, n in model._checkpoint_blocks(dims["n_e"], dims["n_r"], dims["n_tau"]))
+        f = tmp_path / "m.tero"
+        f.write_bytes(model.CHECKPOINT_MAGIC
+                      + struct.pack("<7I", model.CHECKPOINT_VERSION, *dims.values(), 0, 1)
+                      + bytes(4 * rows * dims["k"]) + struct.pack("<I", 0))
+        with pytest.raises(ValueError, match=rf"bad checkpoint header \({field}=0\)"):
+            load_checkpoint(f)
 
     def test_failed_write_keeps_previous_checkpoint(self, tmp_path, tiny_params):
         f = tmp_path / "m.tero"

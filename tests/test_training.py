@@ -408,6 +408,21 @@ class TestSparseStep:
         assert exact[0, 0] != 0.0
         np.testing.assert_allclose(g[:, 0], exact[[0, 2], 0], rtol=1e-12)
 
+    def test_l2_gradient_at_the_origin_is_zero(self):
+        # k=1 and a zero phase: the positive scores |1 - 1| = 0 with the live
+        # weight sigmoid(-1), so its unit vector takes the f == 0 branch; the
+        # object-side negative scores |1 - 3| = 2
+        params = params_from([[1.0], [1.0], [3.0]], [[0.0]], np.zeros((1, 1)), norm_p=2)
+        pos = np.array([[0, 0, 1, 0]])
+        repl, obj = np.array([[2]]), np.ones((1, 1), bool)
+        assert score_quads(params, *pos.T)[0] == 0.0
+        _, grads = loss_and_grads(params, pos, repl, obj, margin=1.0)
+        step = dense_grads(params, grads)
+        exact = oracle_gradients(params, pos, negative_quads(pos, repl, obj), 1.0, 1)
+        for name in step:
+            assert np.isfinite(step[name]).all(), name
+            np.testing.assert_allclose(step[name], exact[name], rtol=1e-12, err_msg=name)
+
     def test_all_flushed_batch_changes_nothing(self):
         params = init_params(4, 1, 2, 6, dual=False, seed=24)
         params.ent_re[0] *= 1e4
