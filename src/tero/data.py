@@ -474,7 +474,7 @@ def build_binning(facts: Iterable[Quadruple], unit_days: int | None,
         raise ValueError("specify exactly one of unit_days / threshold")
     if unit_days is not None:
         ends = (d for t in annotation_index(facts)[1] for d in (t.begin, t.end) if d is not None)
-        # distinct dates in first-seen order, so a partial date is named as before
+        # distinct dates in first-seen order, so the error names the data's first partial date
         return bin_fixed(list(dict.fromkeys(ends)), unit_days)
     return bin_threshold(year_mention_counts(facts), threshold)
 

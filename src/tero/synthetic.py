@@ -12,7 +12,10 @@ capture, each over 20 entities:
   so the model must keep two distinct reflexive relation embeddings apart.
 
 All suites use fully dated point facts one day apart, so a fixed 1-day
-binning gives one time step per logical step.
+binning gives one time step per logical step. A new suite is one call of
+``_suite`` on its named ``(subject, relation, object, step)`` facts, which
+builds the vocab, dated quadruples and seeded split and checks that the
+training split covers every entity and time step.
 """
 
 from __future__ import annotations
@@ -32,31 +35,28 @@ def _day(tau: int) -> TimeAnnotation:
     return TimeAnnotation.point(PartialDate(d.year, d.month, d.day))
 
 
-def _split(items: list, n_valid: int, n_test: int,
-           rng: np.random.Generator) -> tuple[list, list, list]:
-    order = rng.permutation(len(items))
-    shuffled = [items[i] for i in order]
-    test = shuffled[:n_test]
-    valid = shuffled[n_test: n_test + n_valid]
-    train = shuffled[n_test + n_valid:]
-    return train, valid, test
-
-
-def _check_coverage(train: list[Quadruple], n_entities: int, n_steps: int,
-                    binning) -> None:
-    ents = {q.subject for q in train} | {q.object for q in train}
-    taus = {tau for q in train for _, tau in endpoint_terms(q, binning, False, 1)}
-    if len(ents) != n_entities or len(taus) != n_steps:
-        raise ValueError("training split does not cover every entity and time step; "
-                         "pick another split seed")
-
-
 def _make_dataset(facts: list[Quadruple], vocab: Vocab, n_valid: int, n_test: int,
                   seed: int, unit_days: int = 1) -> Dataset:
-    rng = np.random.default_rng(seed)
-    train, valid, test = _split(facts, n_valid, n_test, rng)
-    binning = build_binning(facts, unit_days, None)
-    return Dataset(vocab, train, valid, test, binning, dual=False)
+    """Seeded shuffle of ``facts`` cut into test, valid and train, in that order."""
+    shuffled = [facts[i] for i in np.random.default_rng(seed).permutation(len(facts))]
+    return Dataset(vocab, shuffled[n_test + n_valid:], shuffled[n_test:n_test + n_valid],
+                   shuffled[:n_test], build_binning(facts, unit_days, None), dual=False)
+
+
+def _suite(facts: list[tuple[str, str, str, int]], n_valid: int, n_test: int,
+           seed: int) -> Dataset:
+    """Dataset of named ``(subject, relation, object, step)`` facts in generation
+    order, one day per step; ValueError if training misses an entity or a step."""
+    vocab = Vocab(sorted({e for s, _, o, _ in facts for e in (s, o)}),
+                  sorted({r for _, r, _, _ in facts}))
+    ds = _make_dataset([Quadruple(vocab.ent2id[s], vocab.rel2id[r], vocab.ent2id[o], _day(tau))
+                        for s, r, o, tau in facts], vocab, n_valid, n_test, seed)
+    ents = {e for q in ds.train for e in (q.subject, q.object)}
+    taus = {tau for q in ds.train for _, tau in endpoint_terms(q, ds.binning, False, 1)}
+    if len(ents) != vocab.n_entities or len(taus) != ds.binning.n_tau:
+        raise ValueError("training split does not cover every entity and time step; "
+                         "pick another split seed")
+    return ds
 
 
 def temporary_relation_suite(seed: int = 7, n_actors: int = 5, n_venues: int = 15) -> Dataset:
@@ -67,56 +67,32 @@ def temporary_relation_suite(seed: int = 7, n_actors: int = 5, n_venues: int = 1
     (i + tau) mod n_venues rotated at the same step, so the relation can be
     the zero translation.
     """
-    names = [f"actor_{i}" for i in range(n_actors)] + [f"venue_{j:02d}" for j in range(n_venues)]
-    vocab = Vocab(sorted(names), ["visits"])
-    facts = []
-    for i in range(n_actors):
-        for tau in range(n_venues):
-            actor = vocab.ent2id[f"actor_{i}"]
-            venue = vocab.ent2id[f"venue_{(i + tau) % n_venues:02d}"]
-            facts.append(Quadruple(actor, 0, venue, _day(tau)))
-    ds = _make_dataset(facts, vocab, n_valid=5, n_test=10, seed=seed)
-    _check_coverage(ds.train, n_actors + n_venues, n_venues, ds.binning)
-    return ds
+    return _suite([(f"actor_{i}", "visits", f"venue_{(i + tau) % n_venues:02d}", tau)
+                   for i in range(n_actors) for tau in range(n_venues)],
+                  n_valid=5, n_test=10, seed=seed)
 
 
 def collapsed_binning(ds: Dataset):
     """A one-step binning over the dataset's span (time-blind ablation)."""
-    span = 10_000_000 if ds.binning.mode == "threshold" else max(ds.binning.span_days, 1)
     if ds.binning.mode == "threshold":
-        return build_binning(ds.all_facts, None, span)
-    return build_binning(ds.all_facts, span, None)
+        return build_binning(ds.all_facts, None, 10_000_000)
+    return build_binning(ds.all_facts, ds.binning.span_days, None)
 
 
 def asymmetric_relation_suite(seed: int = 11, n_pairs: int = 10,
                               n_steps: int = 10) -> Dataset:
     """parent_of holds from i to i + n_pairs at every step, never reversed."""
-    names = [f"parent_{i}" for i in range(n_pairs)] + [f"child_{i}" for i in range(n_pairs)]
-    vocab = Vocab(sorted(names), ["parent_of"])
-    facts = []
-    for i in range(n_pairs):
-        for tau in range(n_steps):
-            facts.append(Quadruple(vocab.ent2id[f"parent_{i}"], 0,
-                                   vocab.ent2id[f"child_{i}"], _day(tau)))
-    ds = _make_dataset(facts, vocab, n_valid=8, n_test=12, seed=seed)
-    _check_coverage(ds.train, 2 * n_pairs, n_steps, ds.binning)
-    return ds
+    return _suite([(f"parent_{i}", "parent_of", f"child_{i}", tau)
+                   for i in range(n_pairs) for tau in range(n_steps)],
+                  n_valid=8, n_test=12, seed=seed)
 
 
 def reflexive_relation_suite(seed: int = 13, group_size: int = 10,
                              n_steps: int = 10) -> Dataset:
     """Two self-relations on disjoint entity groups, true at every step."""
-    names = [f"a_{i}" for i in range(group_size)] + [f"b_{i}" for i in range(group_size)]
-    vocab = Vocab(sorted(names), ["same_a", "same_b"])
-    facts = []
-    for prefix, rel in (("a", "same_a"), ("b", "same_b")):
-        for i in range(group_size):
-            e = vocab.ent2id[f"{prefix}_{i}"]
-            for tau in range(n_steps):
-                facts.append(Quadruple(e, vocab.rel2id[rel], e, _day(tau)))
-    ds = _make_dataset(facts, vocab, n_valid=10, n_test=16, seed=seed)
-    _check_coverage(ds.train, 2 * group_size, n_steps, ds.binning)
-    return ds
+    return _suite([(f"{g}_{i}", f"same_{g}", f"{g}_{i}", tau)
+                   for g in "ab" for i in range(group_size) for tau in range(n_steps)],
+                  n_valid=10, n_test=16, seed=seed)
 
 
 def subsample_dataset(ds: Dataset, n_train: int, n_valid: int, n_test: int,
