@@ -38,13 +38,16 @@ def main():
                          lr=args.lr, max_epochs=args.epochs, valid_every=50,
                          patience=5, norm_p=1, seed=args.seed)
 
+    def progress(rec, _snapshot):
+        print(f"epoch {rec.epoch}: loss {rec.train_loss:.4f} mrr {rec.mrr:.4f}")
+
     begin = time.time()
-    _, _, report = train_and_test(ds, config, progress=True)
+    _, _, report = train_and_test(ds, config, on_validation=progress)
     print(f"temporal\tmrr={report.mrr:.4f}\thits@1={report.hits1:.4f}"
           f"\thits@10={report.hits10:.4f}\t({time.time() - begin:.0f}s)")
 
     begin = time.time()
-    _, _, flat_report = train_and_test(ds, config, collapsed_binning(ds), progress=True)
+    _, _, flat_report = train_and_test(ds, config, collapsed_binning(ds), on_validation=progress)
     print(f"time-blind\tmrr={flat_report.mrr:.4f}\thits@1={flat_report.hits1:.4f}"
           f"\thits@10={flat_report.hits10:.4f}\t({time.time() - begin:.0f}s)")
     print(f"granularity gain: {report.mrr - flat_report.mrr:+.4f} mrr")

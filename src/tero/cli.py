@@ -23,8 +23,8 @@ from .data import (DataError, Quadruple, TimeAnnotation, TimeBinning, Vocab, FOR
                    INTERVAL_TSV, POINT_TSV, load_dataset, parse_dataset, parse_date,
                    read_lines)
 from .evaluation import TIE_MODES, FilterSet, candidate_scores, evaluate
-from .model import load_checkpoint, save_checkpoint
-from .training import NumericalError, TrainConfig, train
+from .model import ModelParams, load_checkpoint, save_checkpoint
+from .training import NumericalError, TrainConfig, ValidationRecord, train
 
 
 class Option(NamedTuple):
@@ -245,11 +245,19 @@ def cmd_train(cfg: RunConfig) -> int:
     ckpt.parent.mkdir(parents=True, exist_ok=True)
     # absolute, so the sidecar is found from any directory
     vocab_ref = str(out.absolute())
-    # each new best is saved at once, so a later failure cannot lose it; the
-    # final save covers runs that never validate
-    best, history = train(ds.train, ds.valid, config, ds.binning, ds.vocab,
-                          log_path=out / "training_log.tsv", progress=True,
-                          on_best=lambda snapshot, _: save_checkpoint(snapshot, ckpt, vocab_ref))
+    # the log is line-buffered and each new best is saved at once, so a killed
+    # or failed run keeps every validation's line and the best snapshot so far
+    with open(out / "training_log.tsv", "w", encoding="utf-8", buffering=1) as log:
+        log.write(ValidationRecord.TSV_HEADER + "\n")
+
+        def on_validation(rec: ValidationRecord, snapshot: ModelParams | None) -> None:
+            log.write(rec.tsv() + "\n")
+            print(f"epoch {rec.epoch}: loss {rec.train_loss:.4f} mrr {rec.mrr:.4f}")
+            if snapshot is not None:
+                save_checkpoint(snapshot, ckpt, vocab_ref)
+
+        best, history = train(ds.train, ds.valid, config, ds.binning, ds.vocab, on_validation)
+    # for runs that never validate
     save_checkpoint(best, ckpt, vocab_ref)
     if history:
         top = max(history, key=lambda rec: rec.mrr)
@@ -336,15 +344,12 @@ def cmd_predict(cfg: RunConfig) -> int:
     anchor_name = "subject" if side == "object" else "object"
     _require(cfg, anchor_name)
 
-    def ent_id(token: str) -> int:
-        if token not in vocab.ent2id:
-            raise DataError(f"unknown entity {token!r}")
-        return vocab.ent2id[token]
-
+    anchor_token = getattr(cfg, anchor_name)
     if cfg.relation not in vocab.rel2id:
         raise DataError(f"unknown relation {cfg.relation!r}")
-    rel = vocab.rel2id[cfg.relation]
-    anchor = ent_id(getattr(cfg, anchor_name))
+    if anchor_token not in vocab.ent2id:
+        raise DataError(f"unknown entity {anchor_token!r}")
+    rel, anchor = vocab.rel2id[cfg.relation], vocab.ent2id[anchor_token]
     try:
         annotation = _parse_query_time(cfg.time)
     except ValueError as exc:

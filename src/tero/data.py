@@ -188,7 +188,14 @@ class Vocab:
                 items.append(s)
             return items
 
-        return cls(read("entities.tsv"), read("relations.tsv"))
+        vocab = cls(read("entities.tsv"), read("relations.tsv"))
+        for name, items, ids in (("entities.tsv", vocab.id2ent, vocab.ent2id),
+                                 ("relations.tsv", vocab.id2rel, vocab.rel2id)):
+            if len(ids) < len(items):  # a repeated name; the map keeps its last id
+                dup = items[next(i for i, s in enumerate(items) if ids[s] != i)]
+                lines = [n for n, line in enumerate(read_lines(src / name), 1) if line]
+                raise DataError(f"repeated name {dup!r}", src / name, lines[ids[dup]])
+        return vocab
 
 
 _DATE_RE = re.compile(r"^(?P<y>-?\d{1,6}|#{1,6})(?:-(?P<m>\d{1,2}|#{1,2})(?:-(?P<d>\d{1,2}|#{1,2}))?)?$")

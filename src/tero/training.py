@@ -228,8 +228,10 @@ def loss_and_grads(params: ModelParams, pos: np.ndarray, repl: np.ndarray, obj: 
     free, obj_side = np.insert(repl, 0, pos[:, 2], axis=1), np.insert(obj, 0, True, axis=1)
     s, slot, tau = pos[:, 0], pos[:, 1], pos[:, 3]
     k, dtype = params.k, params.ent_re.dtype
-    # trig over the phase table once, then gather: far fewer evaluations
-    cos, sin = np.cos(params.phase), np.sin(params.phase)
+    # trig over the batch's distinct steps only: ``at`` gathers, ``tau`` scatters
+    steps, at = np.unique(tau, return_inverse=True)
+    phase = params.phase[steps]
+    cos, sin = np.cos(phase), np.sin(phase)
     # Each quadruple's gradient of |d| is u; the loop works with v, which is
     # u with its real part negated on the object side. The group sums weigh
     # each v by these rows: A sums u over the object side (the subject's
@@ -249,7 +251,7 @@ def loss_and_grads(params: ModelParams, pos: np.ndarray, repl: np.ndarray, obj: 
     # vectors broadcast over its quadruples; it touches only its own slices
     for lo in range(0, B, GROUPS_PER_BLOCK):
         b = slice(lo, min(lo + GROUPS_PER_BLOCK, B))
-        c, sn = cos[tau[b]], sin[tau[b]]
+        c, sn = cos[at[b]], sin[at[b]]
         cq, sq = c[:, None], sn[:, None]
         e = free[b]
         t_re, t_im = _rotate(params.ent_re[e], params.ent_im[e], cq, sq)
@@ -350,20 +352,20 @@ def grad_step(params: ModelParams, acc: dict[str, np.ndarray], pos: np.ndarray,
 
 def train(train_facts: Sequence[Quadruple], valid_facts: Sequence[Quadruple],
           config: TrainConfig, binning: TimeBinning, vocab: Vocab,
-          log_path=None, progress: bool = False,
-          on_best: Callable[[ModelParams, ValidationRecord], None] | None = None,
+          on_validation: Callable[[ValidationRecord, ModelParams | None], None] | None = None,
           ) -> tuple[ModelParams, list[ValidationRecord]]:
     """Full training run with early stopping on validation MRR.
 
     Expands facts into endpoint quadruples, shuffles each epoch (seeded),
     validates every ``valid_every`` epochs against the train+valid filter,
-    and keeps the best-MRR snapshot. ``on_best(snapshot, record)`` runs at
-    each validation that improves on the best MRR, so a caller can save the
-    snapshot before a later step fails. Stops at ``max_epochs`` or after
-    ``patience`` consecutive validations without improvement. Returns the
-    best snapshot (the final params if validation never ran) and the
-    per-validation history. Validation screens on one worker per CPU in
-    the process's affinity set (``evaluation.evaluate``).
+    and keeps the best-MRR snapshot. ``on_validation(record, snapshot)``
+    runs at each validation, with the new best snapshot if the MRR beat
+    every earlier one and None otherwise, so a caller can log and save
+    before a later step fails; ``train`` writes and prints nothing. Stops at
+    ``max_epochs`` or after ``patience`` consecutive validations without
+    improvement. Returns the best snapshot (the final params if validation
+    never ran) and the per-validation history. Validation screens on one
+    worker per CPU in the process's affinity set (``evaluation.evaluate``).
     """
     if not train_facts:
         raise ValueError("empty training set")
@@ -375,65 +377,50 @@ def train(train_facts: Sequence[Quadruple], valid_facts: Sequence[Quadruple],
     # step, and page faults per step double (ICEWS14 shape)
     acc: dict[str, np.ndarray] = {}
     rng = np.random.default_rng([config.seed, 1])
-    filter_set = None
-    if valid_facts:
-        filter_set = evaluation.FilterSet.build(list(train_facts) + list(valid_facts), binning)
+    filter_set = (evaluation.FilterSet.build(list(train_facts) + list(valid_facts), binning)
+                  if valid_facts else None)
 
     history: list[ValidationRecord] = []
-    best = None
-    best_mrr = -1.0
-    bad_validations = 0
+    best, best_mrr, bad_validations = None, -1.0, 0
     start = time.perf_counter()
-    log_fh = open(log_path, "w", encoding="utf-8") if log_path is not None else None
-    if log_fh:
-        log_fh.write(ValidationRecord.TSV_HEADER + "\n")
-    try:
-        for epoch in range(1, config.max_epochs + 1):
-            order = rng.permutation(len(quads))
-            epoch_loss = 0.0
-            for lo in range(0, len(quads), config.batch_size):
-                pos = quads[order[lo: lo + config.batch_size]]
-                repl, obj = _corrupt_batch(pos, config.neg_ratio, vocab.n_entities, rng)
-                epoch_loss += grad_step(params, acc, pos, repl, obj, config) * len(pos)
-            epoch_loss /= len(quads)
+    for epoch in range(1, config.max_epochs + 1):
+        order = rng.permutation(len(quads))
+        epoch_loss = 0.0
+        for lo in range(0, len(quads), config.batch_size):
+            pos = quads[order[lo: lo + config.batch_size]]
+            repl, obj = _corrupt_batch(pos, config.neg_ratio, vocab.n_entities, rng)
+            epoch_loss += grad_step(params, acc, pos, repl, obj, config) * len(pos)
+        epoch_loss /= len(quads)
 
-            if filter_set is not None and epoch % config.valid_every == 0:
-                report = evaluation.evaluate(params, valid_facts, filter_set, binning)
-                rec = ValidationRecord(epoch, epoch_loss, report.mrr, report.hits1,
-                                       report.hits3, report.hits10,
-                                       time.perf_counter() - start)
-                history.append(rec)
-                if log_fh:
-                    log_fh.write(rec.tsv() + "\n")
-                    log_fh.flush()
-                if progress:
-                    print(f"epoch {epoch}: loss {epoch_loss:.4f} mrr {report.mrr:.4f}")
-                if report.mrr > best_mrr:
-                    best_mrr = report.mrr
-                    best = params.copy()
-                    bad_validations = 0
-                    if on_best is not None:
-                        on_best(best, rec)
-                else:
-                    bad_validations += 1
-                    if bad_validations >= config.patience:
-                        break
-        return (params if best is None else best), history
-    finally:
-        if log_fh:
-            log_fh.close()
+        if filter_set is not None and epoch % config.valid_every == 0:
+            report = evaluation.evaluate(params, valid_facts, filter_set, binning)
+            rec = ValidationRecord(epoch, epoch_loss, report.mrr, report.hits1,
+                                   report.hits3, report.hits10, time.perf_counter() - start)
+            history.append(rec)
+            snapshot = params.copy() if report.mrr > best_mrr else None
+            if snapshot is None:
+                bad_validations += 1
+            else:
+                best, best_mrr, bad_validations = snapshot, report.mrr, 0
+            if on_validation is not None:
+                on_validation(rec, snapshot)
+            if snapshot is None and bad_validations >= config.patience:
+                break
+    return (params if best is None else best), history
 
 
 def train_and_test(ds: Dataset, config: TrainConfig, train_binning: TimeBinning | None = None,
-                   progress: bool = False,
+                   on_validation: Callable[[ValidationRecord, ModelParams | None], None]
+                   | None = None,
                    ) -> tuple[ModelParams, list[ValidationRecord], evaluation.EvalReport]:
     """``train`` on ``ds``, then ``evaluate`` the best snapshot on ``ds.test``.
 
     Training and test scoring use ``train_binning`` (default ``ds.binning``);
     the time-wise filter is built on, and keeps, ``ds.binning``.
+    ``on_validation`` is passed to ``train``.
     """
     binning = ds.binning if train_binning is None else train_binning
-    best, history = train(ds.train, ds.valid, config, binning, ds.vocab, progress=progress)
+    best, history = train(ds.train, ds.valid, config, binning, ds.vocab, on_validation)
     filter_set = evaluation.FilterSet.build(ds.all_facts, ds.binning)
     report = evaluation.evaluate(best, ds.test, filter_set, binning)
     return best, history, report

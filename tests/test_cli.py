@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import params_from
 from oracles import format_fact
@@ -284,10 +284,12 @@ class TestTrainCommand:
         # that of the 1st validation, not the parameters at the failure)
         ds, paths = suite_files
         out = tmp_path / "run"
-        validations = []
+        validations, logged = [], []
         evaluate, grad_step = training.evaluation.evaluate, training.grad_step
 
         def counted(*args, **kwargs):
+            # the lines on disk so far: the header and each earlier validation
+            logged.append(len((out / "training_log.tsv").read_text().splitlines()))
             report = evaluate(*args, **kwargs)
             validations.append(report.mrr)
             return report
@@ -313,13 +315,21 @@ class TestTrainCommand:
         saved, _ = load_checkpoint(out / "model.tero")
         for name, arr in best.arrays().items():
             assert np.array_equal(saved.arrays()[name], arr), name
+        # the log holds the header and the 3 validations before the failure,
+        # each written out before the next validation began
+        assert logged == [1, 2, 3]
+        log = (out / "training_log.tsv").read_text().splitlines()
+        assert log[0] == training.ValidationRecord.TSV_HEADER
+        assert [int(line.split("\t")[0]) for line in log[1:]] == [2, 4, 6]
 
     def test_writes_training_log(self, suite_files, tmp_path):
         _, paths = suite_files
         out = tmp_path / "run"
         assert main(self.quick(paths, out, "--max-epochs", "20")) == 0
         log = (out / "training_log.tsv").read_text().strip().splitlines()
-        assert log[0].startswith("epoch\t") and len(log) == 3
+        assert log[0].split("\t") == ["epoch", "train_loss", "mrr", "hits1",
+                                      "hits3", "hits10", "seconds"]
+        assert len(log) == 3
 
     def test_one_entity_dataset_is_data_error(self, tmp_path, capsys):
         paths = {}
@@ -561,10 +571,14 @@ class TestPredictCommand:
     @pytest.mark.parametrize("table, message", [
         (b"zero\tA\n1\tB\n2\tC\n3\tD\n", "entities.tsv:1: vocab id 'zero' is not an integer"),
         (b"0\tA\n1\t\xff\n2\tC\n3\tD\n", "entities.tsv:2: invalid UTF-8"),
+        # a blank line is skipped, but still counted
+        (b"0\tA\n\n1\tB\n2\tA\n3\tD\n", "entities.tsv:4: repeated name 'A'"),
+        (b"0\tlikes\n1\tlikes\n", "relations.tsv:2: repeated name 'likes'"),
     ])
     def test_bad_sidecar_vocab_is_data_error(self, tmp_path, capsys, table, message):
         ckpt = constructed_checkpoint(tmp_path)
-        (tmp_path / "side" / "entities.tsv").write_bytes(table)
+        # the message starts with the name of the table it is about
+        (tmp_path / "side" / message.split(":")[0]).write_bytes(table)
         code = main(["predict", "--checkpoint", str(ckpt), "--subject", "A",
                      "--relation", "likes", "--time", "2014-01-01"])
         assert code == 2
@@ -764,6 +778,59 @@ def test_exit_path(suite_files, tmp_path, capsys, argv, code, message):
     else:
         prefix, text = message
         assert len(lines) == 1 and lines[0].startswith(prefix) and text in lines[0], lines
+
+
+# bytes that the parsers split on or read specially, spliced in beside random ones
+SPLICES = (b"\t", b"\n", b"\r", b"#", b"=", b"-", b"..", b"0", b"9", b"none", b"nan", b"\xff")
+EDITS = st.lists(st.tuples(st.integers(0, 2**12), st.integers(0, 6),
+                           st.sampled_from(SPLICES) | st.binary(max_size=2)
+                           | st.text("0123456789-#. ", max_size=3).map(str.encode)),
+                 min_size=1, max_size=3)
+
+
+def mutated(blob: bytes, edits) -> bytes:
+    """``blob`` with each ``(at, cut, put)`` edit applied: ``cut`` bytes at ``at`` become ``put``."""
+    for at, cut, put in edits:
+        at %= len(blob) + 1
+        blob = blob[:at] + put + blob[at + cut:]
+    return blob
+
+
+def test_mutated_inputs_end_in_one_error_line(suite_files, tmp_path, capsys):
+    # a mutated config file or split runs through preprocess and a 1-epoch
+    # train, a mutated sidecar table or manifest through predict; the sizes
+    # that allocate (dim, negatives, batch, epochs, time unit) are flags,
+    # which win over the config file, so no mutation can ask for much memory
+    _, paths = suite_files
+    conf = written(tmp_path / "run.conf", "format = point-tsv\ndual = auto\nnorm = 1\n"
+                   "margin = 5.0\nlr = 0.3\nseed = 3\nvalid_every = 1\npatience = 2\n")
+    ckpt, side = constructed_checkpoint(tmp_path), tmp_path / "side"
+    inputs = {"config": conf, **{split: Path(path) for split, path in paths.items()},
+              "entities": side / "entities.tsv", "relations": side / "relations.tsv",
+              "manifest": side / "binning.txt"}
+    originals = {name: path.read_bytes() for name, path in inputs.items()}
+    data = [*run_args(paths, tmp_path / "run"), "--config", str(conf), "--time-unit", "7"]
+    runs = {"data": [["preprocess", *data],
+                     ["train", *data, "--dim", "4", "--neg-ratio", "2", "--batch-size", "64",
+                      "--max-epochs", "1"]],
+            "sidecar": [predict_argv(ckpt)]}
+
+    @settings(deadline=None)
+    @given(st.sampled_from(sorted(inputs)), EDITS)
+    def run(name, edits):
+        inputs[name].write_bytes(mutated(originals[name], edits))
+        try:
+            for argv in runs["sidecar" if inputs[name].parent == side else "data"]:
+                code = main(argv)
+                err = capsys.readouterr().err.splitlines()
+                assert code in (0, 1, 2, 3)
+                assert code == 0 or (len(err) <= 1 and all(line.startswith("tero:")
+                                                           for line in err)), err
+        finally:
+            inputs[name].write_bytes(originals[name])
+
+    run()
+
 
 class TestDefaultsTable:
     def test_profiles_cover_documented_presets(self):

@@ -613,18 +613,32 @@ class TestTrainLoop:
             assert np.array_equal(best1.arrays()[name], best2.arrays()[name])
         assert [h.mrr for h in hist1] == [h.mrr for h in hist2]
 
-    def test_history_and_log(self, tmp_path):
+    def test_history_and_log(self):
         ds = reflexive_relation_suite()
-        log = tmp_path / "log.tsv"
         cfg = self.quick_config(max_epochs=20, valid_every=10, patience=10)
-        _, history = train(ds.train, ds.valid, cfg, ds.binning, ds.vocab, log_path=log)
+        _, history = train(ds.train, ds.valid, cfg, ds.binning, ds.vocab)
         assert [rec.epoch for rec in history] == [10, 20]
-        lines = log.read_text().strip().splitlines()
-        assert lines[0].split("\t") == ["epoch", "train_loss", "mrr", "hits1",
-                                        "hits3", "hits10", "seconds"]
-        assert len(lines) == 3
-        cells = lines[1].split("\t")
+        cells = history[0].tsv().split("\t")
+        assert len(cells) == 7
         assert int(cells[0]) == 10 and 0.0 <= float(cells[2]) <= 1.0
+
+    def test_on_validation_sees_each_record_and_each_new_best(self):
+        ds = reflexive_relation_suite()
+        cfg = self.quick_config(max_epochs=8, valid_every=1, patience=8)
+        calls = []
+        best, history = train(ds.train, ds.valid, cfg, ds.binning, ds.vocab,
+                              lambda rec, snapshot: calls.append((rec, snapshot)))
+        assert [rec for rec, _ in calls] == history
+        # a snapshot exactly where the MRR beats every earlier one
+        mrrs = [rec.mrr for rec in history]
+        assert [snap is not None for _, snap in calls] == \
+            [mrr > max(mrrs[:i], default=-1.0) for i, mrr in enumerate(mrrs)]
+        assert 1 < sum(snap is not None for _, snap in calls) < len(calls)
+        last = [snap for _, snap in calls if snap is not None][-1]
+        plain, _ = train(ds.train, ds.valid, cfg, ds.binning, ds.vocab)
+        for name, arr in best.arrays().items():
+            assert np.array_equal(last.arrays()[name], arr), name
+            assert np.array_equal(plain.arrays()[name], arr), name
 
     def test_early_stopping_keeps_best_snapshot(self):
         ds = reflexive_relation_suite()
