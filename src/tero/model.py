@@ -32,7 +32,8 @@ sum(x), one ``np.maximum`` pass per query and no subtraction; at p=2 it
 subtracts and squares. Rows are summed by BLAS products over chunks of at
 most SUM_COLS columns, then in float64, which bounds the float32 roundings
 any term meets. One worker thread per CPU in the process's affinity set
-takes a contiguous run of whole blocks, so the screen's values do not
+takes a contiguous run of whole blocks (``on_workers``, which the training
+step's blocks, scatter and Adagrad use too), so the screen's values do not
 depend on their number. ``screen_band`` bounds the screen's error against
 ``score_quads``, and ``score_quads`` rescores only the gathered candidates
 the screen cannot order (~5-6 per query on the ICEWS14 shape), so ranks
@@ -51,6 +52,7 @@ import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -242,12 +244,10 @@ def score_step(params: ModelParams, tau: int, anchors, slots, sides,
     per block over every query's chunk sums, in float64, so each term meets
     few float32 roundings (``screen_band``).
 
-    The blocks are split into ``min(usable_cpus(), blocks)`` contiguous
-    runs, one per worker thread with its own buffers; ``taskset`` narrows
-    the affinity set and so the count. Every block keeps its rows and
-    arithmetic, so the result is bit-identical for every worker count. Each
-    worker is a pool thread, a lone one too, so none runs on the calling
-    thread; the workers of a call have ended when it returns.
+    ``on_workers`` splits the blocks into ``min(usable_cpus(), blocks)``
+    contiguous runs, one per pool thread with its own buffers. Every block
+    keeps its rows and arithmetic, so the result is bit-identical for every
+    worker count.
     """
     _check_ids(params, anchors, slots, tau)
     for side in sides:
@@ -270,23 +270,18 @@ def score_step(params: ModelParams, tau: int, anchors, slots, sides,
     x = np.stack([x_re, x_im], axis=-1).astype(np.float32).reshape(len(x_re), 2 * k)
     x_sums = x.sum(axis=1, dtype=np.float64)
     out = np.empty((len(x), n), np.float32)
-    n_blocks = -(-n // BLOCK_ROWS)
-    workers = min(usable_cpus(), n_blocks)
-    # contiguous runs of whole blocks, so every block has the rows it has alone
-    cuts = [min(BLOCK_ROWS * (i * n_blocks // workers), n) for i in range(workers + 1)]
-    screen = functools.partial(_screen_rows, params, z, x, x_sums, out)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(screen, cuts[:-1], cuts[1:]))  # re-raises a worker's error
+    on_workers(functools.partial(_screen_blocks, params, z, x, x_sums, out), -(-n // BLOCK_ROWS))
     return (out if p == 1 else np.sqrt(out, out=out)), offsets
 
 
-def _screen_rows(params: ModelParams, z, x, x_sums, out, lo: int, hi: int) -> None:
-    """Screen scores of entities ``lo:hi`` (whole blocks from ``lo``) into ``out[:, lo:hi]``.
+def _screen_blocks(params: ModelParams, z, x, x_sums, out, first: int, last: int) -> None:
+    """Screen scores of the entities of row blocks ``first:last`` into their columns of ``out``.
 
     Holds its own buffers and writes only its own columns of ``out``, so
-    calls on disjoint ranges can run side by side.
+    calls on disjoint runs of blocks can run side by side.
     """
     k, nq, p = params.k, len(x), params.norm_p
+    lo, hi = BLOCK_ROWS * first, min(BLOCK_ROWS * last, params.n_entities)
     w = largest_divisor(2 * k, SUM_COLS)
     m, rows = 2 * k // w, min(BLOCK_ROWS, hi - lo)
     ones_w, ones_m, ones_2k = np.ones(w, np.float32), np.ones(m), np.ones(2 * k)
@@ -318,6 +313,22 @@ def _screen_rows(params: ModelParams, z, x, x_sums, out, lo: int, hi: int) -> No
             sums -= np.dot(b, ones_2k)
             sums -= x_sums[:, None]
         out[:, e] = sums
+
+
+def on_workers(work: Callable[[int, int], object], n: int) -> None:
+    """Run ``work(lo, hi)`` over contiguous runs ``lo:hi`` that cover ``range(n)``.
+
+    Each of ``min(usable_cpus(), n)`` pool threads (one when n is 0) takes
+    one run, a lone thread too, so no unit runs on the calling thread;
+    ``taskset`` narrows the affinity set and so the count. Callers whose
+    units read and write only their own slices get the same bits at every
+    count. The threads have ended when this returns, and a worker's error
+    is raised here.
+    """
+    workers = max(min(usable_cpus(), n), 1)
+    cuts = [i * n // workers for i in range(workers + 1)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(work, cuts[:-1], cuts[1:]))
 
 
 def usable_cpus() -> int:

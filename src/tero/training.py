@@ -27,7 +27,12 @@ two query vectors once, with the helpers every scorer uses
 gathered and rotated entity, and sums each group's relation, phase and
 shared-entity gradients before the scatter, which adds the rows that
 share an index in float64. Adagrad updates the touched rows BLOCK_ROWS at
-a time. Scores for evaluation come from
+a time. Like the evaluation screen, the step uses one worker thread per
+CPU in the process's affinity set (``model.on_workers``): each takes a
+contiguous run of whole blocks of groups, of the scatter's tables and of
+Adagrad's row blocks. Every block reads and writes only its own slices, so
+each float operation, and its order, is the same at any worker count, and
+so are the trained bits. Scores for evaluation come from
 ``model.score_quads``, not from the training step.
 """
 
@@ -41,7 +46,7 @@ import numpy as np
 
 from . import evaluation
 from .data import Dataset, Quadruple, TimeBinning, Vocab, expand_for_training
-from .model import BLOCK_ROWS, ModelParams, _norm, _query, _rotate, init_params
+from .model import BLOCK_ROWS, ModelParams, _norm, _query, _rotate, init_params, on_workers
 
 ADAGRAD_EPS = 1e-10
 # loss weights below this carry no representable update
@@ -49,8 +54,10 @@ FLUSH_BELOW = 1e-30
 # groups (a positive and its negatives) per block of the training step: 176
 # quadruples at 10 negatives. 16-step ICEWS14-shaped train() calls (k=500,
 # batch 512) took 1.62, 1.48, 1.51, 1.58 and 1.62 s at 8, 12, 16, 24 and 32
-# groups per block (medians of 4 alternated rounds, 2-core Xeon); the result
-# does not depend on it
+# groups per block (medians of 4 alternated rounds, 2-core Xeon, one
+# thread). Workers take contiguous runs of whole blocks, one worker per CPU
+# of the affinity set, and each block in flight holds its own temporaries;
+# the result depends on neither the block size nor the worker count
 GROUPS_PER_BLOCK = 16
 
 
@@ -147,30 +154,42 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
 
 
-def _scatter_rows(idx: np.ndarray,
-                  vals: Sequence[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+def _scatter_rows(sets: Sequence[tuple[np.ndarray, Sequence[np.ndarray]]],
+                  ) -> list[tuple[np.ndarray, list[np.ndarray]]]:
     """Sum value rows that share a row index, over the touched rows only.
 
-    ``vals`` are (len(idx), k) tables indexed alike by ``idx``; rows with a
-    negative index are skipped. Returns the sorted unique indices ``rows``
-    and, per table, a (len(rows), k) float64 table whose row i is the sum,
-    in input order, of the value rows with index ``rows[i]``. A stable sort
-    lines the rows up by index; the first row of each index is copied, then
-    the j-th is added to every index that has one, for j = 2, 3, ..., so
-    each value row is read once.
+    Each set is ``(idx, vals)``: ``vals`` are (len(idx), k) tables indexed
+    alike by ``idx``; rows with a negative index are skipped. Returns, per
+    set, the sorted unique indices ``rows`` and, per table, a
+    (len(rows), k) float64 table whose row i is the sum, in input order, of
+    the value rows with index ``rows[i]``. A stable sort lines the rows up
+    by index; the first row of each index is copied, then the j-th is added
+    to every index that has one, for j = 2, 3, ..., so each value row is
+    read once. The tables of every set are summed one per task on
+    ``model.on_workers``.
     """
-    order = np.argsort(idx, kind="stable")
-    order = order[np.searchsorted(idx[order], 0):]
-    sorted_idx = idx[order]
-    first = np.flatnonzero(np.diff(sorted_idx, prepend=-1))
-    count = np.diff(first, append=len(order))
-    out = [v[order[first]].astype(np.float64) for v in vals]
-    for j in range(1, count.max(initial=0)):
-        more = np.flatnonzero(count > j)
-        src = order[first[more] + j]
-        for v, g in zip(vals, out):
-            g[more] += v[src]
-    return sorted_idx[first], out
+    out, tasks = [], []
+    for idx, vals in sets:
+        order = np.argsort(idx, kind="stable")
+        order = order[np.searchsorted(idx[order], 0):]
+        sorted_idx = idx[order]
+        first = np.flatnonzero(np.diff(sorted_idx, prepend=-1))
+        count = np.diff(first, append=len(order))
+        # the j-th rows: the indices that have one, and where their value rows are
+        adds = [(more, order[first[more] + j])
+                for j in range(1, count.max(initial=0)) for more in [np.flatnonzero(count > j)]]
+        sums = [np.empty((len(first), v.shape[1])) for v in vals]
+        tasks += [(v, g, order[first], adds) for v, g in zip(vals, sums)]
+        out.append((sorted_idx[first], sums))
+
+    def add_up(lo: int, hi: int) -> None:
+        for v, g, firsts, adds in tasks[lo:hi]:
+            g[:] = v[firsts]
+            for more, src in adds:
+                g[more] += v[src]
+
+    on_workers(add_up, len(tasks))
+    return out
 
 
 def _unit(d_re: np.ndarray, d_im: np.ndarray, f: np.ndarray, w: np.ndarray, p: int):
@@ -221,7 +240,10 @@ def loss_and_grads(params: ModelParams, pos: np.ndarray, repl: np.ndarray, obj: 
     conjugate-rotated sum over the object side) and one for the object (over
     the positive and the subject side), and one row per live negative, for
     its free entity. The group sums are products with a fixed matrix per
-    group, so the result does not depend on GROUPS_PER_BLOCK.
+    group, so the result does not depend on GROUPS_PER_BLOCK. The blocks
+    run on ``model.on_workers``, a contiguous run of them per worker, and
+    each writes only its own rows of the batch's scores, weights and group
+    gradients, so neither does it depend on the worker count.
     """
     (B, R), p = repl.shape, params.norm_p
     # each group's free entities and object-side flags, the positive first
@@ -248,52 +270,60 @@ def loss_and_grads(params: ModelParams, pos: np.ndarray, repl: np.ndarray, obj: 
     g_ent = np.empty((2, B, R + 2, k), dtype)
     g_grp = np.empty((3, B, k), dtype)  # rel_re, rel_im, phase
     # a block of G groups is (G, R+1, k) arrays, each group's phasor and query
-    # vectors broadcast over its quadruples; it touches only its own slices
-    for lo in range(0, B, GROUPS_PER_BLOCK):
-        b = slice(lo, min(lo + GROUPS_PER_BLOCK, B))
-        c, sn = cos[at[b]], sin[at[b]]
-        cq, sq = c[:, None], sn[:, None]
-        e = free[b]
-        t_re, t_im = _rotate(params.ent_re[e], params.ent_im[e], cq, sq)
-        S_re, S_im = _rotate(params.ent_re[s[b]], params.ent_im[s[b]], c, sn)
-        Q_re, Q_im = t_re[:, 0], -t_im[:, 0]  # conj(rot(o)), from the positive's row
-        r_re, r_im = params.rel_re[slot[b]], params.rel_im[slot[b]]
-        # each group's query vectors, the object side's (from s) and the
-        # subject side's (from o); d' = rot(e) - x is the difference d with
-        # its real part negated on the object side, and d itself on the other
-        xo_re, xo_im = _query(S_re, S_im, r_re, r_im, True)
-        xs_re, xs_im = _query(t_re[:, 0], t_im[:, 0], r_re, r_im, False)
-        side = obj_side[b, :, None]
-        d_re = t_re - np.where(side, xo_re[:, None], xs_re[:, None])
-        d_im = t_im - np.where(side, xo_im[:, None], xs_im[:, None])
-        fb, wb = f[b], w[b]
-        # numpy sums each row on its own, so a score does not depend on the block
-        fb[:] = _norm(d_re, d_im, p)
-        wb[:, 0] = _sigmoid(fb[:, 0] - margin) / B
-        wb[:, 1:] = -_sigmoid(margin - fb[:, 1:]) / R / B
-        v_re, v_im = _unit(d_re, d_im, fb, np.where(np.abs(wb) >= FLUSH_BELOW, wb, 0.0), p)
+    # vectors broadcast over its quadruples; it touches only its own slices,
+    # so workers take runs of whole blocks. numpy's error state is per
+    # thread, so the workers set their own
+    @np.errstate(invalid="ignore")
+    def work_blocks(start: int, stop: int) -> None:
+        for lo in range(start * GROUPS_PER_BLOCK, min(stop * GROUPS_PER_BLOCK, B),
+                        GROUPS_PER_BLOCK):
+            b = slice(lo, min(lo + GROUPS_PER_BLOCK, B))
+            c, sn = cos[at[b]], sin[at[b]]
+            cq, sq = c[:, None], sn[:, None]
+            e = free[b]
+            t_re, t_im = _rotate(params.ent_re[e], params.ent_im[e], cq, sq)
+            S_re, S_im = _rotate(params.ent_re[s[b]], params.ent_im[s[b]], c, sn)
+            Q_re, Q_im = t_re[:, 0], -t_im[:, 0]  # conj(rot(o)), from the positive's row
+            r_re, r_im = params.rel_re[slot[b]], params.rel_im[slot[b]]
+            # each group's query vectors, the object side's (from s) and the
+            # subject side's (from o); d' = rot(e) - x is the difference d with
+            # its real part negated on the object side, and d itself on the other
+            xo_re, xo_im = _query(S_re, S_im, r_re, r_im, True)
+            xs_re, xs_im = _query(t_re[:, 0], t_im[:, 0], r_re, r_im, False)
+            side = obj_side[b, :, None]
+            d_re = t_re - np.where(side, xo_re[:, None], xs_re[:, None])
+            d_im = t_im - np.where(side, xo_im[:, None], xs_im[:, None])
+            fb, wb = f[b], w[b]
+            # numpy sums each row on its own, so a score does not depend on the block
+            fb[:] = _norm(d_re, d_im, p)
+            wb[:, 0] = _sigmoid(fb[:, 0] - margin) / B
+            wb[:, 1:] = -_sigmoid(margin - fb[:, 1:]) / R / B
+            v_re, v_im = _unit(d_re, d_im, fb, np.where(np.abs(wb) >= FLUSH_BELOW, wb, 0.0), p)
 
-        # einsum adds a group's terms in order on any CPU; a BLAS product's
-        # order, and so the trained bits, would depend on the kernel it picks
-        (A_re, C_re, D_re), (A_im, C_im, D_im) = (
-            np.einsum("gsq,gqk->sgk", sums[b], v) for sums, v in ((sums_re, v_re), (sums_im, v_im)))
-        # the phase gradient u_im*re(P) - u_re*im(P), P = rot(s) + conj(rot(o)),
-        # is Im(v conj(rot(e))) per quadruple plus terms in each side's sum
-        cross = v_im * t_re
-        cross -= v_re * t_im
-        g_grp[2, b] = cross.sum(axis=1)
-        g_grp[2, b] += S_re * A_im - S_im * A_re
-        g_grp[2, b] += Q_re * D_im - Q_im * D_re
-        g_grp[0, b] = A_re + D_re
-        g_grp[1, b] = A_im + D_im
-        # entity gradients: v (or a side's u) rotated by the conjugate phasor
-        ent_re, ent_im = g_ent[0, b], g_ent[1, b]
-        np.multiply(v_re, cq, out=ent_re[:, 1:])
-        ent_re[:, 1:] += v_im * sq
-        np.multiply(v_im, cq, out=ent_im[:, 1:])
-        ent_im[:, 1:] -= v_re * sq
-        ent_re[:, 0], ent_im[:, 0] = _rotate(A_re, A_im, c, -sn)
-        ent_re[:, 1], ent_im[:, 1] = _rotate(-C_re, C_im, c, -sn)
+            # einsum adds a group's terms in order on any CPU; a BLAS product's
+            # order, and so the trained bits, would depend on the kernel it picks
+            (A_re, C_re, D_re), (A_im, C_im, D_im) = (
+                np.einsum("gsq,gqk->sgk", sums[b], v)
+                for sums, v in ((sums_re, v_re), (sums_im, v_im)))
+            # the phase gradient u_im*re(P) - u_re*im(P), P = rot(s) + conj(rot(o)),
+            # is Im(v conj(rot(e))) per quadruple plus terms in each side's sum
+            cross = v_im * t_re
+            cross -= v_re * t_im
+            g_grp[2, b] = cross.sum(axis=1)
+            g_grp[2, b] += S_re * A_im - S_im * A_re
+            g_grp[2, b] += Q_re * D_im - Q_im * D_re
+            g_grp[0, b] = A_re + D_re
+            g_grp[1, b] = A_im + D_im
+            # entity gradients: v (or a side's u) rotated by the conjugate phasor
+            ent_re, ent_im = g_ent[0, b], g_ent[1, b]
+            np.multiply(v_re, cq, out=ent_re[:, 1:])
+            ent_re[:, 1:] += v_im * sq
+            np.multiply(v_im, cq, out=ent_im[:, 1:])
+            ent_im[:, 1:] -= v_re * sq
+            ent_re[:, 0], ent_im[:, 0] = _rotate(A_re, A_im, c, -sn)
+            ent_re[:, 1], ent_im[:, 1] = _rotate(-C_re, C_im, c, -sn)
+
+    on_workers(work_blocks, -(-B // GROUPS_PER_BLOCK))
 
     total = float((_softplus(f[:, 0] - margin) + _softplus(margin - f[:, 1:]).sum(axis=1) / R
                    ).mean())
@@ -305,12 +335,11 @@ def loss_and_grads(params: ModelParams, pos: np.ndarray, repl: np.ndarray, obj: 
                                (live & ~obj_side).any(axis=1, keepdims=True) | live[:, :1],
                                live[:, 1:]], axis=1)
     ent_idx = np.where(live_ent, np.concatenate([pos[:, [0, 2]], repl], axis=1), -1)
-    ent_rows, (g_ent_re, g_ent_im) = _scatter_rows(ent_idx.ravel(),
-                                                   list(g_ent.reshape(2, -1, k)))
     live_grp = live.any(axis=1)
-    rel_rows, (g_rel_re, g_rel_im) = _scatter_rows(np.where(live_grp, slot, -1),
-                                                   list(g_grp[:2]))
-    tau_rows, (g_tau,) = _scatter_rows(np.where(live_grp, tau, -1), [g_grp[2]])
+    (ent_rows, (g_ent_re, g_ent_im)), (rel_rows, (g_rel_re, g_rel_im)), (tau_rows, (g_tau,)) = (
+        _scatter_rows([(ent_idx.ravel(), list(g_ent.reshape(2, -1, k))),
+                       (np.where(live_grp, slot, -1), list(g_grp[:2])),
+                       (np.where(live_grp, tau, -1), [g_grp[2]])]))
     return total, {"ent_re": (ent_rows, g_ent_re), "ent_im": (ent_rows, g_ent_im),
                    "rel_re": (rel_rows, g_rel_re), "rel_im": (rel_rows, g_rel_im),
                    "phase": (tau_rows, g_tau)}
@@ -325,19 +354,25 @@ def apply_adagrad(params: ModelParams, acc: dict[str, np.ndarray],
     maps a table name to ``(rows, g)`` with unique ``rows``, as
     ``loss_and_grads`` returns it; only those rows of the table and of G
     are read or written, BLOCK_ROWS rows at a time. The float64 step rounds
-    into the storage dtype on assignment.
+    into the storage dtype on assignment. The blocks of every table run on
+    ``model.on_workers``; each touches only its own rows, so the result does
+    not depend on the worker count.
     """
     arrays = params.arrays()
-    for name, (rows, g) in grads.items():
+    for name in grads:
         if name not in acc:
             acc[name] = np.zeros(arrays[name].shape)
-        table, acc_table = arrays[name], acc[name]
-        for lo in range(0, len(rows), BLOCK_ROWS):
-            r, g_b = rows[lo: lo + BLOCK_ROWS], g[lo: lo + BLOCK_ROWS]
+    blocks = [(arrays[name], acc[name], rows[lo: lo + BLOCK_ROWS], g[lo: lo + BLOCK_ROWS])
+              for name, (rows, g) in grads.items() for lo in range(0, len(rows), BLOCK_ROWS)]
+
+    def update(lo: int, hi: int) -> None:
+        for table, acc_table, r, g_b in blocks[lo:hi]:
             g_sum = acc_table[r]
             g_sum += g_b * g_b
             acc_table[r] = g_sum
             table[r] -= lr * g_b / (np.sqrt(g_sum) + ADAGRAD_EPS)
+
+    on_workers(update, len(blocks))
 
 
 def grad_step(params: ModelParams, acc: dict[str, np.ndarray], pos: np.ndarray,
@@ -364,8 +399,10 @@ def train(train_facts: Sequence[Quadruple], valid_facts: Sequence[Quadruple],
     before a later step fails; ``train`` writes and prints nothing. Stops at
     ``max_epochs`` or after ``patience`` consecutive validations without
     improvement. Returns the best snapshot (the final params if validation
-    never ran) and the per-validation history. Validation screens on one
-    worker per CPU in the process's affinity set (``evaluation.evaluate``).
+    never ran) and the per-validation history. The training step and
+    validation's screen (``evaluation.evaluate``) each run on one worker per
+    CPU in the process's affinity set, and the trained bits are the same at
+    any count.
     """
     if not train_facts:
         raise ValueError("empty training set")

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -546,6 +548,81 @@ class TestAdagrad:
         pos = np.array([[0, 0, 1, 0]])
         repl, obj = np.array([[2]]), np.array([[False]])
         cfg = TrainConfig(k=2, batch_size=1, neg_ratio=1, margin=2.0, lr=0.1, seed=0)
+        with pytest.raises(NumericalError):
+            grad_step(params, zero_acc(params), pos, repl, obj, cfg)
+
+
+class TestWorkers:
+    """The step's blocks, scatter and Adagrad run on ``model.on_workers``."""
+
+    def run(self, n_pos, norm_p, dual):
+        """Bytes of one ``loss_and_grads``, one ``apply_adagrad`` and 3 chained ``grad_step``s.
+
+        Each call's worker threads have ended when it returns.
+        """
+        params = init_params(70, 4, 6, 12, dual=dual, seed=n_pos, norm_p=norm_p)
+        pos, repl, obj = two_sided_batch(params, n_pos, 5, seed=n_pos + 1)
+        cfg = TrainConfig(k=12, batch_size=n_pos, neg_ratio=5, margin=8.0, lr=0.3, seed=0)
+        before = threading.active_count()
+        loss, grads = loss_and_grads(params, pos, repl, obj, cfg.margin)
+        assert threading.active_count() == before
+        stepped, acc = params.copy(), {}
+        apply_adagrad(stepped, acc, grads, cfg.lr)
+        assert threading.active_count() == before
+        chained, chained_acc = params.copy(), {}
+        losses = [grad_step(chained, chained_acc, pos, repl, obj, cfg) for _ in range(3)]
+        assert threading.active_count() == before
+        return ([loss, *losses],
+                [a.tobytes() for rows_g in grads.values() for a in rows_g]
+                + [a.tobytes() for p in (stepped, chained) for a in p.arrays().values()]
+                + [a.tobytes() for tables in (acc, chained_acc) for a in tables.values()])
+
+    # 1 and 15 positives are one short block and 17 a full and a short one,
+    # so the workers outnumber the blocks; 512 positives are 32 blocks
+    @pytest.mark.parametrize("n_pos", [1, 15, 17, 512])
+    @pytest.mark.parametrize("norm_p,dual", [(1, False), (2, False), (1, True)])
+    def test_worker_count_does_not_change_the_step(self, monkeypatch, n_pos, norm_p, dual):
+        made = []
+        executor = model.ThreadPoolExecutor
+        monkeypatch.setattr(model, "ThreadPoolExecutor",
+                            lambda **kw: made.append(kw["max_workers"]) or executor(**kw))
+        monkeypatch.setattr(model, "usable_cpus", lambda: 1)
+        want = self.run(n_pos, norm_p, dual)
+        assert set(made) == {1}
+        n_blocks = -(-n_pos // training.GROUPS_PER_BLOCK)
+        for count in (2, 3, 8):
+            made.clear()
+            monkeypatch.setattr(model, "usable_cpus", lambda: count)
+            assert self.run(n_pos, norm_p, dual) == want, count
+            # the first pool is loss_and_grads' blocks
+            assert made[0] == min(count, n_blocks) and max(made) > 1
+
+    def test_many_workers_under_fast_switching(self, monkeypatch):
+        # 8 workers hand the interpreter over every microsecond; a lost or
+        # misplaced write to a shared array would change the bytes
+        monkeypatch.setattr(model, "usable_cpus", lambda: 1)
+        want = self.run(512, 1, False)
+        monkeypatch.setattr(model, "usable_cpus", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                assert self.run(512, 1, False) == want
+        finally:
+            sys.setswitchinterval(interval)
+
+    # numpy's error state is per thread: a worker that does not set its own
+    # warns on the nan that the check after the blocks reports
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("count", [2, 8])
+    def test_non_finite_params_raise_on_every_worker(self, monkeypatch, count):
+        monkeypatch.setattr(model, "usable_cpus", lambda: count)
+        params = init_params(30, 2, 3, 4, dual=False, seed=19)
+        pos, repl, obj = two_sided_batch(params, 100, 3, seed=4)
+        # a subject of the last block, which the last worker takes
+        params.ent_re[pos[-1, 0]] = np.inf
+        params.ent_im[pos[-1, 0]] = np.inf
+        cfg = TrainConfig(k=4, batch_size=100, neg_ratio=3, margin=2.0, lr=0.1, seed=0)
         with pytest.raises(NumericalError):
             grad_step(params, zero_acc(params), pos, repl, obj, cfg)
 
