@@ -31,10 +31,10 @@ multiply. At p=1 a row scores as 2*sum(max(rot(e), x)) - sum(rot(e)) -
 sum(x), one ``np.maximum`` pass per query and no subtraction; at p=2 it
 subtracts and squares. Rows are summed by BLAS products over chunks of at
 most SUM_COLS columns, then in float64, which bounds the float32 roundings
-any term meets. One worker thread per CPU in the process's affinity set
-takes a contiguous run of whole blocks (``on_workers``, which the training
-step's blocks, scatter and Adagrad use too), so the screen's values do not
-depend on their number. ``screen_band`` bounds the screen's error against
+any term meets. One worker per CPU in the process's affinity set takes a
+contiguous run of whole blocks (``on_workers``, which the training step's
+blocks and Adagrad use too), so the screen's values do not depend on their
+number. ``screen_band`` bounds the screen's error against
 ``score_quads``, and ``score_quads`` rescores only the gathered candidates
 the screen cannot order (~5-6 per query on the ICEWS14 shape), so ranks
 equal those of ``score_quads`` over every candidate.
@@ -50,7 +50,7 @@ import contextlib
 import functools
 import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable
 
@@ -88,6 +88,15 @@ SUM_COLS = 40
 # differences holds this many blocks (512 KB at k=500), which stay in L2
 # beside its rotated block
 QUERIES_PER_OP = 2
+# bytes of operands of one numpy call of a unit of ``on_workers`` work below
+# which the work takes one worker: such calls hold the interpreter lock for
+# most of their time, so workers take turns at it and run slower than one.
+# On a 2-core Xeon (numpy 2.4.6, Python 3.11), 2 workers took 1.08-1.17,
+# 0.85-0.94 and 0.69-0.89 times one worker's time over the training step's
+# blocks at 70, 141 and 352 KB a block (k=100, 200 and 500; batches of 32 to
+# 512), and 1.21-1.25, 1.06-1.08 and 0.73-1.02 times over Adagrad's at 51,
+# 102 and 256 KB
+WORKER_BYTES = 1 << 17
 U32 = 2.0 ** -24  # unit roundoff of float32
 
 
@@ -245,9 +254,9 @@ def score_step(params: ModelParams, tau: int, anchors, slots, sides,
     few float32 roundings (``screen_band``).
 
     ``on_workers`` splits the blocks into ``min(usable_cpus(), blocks)``
-    contiguous runs, one per pool thread with its own buffers. Every block
-    keeps its rows and arithmetic, so the result is bit-identical for every
-    worker count.
+    contiguous runs, one for the calling thread and one per pool thread,
+    each with its own buffers. Every block keeps its rows and arithmetic, so
+    the result is bit-identical for every worker count.
     """
     _check_ids(params, anchors, slots, tau)
     for side in sides:
@@ -315,20 +324,32 @@ def _screen_blocks(params: ModelParams, z, x, x_sums, out, first: int, last: int
         out[:, e] = sums
 
 
-def on_workers(work: Callable[[int, int], object], n: int) -> None:
+def on_workers(work: Callable[[int, int], object], n: int, unit_bytes: int | None = None,
+               pool: ThreadPoolExecutor | None = None) -> None:
     """Run ``work(lo, hi)`` over contiguous runs ``lo:hi`` that cover ``range(n)``.
 
-    Each of ``min(usable_cpus(), n)`` pool threads (one when n is 0) takes
-    one run, a lone thread too, so no unit runs on the calling thread;
-    ``taskset`` narrows the affinity set and so the count. Callers whose
-    units read and write only their own slices get the same bits at every
-    count. The threads have ended when this returns, and a worker's error
-    is raised here.
+    There are ``min(usable_cpus(), n)`` runs, or one when n is 0 or when
+    ``unit_bytes``, the operands of a unit's numpy calls where the caller
+    gives them, are fewer than WORKER_BYTES. The calling thread takes the
+    first run, so one run is a plain call; threads of ``pool`` take the
+    others. Without a pool the call makes one and ends its threads before
+    it returns. ``taskset`` narrows the affinity set and so the count.
+    Callers whose units read and write only their own slices get the same
+    bits at every count. A worker's error is raised here, after every run
+    has ended.
     """
-    workers = max(min(usable_cpus(), n), 1)
+    small = unit_bytes is not None and unit_bytes < WORKER_BYTES
+    workers = max(min(usable_cpus(), 1 if small else n), 1)
     cuts = [i * n // workers for i in range(workers + 1)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(work, cuts[:-1], cuts[1:]))
+    with (ThreadPoolExecutor(max_workers=workers) if pool is None
+          else contextlib.nullcontext(pool)) as threads:
+        others = [threads.submit(work, lo, hi) for lo, hi in zip(cuts[1:-1], cuts[2:])]
+        try:
+            work(cuts[0], cuts[1])
+        finally:
+            wait(others)
+        for future in others:
+            future.result()
 
 
 def usable_cpus() -> int:

@@ -27,18 +27,20 @@ two query vectors once, with the helpers every scorer uses
 gathered and rotated entity, and sums each group's relation, phase and
 shared-entity gradients before the scatter, which adds the rows that
 share an index in float64. Adagrad updates the touched rows BLOCK_ROWS at
-a time. Like the evaluation screen, the step uses one worker thread per
-CPU in the process's affinity set (``model.on_workers``): each takes a
-contiguous run of whole blocks of groups, of the scatter's tables and of
-Adagrad's row blocks. Every block reads and writes only its own slices, so
-each float operation, and its order, is the same at any worker count, and
-so are the trained bits. Scores for evaluation come from
-``model.score_quads``, not from the training step.
+a time. Like the evaluation screen, the step uses one worker per CPU in
+the process's affinity set (``model.on_workers``), the calling thread and
+threads of a pool that ``train`` starts once: each takes a contiguous run
+of whole blocks of groups, then of Adagrad's row blocks, unless the blocks
+are too small to pay for a thread (``model.WORKER_BYTES``). Every block
+writes only its own slices, so each float operation, and its order, is the
+same at any worker count, and so are the trained bits. Scores for
+evaluation come from ``model.score_quads``, not from the training step.
 """
 
 from __future__ import annotations
 
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -46,7 +48,8 @@ import numpy as np
 
 from . import evaluation
 from .data import Dataset, Quadruple, TimeBinning, Vocab, expand_for_training
-from .model import BLOCK_ROWS, ModelParams, _norm, _query, _rotate, init_params, on_workers
+from .model import (BLOCK_ROWS, ModelParams, _norm, _query, _rotate, init_params, on_workers,
+                    usable_cpus)
 
 ADAGRAD_EPS = 1e-10
 # loss weights below this carry no representable update
@@ -55,9 +58,9 @@ FLUSH_BELOW = 1e-30
 # quadruples at 10 negatives. 16-step ICEWS14-shaped train() calls (k=500,
 # batch 512) took 1.62, 1.48, 1.51, 1.58 and 1.62 s at 8, 12, 16, 24 and 32
 # groups per block (medians of 4 alternated rounds, 2-core Xeon, one
-# thread). Workers take contiguous runs of whole blocks, one worker per CPU
-# of the affinity set, and each block in flight holds its own temporaries;
-# the result depends on neither the block size nor the worker count
+# thread). Workers take contiguous runs of whole blocks, and each block in
+# flight holds its own temporaries; the result depends on neither the block
+# size nor the worker count
 GROUPS_PER_BLOCK = 16
 
 
@@ -154,42 +157,30 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
 
 
-def _scatter_rows(sets: Sequence[tuple[np.ndarray, Sequence[np.ndarray]]],
-                  ) -> list[tuple[np.ndarray, list[np.ndarray]]]:
+def _scatter_rows(idx: np.ndarray,
+                  vals: Sequence[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
     """Sum value rows that share a row index, over the touched rows only.
 
-    Each set is ``(idx, vals)``: ``vals`` are (len(idx), k) tables indexed
-    alike by ``idx``; rows with a negative index are skipped. Returns, per
-    set, the sorted unique indices ``rows`` and, per table, a
-    (len(rows), k) float64 table whose row i is the sum, in input order, of
-    the value rows with index ``rows[i]``. A stable sort lines the rows up
-    by index; the first row of each index is copied, then the j-th is added
-    to every index that has one, for j = 2, 3, ..., so each value row is
-    read once. The tables of every set are summed one per task on
-    ``model.on_workers``.
+    ``vals`` are (len(idx), k) tables indexed alike by ``idx``; rows with a
+    negative index are skipped. Returns the sorted unique indices ``rows``
+    and, per table, a (len(rows), k) float64 table whose row i is the sum,
+    in input order, of the value rows with index ``rows[i]``. A stable sort
+    lines the rows up by index; the first row of each index is copied, then
+    the j-th is added to every index that has one, for j = 2, 3, ..., so
+    each value row is read once.
     """
-    out, tasks = [], []
-    for idx, vals in sets:
-        order = np.argsort(idx, kind="stable")
-        order = order[np.searchsorted(idx[order], 0):]
-        sorted_idx = idx[order]
-        first = np.flatnonzero(np.diff(sorted_idx, prepend=-1))
-        count = np.diff(first, append=len(order))
-        # the j-th rows: the indices that have one, and where their value rows are
-        adds = [(more, order[first[more] + j])
-                for j in range(1, count.max(initial=0)) for more in [np.flatnonzero(count > j)]]
-        sums = [np.empty((len(first), v.shape[1])) for v in vals]
-        tasks += [(v, g, order[first], adds) for v, g in zip(vals, sums)]
-        out.append((sorted_idx[first], sums))
-
-    def add_up(lo: int, hi: int) -> None:
-        for v, g, firsts, adds in tasks[lo:hi]:
-            g[:] = v[firsts]
-            for more, src in adds:
-                g[more] += v[src]
-
-    on_workers(add_up, len(tasks))
-    return out
+    order = np.argsort(idx, kind="stable")
+    order = order[np.searchsorted(idx[order], 0):]
+    sorted_idx = idx[order]
+    first = np.flatnonzero(np.diff(sorted_idx, prepend=-1))
+    count = np.diff(first, append=len(order))
+    out = [v[order[first]].astype(np.float64) for v in vals]
+    for j in range(1, count.max(initial=0)):
+        more = np.flatnonzero(count > j)
+        src = order[first[more] + j]
+        for v, g in zip(vals, out):
+            g[more] += v[src]
+    return sorted_idx[first], out
 
 
 def _unit(d_re: np.ndarray, d_im: np.ndarray, f: np.ndarray, w: np.ndarray, p: int):
@@ -210,7 +201,8 @@ def _unit(d_re: np.ndarray, d_im: np.ndarray, f: np.ndarray, w: np.ndarray, p: i
 # non-finite params make nan in the blocks; the check after them reports it
 @np.errstate(invalid="ignore")
 def loss_and_grads(params: ModelParams, pos: np.ndarray, repl: np.ndarray, obj: np.ndarray,
-                   margin: float) -> tuple[float, dict[str, tuple[np.ndarray, np.ndarray]]]:
+                   margin: float, pool: ThreadPoolExecutor | None = None,
+                   ) -> tuple[float, dict[str, tuple[np.ndarray, np.ndarray]]]:
     """Mean batch loss and row-sparse analytic gradients for every table.
 
     ``repl`` and ``obj`` are the (B, R) negatives of the (B, 4) positives
@@ -241,9 +233,10 @@ def loss_and_grads(params: ModelParams, pos: np.ndarray, repl: np.ndarray, obj: 
     the positive and the subject side), and one row per live negative, for
     its free entity. The group sums are products with a fixed matrix per
     group, so the result does not depend on GROUPS_PER_BLOCK. The blocks
-    run on ``model.on_workers``, a contiguous run of them per worker, and
-    each writes only its own rows of the batch's scores, weights and group
-    gradients, so neither does it depend on the worker count.
+    run on ``model.on_workers``, a contiguous run of them per worker, with
+    threads of ``pool`` if given, and each writes only its own rows of the
+    batch's scores, weights and group gradients, so neither does the result
+    depend on the worker count.
     """
     (B, R), p = repl.shape, params.norm_p
     # each group's free entities and object-side flags, the positive first
@@ -323,7 +316,8 @@ def loss_and_grads(params: ModelParams, pos: np.ndarray, repl: np.ndarray, obj: 
             ent_re[:, 0], ent_im[:, 0] = _rotate(A_re, A_im, c, -sn)
             ent_re[:, 1], ent_im[:, 1] = _rotate(-C_re, C_im, c, -sn)
 
-    on_workers(work_blocks, -(-B // GROUPS_PER_BLOCK))
+    on_workers(work_blocks, -(-B // GROUPS_PER_BLOCK),
+               GROUPS_PER_BLOCK * (R + 1) * k * dtype.itemsize, pool)
 
     total = float((_softplus(f[:, 0] - margin) + _softplus(margin - f[:, 1:]).sum(axis=1) / R
                    ).mean())
@@ -335,18 +329,20 @@ def loss_and_grads(params: ModelParams, pos: np.ndarray, repl: np.ndarray, obj: 
                                (live & ~obj_side).any(axis=1, keepdims=True) | live[:, :1],
                                live[:, 1:]], axis=1)
     ent_idx = np.where(live_ent, np.concatenate([pos[:, [0, 2]], repl], axis=1), -1)
+    ent_rows, (g_ent_re, g_ent_im) = _scatter_rows(ent_idx.ravel(),
+                                                   list(g_ent.reshape(2, -1, k)))
     live_grp = live.any(axis=1)
-    (ent_rows, (g_ent_re, g_ent_im)), (rel_rows, (g_rel_re, g_rel_im)), (tau_rows, (g_tau,)) = (
-        _scatter_rows([(ent_idx.ravel(), list(g_ent.reshape(2, -1, k))),
-                       (np.where(live_grp, slot, -1), list(g_grp[:2])),
-                       (np.where(live_grp, tau, -1), [g_grp[2]])]))
+    rel_rows, (g_rel_re, g_rel_im) = _scatter_rows(np.where(live_grp, slot, -1),
+                                                   list(g_grp[:2]))
+    tau_rows, (g_tau,) = _scatter_rows(np.where(live_grp, tau, -1), [g_grp[2]])
     return total, {"ent_re": (ent_rows, g_ent_re), "ent_im": (ent_rows, g_ent_im),
                    "rel_re": (rel_rows, g_rel_re), "rel_im": (rel_rows, g_rel_im),
                    "phase": (tau_rows, g_tau)}
 
 
 def apply_adagrad(params: ModelParams, acc: dict[str, np.ndarray],
-                  grads: dict[str, tuple[np.ndarray, np.ndarray]], lr: float) -> None:
+                  grads: dict[str, tuple[np.ndarray, np.ndarray]], lr: float,
+                  pool: ThreadPoolExecutor | None = None) -> None:
     """In-place Adagrad on the given rows: G += g^2, x -= lr * g / (sqrt(G) + eps).
 
     ``acc`` holds G by table name, float64 (squared gradients underflow
@@ -355,8 +351,8 @@ def apply_adagrad(params: ModelParams, acc: dict[str, np.ndarray],
     ``loss_and_grads`` returns it; only those rows of the table and of G
     are read or written, BLOCK_ROWS rows at a time. The float64 step rounds
     into the storage dtype on assignment. The blocks of every table run on
-    ``model.on_workers``; each touches only its own rows, so the result does
-    not depend on the worker count.
+    ``model.on_workers``, with threads of ``pool`` if given; each touches
+    only its own rows, so the result does not depend on the worker count.
     """
     arrays = params.arrays()
     for name in grads:
@@ -372,16 +368,18 @@ def apply_adagrad(params: ModelParams, acc: dict[str, np.ndarray],
             acc_table[r] = g_sum
             table[r] -= lr * g_b / (np.sqrt(g_sum) + ADAGRAD_EPS)
 
-    on_workers(update, len(blocks))
+    on_workers(update, len(blocks), BLOCK_ROWS * params.k * 8, pool)  # float64 rows of g
 
 
 def grad_step(params: ModelParams, acc: dict[str, np.ndarray], pos: np.ndarray,
-              repl: np.ndarray, obj: np.ndarray, config: TrainConfig) -> float:
+              repl: np.ndarray, obj: np.ndarray, config: TrainConfig,
+              pool: ThreadPoolExecutor | None = None) -> float:
     """One optimization step over a batch of positives and their negatives
     ``(repl, obj)``, as ``loss_and_grads`` takes them; mutates params and
-    acc, returns mean loss."""
-    total, grads = loss_and_grads(params, pos, repl, obj, config.margin)
-    apply_adagrad(params, acc, grads, config.lr)
+    acc, returns mean loss. ``pool`` lends its threads to both phases
+    (``model.on_workers``)."""
+    total, grads = loss_and_grads(params, pos, repl, obj, config.margin, pool)
+    apply_adagrad(params, acc, grads, config.lr, pool)
     return total
 
 
@@ -402,7 +400,7 @@ def train(train_facts: Sequence[Quadruple], valid_facts: Sequence[Quadruple],
     never ran) and the per-validation history. The training step and
     validation's screen (``evaluation.evaluate``) each run on one worker per
     CPU in the process's affinity set, and the trained bits are the same at
-    any count.
+    any count; the step's pool threads start once per call.
     """
     if not train_facts:
         raise ValueError("empty training set")
@@ -420,29 +418,31 @@ def train(train_facts: Sequence[Quadruple], valid_facts: Sequence[Quadruple],
     history: list[ValidationRecord] = []
     best, best_mrr, bad_validations = None, -1.0, 0
     start = time.perf_counter()
-    for epoch in range(1, config.max_epochs + 1):
-        order = rng.permutation(len(quads))
-        epoch_loss = 0.0
-        for lo in range(0, len(quads), config.batch_size):
-            pos = quads[order[lo: lo + config.batch_size]]
-            repl, obj = _corrupt_batch(pos, config.neg_ratio, vocab.n_entities, rng)
-            epoch_loss += grad_step(params, acc, pos, repl, obj, config) * len(pos)
-        epoch_loss /= len(quads)
+    # the step's worker threads, started once for the whole run
+    with ThreadPoolExecutor(max_workers=usable_cpus()) as pool:
+        for epoch in range(1, config.max_epochs + 1):
+            order = rng.permutation(len(quads))
+            epoch_loss = 0.0
+            for lo in range(0, len(quads), config.batch_size):
+                pos = quads[order[lo: lo + config.batch_size]]
+                repl, obj = _corrupt_batch(pos, config.neg_ratio, vocab.n_entities, rng)
+                epoch_loss += grad_step(params, acc, pos, repl, obj, config, pool) * len(pos)
+            epoch_loss /= len(quads)
 
-        if filter_set is not None and epoch % config.valid_every == 0:
-            report = evaluation.evaluate(params, valid_facts, filter_set, binning)
-            rec = ValidationRecord(epoch, epoch_loss, report.mrr, report.hits1,
-                                   report.hits3, report.hits10, time.perf_counter() - start)
-            history.append(rec)
-            snapshot = params.copy() if report.mrr > best_mrr else None
-            if snapshot is None:
-                bad_validations += 1
-            else:
-                best, best_mrr, bad_validations = snapshot, report.mrr, 0
-            if on_validation is not None:
-                on_validation(rec, snapshot)
-            if snapshot is None and bad_validations >= config.patience:
-                break
+            if filter_set is not None and epoch % config.valid_every == 0:
+                report = evaluation.evaluate(params, valid_facts, filter_set, binning)
+                rec = ValidationRecord(epoch, epoch_loss, report.mrr, report.hits1,
+                                       report.hits3, report.hits10, time.perf_counter() - start)
+                history.append(rec)
+                snapshot = params.copy() if report.mrr > best_mrr else None
+                if snapshot is None:
+                    bad_validations += 1
+                else:
+                    best, best_mrr, bad_validations = snapshot, report.mrr, 0
+                if on_validation is not None:
+                    on_validation(rec, snapshot)
+                if snapshot is None and bad_validations >= config.patience:
+                    break
     return (params if best is None else best), history
 
 

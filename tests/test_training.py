@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -553,12 +554,14 @@ class TestAdagrad:
 
 
 class TestWorkers:
-    """The step's blocks, scatter and Adagrad run on ``model.on_workers``."""
+    """The step's blocks and Adagrad run on ``model.on_workers``."""
 
     def run(self, n_pos, norm_p, dual):
         """Bytes of one ``loss_and_grads``, one ``apply_adagrad`` and 3 chained ``grad_step``s.
 
-        Each call's worker threads have ended when it returns.
+        The chained steps share one pool, as ``train`` does; the other
+        calls make their own. Each pool's threads have ended when it is
+        shut down.
         """
         params = init_params(70, 4, 6, 12, dual=dual, seed=n_pos, norm_p=norm_p)
         pos, repl, obj = two_sided_batch(params, n_pos, 5, seed=n_pos + 1)
@@ -570,7 +573,9 @@ class TestWorkers:
         apply_adagrad(stepped, acc, grads, cfg.lr)
         assert threading.active_count() == before
         chained, chained_acc = params.copy(), {}
-        losses = [grad_step(chained, chained_acc, pos, repl, obj, cfg) for _ in range(3)]
+        with ThreadPoolExecutor(max_workers=model.usable_cpus()) as pool:
+            losses = [grad_step(chained, chained_acc, pos, repl, obj, cfg, pool)
+                      for _ in range(3)]
         assert threading.active_count() == before
         return ([loss, *losses],
                 [a.tobytes() for rows_g in grads.values() for a in rows_g]
@@ -586,20 +591,65 @@ class TestWorkers:
         executor = model.ThreadPoolExecutor
         monkeypatch.setattr(model, "ThreadPoolExecutor",
                             lambda **kw: made.append(kw["max_workers"]) or executor(**kw))
+        monkeypatch.setattr(model, "WORKER_BYTES", 0)  # these units are small
         monkeypatch.setattr(model, "usable_cpus", lambda: 1)
         want = self.run(n_pos, norm_p, dual)
-        assert set(made) == {1}
+        assert made == [1, 1]
         n_blocks = -(-n_pos // training.GROUPS_PER_BLOCK)
         for count in (2, 3, 8):
             made.clear()
             monkeypatch.setattr(model, "usable_cpus", lambda: count)
             assert self.run(n_pos, norm_p, dual) == want, count
-            # the first pool is loss_and_grads' blocks
-            assert made[0] == min(count, n_blocks) and max(made) > 1
+            # loss_and_grads' blocks, then Adagrad's blocks of every table
+            assert made[0] == min(count, n_blocks) and made[1] > 1
+
+    def test_small_units_take_one_worker(self, monkeypatch):
+        # at the real WORKER_BYTES this step's units are too small for a
+        # thread, so every run is the calling thread's
+        monkeypatch.setattr(model, "usable_cpus", lambda: 8)
+        starts = []
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda self, start=threading.Thread.start: starts.append(self)
+                            or start(self))
+        assert self.run(512, 1, False)
+        assert starts == []
+
+    def test_the_caller_takes_the_first_run(self, monkeypatch):
+        runs = []
+
+        def work(lo, hi):
+            runs.append((lo, hi, threading.get_ident()))
+
+        monkeypatch.setattr(model, "usable_cpus", lambda: 3)
+        for unit_bytes, cuts in ((None, [0, 3, 6, 10]), (model.WORKER_BYTES, [0, 3, 6, 10]),
+                                 (model.WORKER_BYTES - 1, [0, 10])):
+            runs.clear()
+            model.on_workers(work, 10, unit_bytes)
+            assert sorted(run[:2] for run in runs) == list(zip(cuts[:-1], cuts[1:]))
+            # the calling thread takes the first run, pool threads the others
+            assert [run[0] for run in runs if run[2] == threading.get_ident()] == [0]
+
+    def test_train_makes_one_pool_for_its_steps(self, monkeypatch):
+        made = []
+        executor = training.ThreadPoolExecutor
+        monkeypatch.setattr(training, "ThreadPoolExecutor",
+                            lambda **kw: made.append(kw["max_workers"]) or executor(**kw))
+        monkeypatch.setattr(model, "ThreadPoolExecutor",
+                            lambda **kw: made.append(("per call", kw)) or executor(**kw))
+        monkeypatch.setattr(model, "WORKER_BYTES", 0)
+        monkeypatch.setattr(model, "usable_cpus", lambda: 3)
+        monkeypatch.setattr(training, "usable_cpus", lambda: 3)
+        ds = temporary_relation_suite()
+        before = threading.active_count()
+        cfg = TrainConfig(k=8, batch_size=16, neg_ratio=3, max_epochs=3, seed=2)
+        train(ds.train, [], cfg, ds.binning, ds.vocab)
+        assert made == [3]
+        assert threading.active_count() == before
 
     def test_many_workers_under_fast_switching(self, monkeypatch):
         # 8 workers hand the interpreter over every microsecond; a lost or
         # misplaced write to a shared array would change the bytes
+        monkeypatch.setattr(model, "WORKER_BYTES", 0)
         monkeypatch.setattr(model, "usable_cpus", lambda: 1)
         want = self.run(512, 1, False)
         monkeypatch.setattr(model, "usable_cpus", lambda: 8)
@@ -616,6 +666,7 @@ class TestWorkers:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("count", [2, 8])
     def test_non_finite_params_raise_on_every_worker(self, monkeypatch, count):
+        monkeypatch.setattr(model, "WORKER_BYTES", 0)
         monkeypatch.setattr(model, "usable_cpus", lambda: count)
         params = init_params(30, 2, 3, 4, dual=False, seed=19)
         pos, repl, obj = two_sided_batch(params, 100, 3, seed=4)
