@@ -324,32 +324,41 @@ def _screen_blocks(params: ModelParams, z, x, x_sums, out, first: int, last: int
         out[:, e] = sums
 
 
-def on_workers(work: Callable[[int, int], object], n: int, unit_bytes: int | None = None,
-               pool: ThreadPoolExecutor | None = None) -> None:
+def on_workers(work: Callable[[int, int], object], n: int, unit_bytes: int | None = None) -> None:
     """Run ``work(lo, hi)`` over contiguous runs ``lo:hi`` that cover ``range(n)``.
 
     There are ``min(usable_cpus(), n)`` runs, or one when n is 0 or when
     ``unit_bytes``, the operands of a unit's numpy calls where the caller
     gives them, are fewer than WORKER_BYTES. The calling thread takes the
-    first run, so one run is a plain call; threads of ``pool`` take the
-    others. Without a pool the call makes one and ends its threads before
-    it returns. ``taskset`` narrows the affinity set and so the count.
-    Callers whose units read and write only their own slices get the same
-    bits at every count. A worker's error is raised here, after every run
-    has ended.
+    first run, so one run is a plain call; the threads of the process's
+    pool (``_pool``) take the others. ``taskset`` narrows the affinity set
+    and so the count. Callers whose units read and write only their own
+    slices get the same bits at every count. A worker's error is raised
+    here, after every run has ended, and leaves the pool's threads free for
+    the next call. ``work`` must not call ``on_workers``, which could then
+    wait on threads busy with ``work`` itself. Pool threads keep numpy's
+    per-thread state between calls, so each unit sets its own
+    ``np.errstate``, as ``training.loss_and_grads``' blocks do.
     """
+    cpus = usable_cpus()
     small = unit_bytes is not None and unit_bytes < WORKER_BYTES
-    workers = max(min(usable_cpus(), 1 if small else n), 1)
+    workers = max(min(cpus, 1 if small else n), 1)
     cuts = [i * n // workers for i in range(workers + 1)]
-    with (ThreadPoolExecutor(max_workers=workers) if pool is None
-          else contextlib.nullcontext(pool)) as threads:
-        others = [threads.submit(work, lo, hi) for lo, hi in zip(cuts[1:-1], cuts[2:])]
-        try:
-            work(cuts[0], cuts[1])
-        finally:
-            wait(others)
-        for future in others:
-            future.result()
+    others = [_pool(os.getpid(), cpus - 1).submit(work, lo, hi)
+              for lo, hi in zip(cuts[1:-1], cuts[2:])]
+    try:
+        work(cuts[0], cuts[1])
+    finally:
+        wait(others)
+    for future in others:
+        future.result()
+
+
+@functools.cache
+def _pool(pid: int, threads: int) -> ThreadPoolExecutor:
+    """``on_workers``' threads, started on first need and kept. Keyed on the process
+    id too: a forked child would count the parent's idle threads, which it lacks, as free."""
+    return ThreadPoolExecutor(max_workers=threads)
 
 
 def usable_cpus() -> int:

@@ -29,9 +29,9 @@ shared-entity gradients before the scatter, which adds the rows that
 share an index in float64. Adagrad updates the touched rows BLOCK_ROWS at
 a time. Like the evaluation screen, the step uses one worker per CPU in
 the process's affinity set (``model.on_workers``), the calling thread and
-threads of a pool that ``train`` starts once: each takes a contiguous run
-of whole blocks of groups, then of Adagrad's row blocks, unless the blocks
-are too small to pay for a thread (``model.WORKER_BYTES``). Every block
+the process's pool threads: each takes a contiguous run of whole blocks
+of groups, then of Adagrad's row blocks, unless the blocks are too small
+to pay for a thread (``model.WORKER_BYTES``). Every block
 writes only its own slices, so each float operation, and its order, is the
 same at any worker count, and so are the trained bits. Scores for
 evaluation come from ``model.score_quads``, not from the training step.
@@ -40,7 +40,6 @@ evaluation come from ``model.score_quads``, not from the training step.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -48,8 +47,7 @@ import numpy as np
 
 from . import evaluation
 from .data import Dataset, Quadruple, TimeBinning, Vocab, expand_for_training
-from .model import (BLOCK_ROWS, ModelParams, _norm, _query, _rotate, init_params, on_workers,
-                    usable_cpus)
+from .model import BLOCK_ROWS, ModelParams, _norm, _query, _rotate, init_params, on_workers
 
 ADAGRAD_EPS = 1e-10
 # loss weights below this carry no representable update
@@ -94,16 +92,15 @@ class TrainConfig:
     time_threshold: int | None = None
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.neg_ratio < 1:
-            raise ValueError("neg_ratio must be >= 1")
+        # the bounds of the matching rows of cli.OPTIONS; 0 epochs returns the initialization
+        for name, least in (("k", 1), ("batch_size", 1), ("neg_ratio", 1), ("max_epochs", 0),
+                            ("valid_every", 1), ("patience", 1), ("seed", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}")
         if not 0 < self.margin < np.inf:  # also rejects nan
             raise ValueError("margin must be finite and > 0")
         if not 0 < self.lr < np.inf:
             raise ValueError("lr must be finite and > 0")
-        if self.valid_every < 1:
-            raise ValueError("valid_every must be >= 1")
         if self.norm_p not in (1, 2):
             raise ValueError("norm_p must be 1 or 2")
 
@@ -201,8 +198,7 @@ def _unit(d_re: np.ndarray, d_im: np.ndarray, f: np.ndarray, w: np.ndarray, p: i
 # non-finite params make nan in the blocks; the check after them reports it
 @np.errstate(invalid="ignore")
 def loss_and_grads(params: ModelParams, pos: np.ndarray, repl: np.ndarray, obj: np.ndarray,
-                   margin: float, pool: ThreadPoolExecutor | None = None,
-                   ) -> tuple[float, dict[str, tuple[np.ndarray, np.ndarray]]]:
+                   margin: float) -> tuple[float, dict[str, tuple[np.ndarray, np.ndarray]]]:
     """Mean batch loss and row-sparse analytic gradients for every table.
 
     ``repl`` and ``obj`` are the (B, R) negatives of the (B, 4) positives
@@ -233,10 +229,9 @@ def loss_and_grads(params: ModelParams, pos: np.ndarray, repl: np.ndarray, obj: 
     the positive and the subject side), and one row per live negative, for
     its free entity. The group sums are products with a fixed matrix per
     group, so the result does not depend on GROUPS_PER_BLOCK. The blocks
-    run on ``model.on_workers``, a contiguous run of them per worker, with
-    threads of ``pool`` if given, and each writes only its own rows of the
-    batch's scores, weights and group gradients, so neither does the result
-    depend on the worker count.
+    run on ``model.on_workers``, a contiguous run of them per worker, and
+    each writes only its own rows of the batch's scores, weights and group
+    gradients, so neither does the result depend on the worker count.
     """
     (B, R), p = repl.shape, params.norm_p
     # each group's free entities and object-side flags, the positive first
@@ -317,7 +312,7 @@ def loss_and_grads(params: ModelParams, pos: np.ndarray, repl: np.ndarray, obj: 
             ent_re[:, 1], ent_im[:, 1] = _rotate(-C_re, C_im, c, -sn)
 
     on_workers(work_blocks, -(-B // GROUPS_PER_BLOCK),
-               GROUPS_PER_BLOCK * (R + 1) * k * dtype.itemsize, pool)
+               GROUPS_PER_BLOCK * (R + 1) * k * dtype.itemsize)
 
     total = float((_softplus(f[:, 0] - margin) + _softplus(margin - f[:, 1:]).sum(axis=1) / R
                    ).mean())
@@ -341,8 +336,7 @@ def loss_and_grads(params: ModelParams, pos: np.ndarray, repl: np.ndarray, obj: 
 
 
 def apply_adagrad(params: ModelParams, acc: dict[str, np.ndarray],
-                  grads: dict[str, tuple[np.ndarray, np.ndarray]], lr: float,
-                  pool: ThreadPoolExecutor | None = None) -> None:
+                  grads: dict[str, tuple[np.ndarray, np.ndarray]], lr: float) -> None:
     """In-place Adagrad on the given rows: G += g^2, x -= lr * g / (sqrt(G) + eps).
 
     ``acc`` holds G by table name, float64 (squared gradients underflow
@@ -351,8 +345,8 @@ def apply_adagrad(params: ModelParams, acc: dict[str, np.ndarray],
     ``loss_and_grads`` returns it; only those rows of the table and of G
     are read or written, BLOCK_ROWS rows at a time. The float64 step rounds
     into the storage dtype on assignment. The blocks of every table run on
-    ``model.on_workers``, with threads of ``pool`` if given; each touches
-    only its own rows, so the result does not depend on the worker count.
+    ``model.on_workers``; each touches only its own rows, so the result
+    does not depend on the worker count.
     """
     arrays = params.arrays()
     for name in grads:
@@ -368,18 +362,16 @@ def apply_adagrad(params: ModelParams, acc: dict[str, np.ndarray],
             acc_table[r] = g_sum
             table[r] -= lr * g_b / (np.sqrt(g_sum) + ADAGRAD_EPS)
 
-    on_workers(update, len(blocks), BLOCK_ROWS * params.k * 8, pool)  # float64 rows of g
+    on_workers(update, len(blocks), BLOCK_ROWS * params.k * 8)  # float64 rows of g
 
 
 def grad_step(params: ModelParams, acc: dict[str, np.ndarray], pos: np.ndarray,
-              repl: np.ndarray, obj: np.ndarray, config: TrainConfig,
-              pool: ThreadPoolExecutor | None = None) -> float:
+              repl: np.ndarray, obj: np.ndarray, config: TrainConfig) -> float:
     """One optimization step over a batch of positives and their negatives
     ``(repl, obj)``, as ``loss_and_grads`` takes them; mutates params and
-    acc, returns mean loss. ``pool`` lends its threads to both phases
-    (``model.on_workers``)."""
-    total, grads = loss_and_grads(params, pos, repl, obj, config.margin, pool)
-    apply_adagrad(params, acc, grads, config.lr, pool)
+    acc, returns mean loss. Both phases run on ``model.on_workers``."""
+    total, grads = loss_and_grads(params, pos, repl, obj, config.margin)
+    apply_adagrad(params, acc, grads, config.lr)
     return total
 
 
@@ -398,9 +390,9 @@ def train(train_facts: Sequence[Quadruple], valid_facts: Sequence[Quadruple],
     ``max_epochs`` or after ``patience`` consecutive validations without
     improvement. Returns the best snapshot (the final params if validation
     never ran) and the per-validation history. The training step and
-    validation's screen (``evaluation.evaluate``) each run on one worker per
-    CPU in the process's affinity set, and the trained bits are the same at
-    any count; the step's pool threads start once per call.
+    validation's screen (``evaluation.evaluate``) run on one worker per CPU
+    in the process's affinity set, on the process's one pool
+    (``model.on_workers``), and the trained bits are the same at any count.
     """
     if not train_facts:
         raise ValueError("empty training set")
@@ -418,31 +410,29 @@ def train(train_facts: Sequence[Quadruple], valid_facts: Sequence[Quadruple],
     history: list[ValidationRecord] = []
     best, best_mrr, bad_validations = None, -1.0, 0
     start = time.perf_counter()
-    # the step's worker threads, started once for the whole run
-    with ThreadPoolExecutor(max_workers=usable_cpus()) as pool:
-        for epoch in range(1, config.max_epochs + 1):
-            order = rng.permutation(len(quads))
-            epoch_loss = 0.0
-            for lo in range(0, len(quads), config.batch_size):
-                pos = quads[order[lo: lo + config.batch_size]]
-                repl, obj = _corrupt_batch(pos, config.neg_ratio, vocab.n_entities, rng)
-                epoch_loss += grad_step(params, acc, pos, repl, obj, config, pool) * len(pos)
-            epoch_loss /= len(quads)
+    for epoch in range(1, config.max_epochs + 1):
+        order = rng.permutation(len(quads))
+        epoch_loss = 0.0
+        for lo in range(0, len(quads), config.batch_size):
+            pos = quads[order[lo: lo + config.batch_size]]
+            repl, obj = _corrupt_batch(pos, config.neg_ratio, vocab.n_entities, rng)
+            epoch_loss += grad_step(params, acc, pos, repl, obj, config) * len(pos)
+        epoch_loss /= len(quads)
 
-            if filter_set is not None and epoch % config.valid_every == 0:
-                report = evaluation.evaluate(params, valid_facts, filter_set, binning)
-                rec = ValidationRecord(epoch, epoch_loss, report.mrr, report.hits1,
-                                       report.hits3, report.hits10, time.perf_counter() - start)
-                history.append(rec)
-                snapshot = params.copy() if report.mrr > best_mrr else None
-                if snapshot is None:
-                    bad_validations += 1
-                else:
-                    best, best_mrr, bad_validations = snapshot, report.mrr, 0
-                if on_validation is not None:
-                    on_validation(rec, snapshot)
-                if snapshot is None and bad_validations >= config.patience:
-                    break
+        if filter_set is not None and epoch % config.valid_every == 0:
+            report = evaluation.evaluate(params, valid_facts, filter_set, binning)
+            rec = ValidationRecord(epoch, epoch_loss, report.mrr, report.hits1,
+                                   report.hits3, report.hits10, time.perf_counter() - start)
+            history.append(rec)
+            snapshot = params.copy() if report.mrr > best_mrr else None
+            if snapshot is None:
+                bad_validations += 1
+            else:
+                best, best_mrr, bad_validations = snapshot, report.mrr, 0
+            if on_validation is not None:
+                on_validation(rec, snapshot)
+            if snapshot is None and bad_validations >= config.patience:
+                break
     return (params if best is None else best), history
 
 

@@ -4,6 +4,7 @@ import hypothesis
 import numpy as np
 import pytest
 
+from tero import model
 from tero.model import ModelParams, init_params
 
 hypothesis.settings.register_profile("fast", max_examples=25)
@@ -27,3 +28,18 @@ def params_from(ent: np.ndarray, rel: np.ndarray, phase: np.ndarray,
     return ModelParams(ent.real.copy(), ent.imag.copy(), rel.real.copy(), rel.imag.copy(),
                        phase.copy(), n_relations=n_relations or len(rel),
                        dual=dual, norm_p=norm_p)
+
+
+def record_runs(monkeypatch, *modules) -> list[list[tuple[int, int]]]:
+    """Patch ``on_workers`` where ``modules`` call it to record the runs
+    ``(lo, hi)`` that ``model.on_workers`` hands out, one list per call."""
+    calls, on_workers = [], model.on_workers
+
+    def recording(work, n, *args):
+        runs = []
+        calls.append(runs)
+        on_workers(lambda lo, hi: runs.append((lo, hi)) or work(lo, hi), n, *args)
+
+    for module in modules:
+        monkeypatch.setattr(module, "on_workers", recording)
+    return calls

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import params_from
+from conftest import params_from, record_runs
 from oracles import format_fact
 from tero import model, training
 from tero.cli import (COMMANDS, DEFAULTS, OPTIONS, PROFILES, build_parser, main,
@@ -663,10 +663,7 @@ class TestPredictCommand:
         binning = bin_fixed([PartialDate(2014, 1, 1), PartialDate(2014, 1, 3)], 1)
         (side / "binning.txt").write_text(binning.to_manifest(), encoding="utf-8")
         save_checkpoint(params, tmp_path / "m.tero", vocab_ref=str(side))
-        made = []
-        executor = model.ThreadPoolExecutor
-        monkeypatch.setattr(model, "ThreadPoolExecutor",
-                            lambda **kw: made.append(kw["max_workers"]) or executor(**kw))
+        calls = record_runs(monkeypatch, model)
         cpus = (1, 2, 3, 7, 8, model.usable_cpus())
         outputs = []
         for count in cpus:
@@ -675,7 +672,7 @@ class TestPredictCommand:
                 assert main(["predict", "--checkpoint", str(tmp_path / "m.tero"), *query,
                              "--relation", "r1", "--time", "2014-01-02", "--top-n", "12"]) == 0
                 outputs.append(capsys.readouterr().out)
-        assert made == [w for count in cpus for w in 2 * [min(count, 4)]]
+        assert [len(runs) for runs in calls] == [w for count in cpus for w in 2 * [min(count, 4)]]
         assert len(outputs[0].splitlines()) == 12
         assert all(outputs[i:i + 2] == outputs[0:2] for i in range(0, len(outputs), 2))
 

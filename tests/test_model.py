@@ -1,14 +1,13 @@
 import cmath
 import struct
 import sys
-import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import params_from
+from conftest import params_from, record_runs
 from oracles import fact_score_oracle, param_count, rotate_oracle, score_one, score_oracle
 from tero.data import PartialDate, Quadruple, TimeAnnotation, bin_threshold
 from tero import model
@@ -305,10 +304,7 @@ class TestBatchScoring:
         # 1 to 4 row blocks, the last one short at 63, 65 and 200 entities,
         # split over up to 8 workers; an odd query count leaves the last
         # query without a partner in its subtraction
-        made = []
-        executor = model.ThreadPoolExecutor
-        monkeypatch.setattr(model, "ThreadPoolExecutor",
-                            lambda **kw: made.append(kw["max_workers"]) or executor(**kw))
+        calls = record_runs(monkeypatch, model)
         cpus = (2, 3, 7, 8, model.usable_cpus())
         n_blocks = -(-n // model.BLOCK_ROWS)
         rng = np.random.default_rng(n_queries)
@@ -318,19 +314,16 @@ class TestBatchScoring:
             for first in ("object", "subject"):
                 sides = [(first, "object" if first == "subject" else "subject")[q % 2]
                          for q in range(n_queries)]
-                before = threading.active_count()
-                made.clear()
+                calls.clear()
                 monkeypatch.setattr(model, "usable_cpus", lambda: 1)
                 scores, offsets = score_step(params, 1, anchors, slots, sides)
-                assert made == [1]
                 for count in cpus:
                     monkeypatch.setattr(model, "usable_cpus", lambda: count)
                     got_scores, got_offsets = score_step(params, 1, anchors, slots, sides)
                     assert np.array_equal(got_scores, scores), (p, first, count)
                     assert np.array_equal(got_offsets, offsets), (p, first, count)
-                    assert threading.active_count() == before
                 workers = [min(count, n_blocks) for count in cpus]
-                assert made == [1] + workers
+                assert [len(runs) for runs in calls] == [1] + workers
 
     def test_many_workers_under_fast_switching(self, monkeypatch):
         # 8 workers, more than the cores, share the output array and hand the

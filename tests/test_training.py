@@ -1,18 +1,19 @@
 import math
+import multiprocessing
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import params_from
+from conftest import params_from, record_runs
 from oracles import (batch_loss, dense_grads, dense_step_oracle, fd_grads, loss, loss_oracle,
                      max_relative_error, negative_quads, zero_acc)
 from tero import model, training
 from tero.data import expand_for_training
-from tero.model import ModelParams, init_params, score_quads
+from tero.model import ModelParams, init_params, score_quads, score_step
 from tero.synthetic import reflexive_relation_suite, temporary_relation_suite
 from tero.training import (ADAGRAD_EPS, NumericalError, TrainConfig, _corrupt_batch,
                            apply_adagrad, grad_step, loss_and_grads, train)
@@ -557,26 +558,15 @@ class TestWorkers:
     """The step's blocks and Adagrad run on ``model.on_workers``."""
 
     def run(self, n_pos, norm_p, dual):
-        """Bytes of one ``loss_and_grads``, one ``apply_adagrad`` and 3 chained ``grad_step``s.
-
-        The chained steps share one pool, as ``train`` does; the other
-        calls make their own. Each pool's threads have ended when it is
-        shut down.
-        """
+        """Bytes of one ``loss_and_grads``, one ``apply_adagrad`` and 3 chained ``grad_step``s."""
         params = init_params(70, 4, 6, 12, dual=dual, seed=n_pos, norm_p=norm_p)
         pos, repl, obj = two_sided_batch(params, n_pos, 5, seed=n_pos + 1)
         cfg = TrainConfig(k=12, batch_size=n_pos, neg_ratio=5, margin=8.0, lr=0.3, seed=0)
-        before = threading.active_count()
         loss, grads = loss_and_grads(params, pos, repl, obj, cfg.margin)
-        assert threading.active_count() == before
         stepped, acc = params.copy(), {}
         apply_adagrad(stepped, acc, grads, cfg.lr)
-        assert threading.active_count() == before
         chained, chained_acc = params.copy(), {}
-        with ThreadPoolExecutor(max_workers=model.usable_cpus()) as pool:
-            losses = [grad_step(chained, chained_acc, pos, repl, obj, cfg, pool)
-                      for _ in range(3)]
-        assert threading.active_count() == before
+        losses = [grad_step(chained, chained_acc, pos, repl, obj, cfg) for _ in range(3)]
         return ([loss, *losses],
                 [a.tobytes() for rows_g in grads.values() for a in rows_g]
                 + [a.tobytes() for p in (stepped, chained) for a in p.arrays().values()]
@@ -587,21 +577,19 @@ class TestWorkers:
     @pytest.mark.parametrize("n_pos", [1, 15, 17, 512])
     @pytest.mark.parametrize("norm_p,dual", [(1, False), (2, False), (1, True)])
     def test_worker_count_does_not_change_the_step(self, monkeypatch, n_pos, norm_p, dual):
-        made = []
-        executor = model.ThreadPoolExecutor
-        monkeypatch.setattr(model, "ThreadPoolExecutor",
-                            lambda **kw: made.append(kw["max_workers"]) or executor(**kw))
+        calls = record_runs(monkeypatch, training)
         monkeypatch.setattr(model, "WORKER_BYTES", 0)  # these units are small
         monkeypatch.setattr(model, "usable_cpus", lambda: 1)
         want = self.run(n_pos, norm_p, dual)
-        assert made == [1, 1]
+        assert [len(runs) for runs in calls] == 8 * [1]
         n_blocks = -(-n_pos // training.GROUPS_PER_BLOCK)
         for count in (2, 3, 8):
-            made.clear()
+            calls.clear()
             monkeypatch.setattr(model, "usable_cpus", lambda: count)
             assert self.run(n_pos, norm_p, dual) == want, count
-            # loss_and_grads' blocks, then Adagrad's blocks of every table
-            assert made[0] == min(count, n_blocks) and made[1] > 1
+            # loss_and_grads' blocks, then Adagrad's blocks of every table, 4 times
+            assert [len(runs) for runs in calls[::2]] == 4 * [min(count, n_blocks)]
+            assert all(len(runs) > 1 for runs in calls[1::2]) and len(calls) == 8
 
     def test_small_units_take_one_worker(self, monkeypatch):
         # at the real WORKER_BYTES this step's units are too small for a
@@ -629,22 +617,68 @@ class TestWorkers:
             # the calling thread takes the first run, pool threads the others
             assert [run[0] for run in runs if run[2] == threading.get_ident()] == [0]
 
-    def test_train_makes_one_pool_for_its_steps(self, monkeypatch):
-        made = []
-        executor = training.ThreadPoolExecutor
-        monkeypatch.setattr(training, "ThreadPoolExecutor",
-                            lambda **kw: made.append(kw["max_workers"]) or executor(**kw))
-        monkeypatch.setattr(model, "ThreadPoolExecutor",
-                            lambda **kw: made.append(("per call", kw)) or executor(**kw))
+    def test_a_warm_pool_starts_no_thread(self, monkeypatch):
+        # the barrier holds each run until all three have begun, so the first
+        # call has the pool start both of its threads at 3 CPUs
         monkeypatch.setattr(model, "WORKER_BYTES", 0)
         monkeypatch.setattr(model, "usable_cpus", lambda: 3)
-        monkeypatch.setattr(training, "usable_cpus", lambda: 3)
+        barrier = threading.Barrier(3, timeout=30)
+        model.on_workers(lambda lo, hi: barrier.wait(), 3)
+        starts = []
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda self, start=threading.Thread.start: starts.append(self)
+                            or start(self))
+        calls = record_runs(monkeypatch, model, training)
         ds = temporary_relation_suite()
-        before = threading.active_count()
         cfg = TrainConfig(k=8, batch_size=16, neg_ratio=3, max_epochs=3, seed=2)
         train(ds.train, [], cfg, ds.binning, ds.vocab)
-        assert made == [3]
-        assert threading.active_count() == before
+        # 200 entities are four row blocks
+        params = init_params(200, 2, 3, 8, dual=False, seed=3)
+        for tau in range(10):
+            score_step(params, tau % 3, [5, 150], [0, 1], ["object", "subject"])
+        assert starts == []
+        # the pool's threads took runs of the steps' Adagrad and of every screen
+        assert [len(runs) for runs in calls[-10:]] == 10 * [3]
+        assert sum(len(runs) == 3 for runs in calls[:-10]) >= 3
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="needs the fork start method")
+    def test_a_forked_child_gets_its_own_pool(self, monkeypatch):
+        # the parent's pool has a thread, idle, that the forked child lacks;
+        # work handed to it in the child would never run
+        monkeypatch.setattr(model, "usable_cpus", lambda: 2)
+        params = init_params(200, 2, 3, 8, dual=False, seed=5)
+        args = (params, 1, [5, 150], [0, 1], ["object", "subject"])
+        want = score_step(*args)[0].tobytes()
+        child = multiprocessing.get_context("fork").Process(
+            target=lambda: sys.exit(score_step(*args)[0].tobytes() != want))
+        child.start()
+        child.join(timeout=30)
+        hung = child.is_alive()
+        if hung:
+            child.kill()
+            child.join()
+        assert not hung and child.exitcode == 0
+
+    def test_a_worker_error_leaves_the_pool_whole(self, monkeypatch):
+        monkeypatch.setattr(model, "usable_cpus", lambda: 3)
+        ended = []
+
+        def work(lo, hi):
+            if lo == 3:  # the second run, a pool thread's
+                raise ValueError("unit 3")
+            time.sleep(0.05)
+            ended.append((lo, hi))
+
+        for _ in range(3):
+            ended.clear()
+            with pytest.raises(ValueError, match="unit 3"):
+                model.on_workers(work, 9)
+            # raised after the other runs had ended
+            assert sorted(ended) == [(0, 3), (6, 9)]
+            covered = []
+            model.on_workers(lambda lo, hi: covered.extend(range(lo, hi)), 9)
+            assert sorted(covered) == list(range(9))
 
     def test_many_workers_under_fast_switching(self, monkeypatch):
         # 8 workers hand the interpreter over every microsecond; a lost or
@@ -682,10 +716,15 @@ class TestTrainConfig:
     @pytest.mark.parametrize("field,value", [
         ("batch_size", 0), ("neg_ratio", 0), ("margin", 0.0), ("margin", np.nan),
         ("margin", np.inf), ("lr", -0.1), ("lr", np.nan), ("lr", np.inf), ("norm_p", 3),
-        ("valid_every", 0)])
+        ("valid_every", 0), ("k", 0), ("patience", 0), ("max_epochs", -3), ("seed", -1)])
     def test_invalid_values_rejected(self, field, value):
         with pytest.raises(ValueError):
             TrainConfig(**{field: value})
+
+    def test_least_values_accepted(self):
+        # as on the command line: 0 epochs returns the initialization
+        TrainConfig(k=1, batch_size=1, neg_ratio=1, max_epochs=0, valid_every=1, patience=1,
+                    seed=0)
 
     def test_defaults(self):
         cfg = TrainConfig()
