@@ -378,21 +378,25 @@ def grad_step(params: ModelParams, acc: dict[str, np.ndarray], pos: np.ndarray,
 def train(train_facts: Sequence[Quadruple], valid_facts: Sequence[Quadruple],
           config: TrainConfig, binning: TimeBinning, vocab: Vocab,
           on_validation: Callable[[ValidationRecord, ModelParams | None], None] | None = None,
+          filter_binning: TimeBinning | None = None,
           ) -> tuple[ModelParams, list[ValidationRecord]]:
     """Full training run with early stopping on validation MRR.
 
     Expands facts into endpoint quadruples, shuffles each epoch (seeded),
     validates every ``valid_every`` epochs against the train+valid filter,
-    and keeps the best-MRR snapshot. ``on_validation(record, snapshot)``
-    runs at each validation, with the new best snapshot if the MRR beat
-    every earlier one and None otherwise, so a caller can log and save
-    before a later step fails; ``train`` writes and prints nothing. Stops at
-    ``max_epochs`` or after ``patience`` consecutive validations without
-    improvement. Returns the best snapshot (the final params if validation
-    never ran) and the per-validation history. The training step and
-    validation's screen (``evaluation.evaluate``) run on one worker per CPU
-    in the process's affinity set, on the process's one pool
-    (``model.on_workers``), and the trained bits are the same at any count.
+    and keeps the best-MRR snapshot. The model scores on ``binning`` and the
+    filter bins on ``filter_binning`` (default ``binning``), so a model on
+    coarser steps than the data's can stop on the data's own filter.
+    ``on_validation(record, snapshot)`` runs at each validation, with the
+    new best snapshot if the MRR beat every earlier one and None otherwise,
+    so a caller can log and save before a later step fails; ``train``
+    writes and prints nothing. Stops at ``max_epochs`` or after
+    ``patience`` consecutive validations without improvement. Returns the
+    best snapshot (the final params if validation never ran) and the
+    per-validation history. The training step and validation's screen
+    (``evaluation.evaluate``) run on one worker per CPU in the process's
+    affinity set, on the process's one pool (``model.on_workers``), and the
+    trained bits are the same at any count.
     """
     if not train_facts:
         raise ValueError("empty training set")
@@ -404,7 +408,10 @@ def train(train_facts: Sequence[Quadruple], valid_facts: Sequence[Quadruple],
     # step, and page faults per step double (ICEWS14 shape)
     acc: dict[str, np.ndarray] = {}
     rng = np.random.default_rng([config.seed, 1])
-    filter_set = (evaluation.FilterSet.build(list(train_facts) + list(valid_facts), binning)
+    if filter_binning is None:
+        filter_binning = binning
+    filter_set = (evaluation.FilterSet.build(list(train_facts) + list(valid_facts),
+                                             filter_binning)
                   if valid_facts else None)
 
     history: list[ValidationRecord] = []
@@ -442,12 +449,13 @@ def train_and_test(ds: Dataset, config: TrainConfig, train_binning: TimeBinning 
                    ) -> tuple[ModelParams, list[ValidationRecord], evaluation.EvalReport]:
     """``train`` on ``ds``, then ``evaluate`` the best snapshot on ``ds.test``.
 
-    Training and test scoring use ``train_binning`` (default ``ds.binning``);
-    the time-wise filter is built on, and keeps, ``ds.binning``.
-    ``on_validation`` is passed to ``train``.
+    Training and scoring use ``train_binning`` (default ``ds.binning``);
+    the time-wise filters of validation and test are built on, and keep,
+    ``ds.binning``. ``on_validation`` is passed to ``train``.
     """
     binning = ds.binning if train_binning is None else train_binning
-    best, history = train(ds.train, ds.valid, config, binning, ds.vocab, on_validation)
+    best, history = train(ds.train, ds.valid, config, binning, ds.vocab, on_validation,
+                          filter_binning=ds.binning)
     filter_set = evaluation.FilterSet.build(ds.all_facts, ds.binning)
     report = evaluation.evaluate(best, ds.test, filter_set, binning)
     return best, history, report

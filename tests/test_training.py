@@ -11,12 +11,14 @@ from hypothesis import given, strategies as st
 from conftest import params_from, record_runs
 from oracles import (batch_loss, dense_grads, dense_step_oracle, fd_grads, loss, loss_oracle,
                      max_relative_error, negative_quads, zero_acc)
+from test_acceptance import PATTERN_CONFIG
 from tero import model, training
 from tero.data import expand_for_training
+from tero.evaluation import FilterSet, evaluate
 from tero.model import ModelParams, init_params, score_quads, score_step
-from tero.synthetic import reflexive_relation_suite, temporary_relation_suite
+from tero.synthetic import collapsed_binning, reflexive_relation_suite, temporary_relation_suite
 from tero.training import (ADAGRAD_EPS, NumericalError, TrainConfig, _corrupt_batch,
-                           apply_adagrad, grad_step, loss_and_grads, train)
+                           apply_adagrad, grad_step, loss_and_grads, train, train_and_test)
 
 
 def make_batch(params, n_pos, neg_ratio, seed=0):
@@ -813,9 +815,21 @@ class TestTrainLoop:
         best, history = train(ds.train, ds.valid, cfg, ds.binning, ds.vocab)
         assert history[-1].epoch < 1000  # patience stopped the run
         best_mrr = max(rec.mrr for rec in history)
-        from tero.evaluation import FilterSet, evaluate
         fs = FilterSet.build(ds.train + ds.valid, ds.binning)
         assert evaluate(best, ds.valid, fs, ds.binning).mrr == pytest.approx(best_mrr)
+
+    def test_train_and_test_validates_on_the_datasets_filter(self):
+        # criterion 5's ablation: early stopping reads the filter that the
+        # test reads, on the data's own steps, not one on the model's step
+        ds = temporary_relation_suite()
+        flat = collapsed_binning(ds)
+        calls = []
+        train_and_test(ds, PATTERN_CONFIG, flat, lambda rec, snap: calls.append((rec, snap)))
+        fs = FilterSet.build(ds.train + ds.valid, ds.binning)
+        snapped = [(rec, snap) for rec, snap in calls if snap is not None]
+        assert snapped
+        for rec, snap in snapped:
+            assert rec.mrr == evaluate(snap, ds.valid, fs, flat).mrr, rec.epoch
 
     def test_validation_is_read_only(self):
         # the best snapshot equals an unvalidated run of exactly its epochs:
